@@ -4,13 +4,16 @@ Usage (from the repository root)::
 
     python3 perfbench/make_reference.py map-cold map-warm sweep-fig15 sweep-guided
 
-Writes ``perfbench/reference/<workload>.json``.  Every answer is computed
-twice: on the default (batch-kernel) path and on the scalar oracle path
-(``REPRO_BATCH_KERNEL=0``); the two must agree exactly or nothing is
-written.  The sweep references hold one digest per point of the whole
-Table II lattice at 4096 MACs, so any seed's subset or trajectory can be
-checked; recording them takes about 10 (sweep-fig15) and 15 (sweep-guided)
-minutes on one core.  ``--keep-table`` reuses an already recorded lattice.
+Writes ``perfbench/reference/<workload>.json``.  The map answers and the
+full outputs of the recorded seeds are computed twice: on the default
+(batch-kernel) path and on the scalar oracle path
+(``REPRO_BATCH_KERNEL=0``); the two must agree exactly or recording stops
+with an error.  The sweep references also hold one digest per point of the
+whole Table II lattice at 4096 MACs, so any seed's subset or trajectory
+can be checked.  The lattice is computed on the batch path only; the
+recorded seeds' points, checked against it, are its oracle cross-check.
+Recording the lattices takes about 10 (sweep-fig15) and 15 (sweep-guided)
+minutes on one core.
 
 Only run this to re-record references for a commit whose answers are
 known to be right: the benchmark trusts these files.
@@ -95,20 +98,14 @@ def lattice_table(models: dict, profile) -> tuple[dict, list]:
     return table, points
 
 
-def sweep_reference(name: str, keep_table: bool, workdir) -> None:
+def sweep_reference(name: str, workdir) -> None:
     cls = wl.WORKLOADS[name]
     profile = repro.SearchProfile.MINIMAL if name == "sweep-fig15" else repro.SearchProfile.FAST
     payload: dict = {"seeds": {}}
-    old = ref.load(name) if keep_table and (ref.REFERENCE_DIR / f"{name}.json").exists() else None
-    if old is not None:
-        payload["table"] = old["table"]
-        if "oracle_optimum" in old:
-            payload["oracle_optimum"] = old["oracle_optimum"]
-    else:
-        models = {n: repro.get_model(n) for n in cls.model_names}
-        payload["table"], points = lattice_table(models, profile)
-        if name == "sweep-guided":
-            payload["oracle_optimum"] = wl.recommendation(points, cls.model_names[0])
+    models = {n: repro.get_model(n) for n in cls.model_names}
+    payload["table"], points = lattice_table(models, profile)
+    if name == "sweep-guided":
+        payload["oracle_optimum"] = wl.recommendation(points, cls.model_names[0])
     ref.save(name, payload)  # the workloads read the table from here
 
     for seed in RECORDED_SEEDS:
@@ -151,8 +148,6 @@ def sweep_reference(name: str, keep_table: bool, workdir) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="+", choices=sorted(wl.WORKLOADS))
-    parser.add_argument("--keep-table", action="store_true",
-                        help="reuse the recorded sweep lattice table")
     args = parser.parse_args(argv)
     bootstrap.WORK_DIR.mkdir(parents=True, exist_ok=True)
     workdir = tempfile.mkdtemp(dir=bootstrap.WORK_DIR, prefix="reference-")
@@ -165,11 +160,11 @@ def main(argv=None) -> int:
                 answers = {
                     f"{machine}/{model}": map_reference(machine, model, repro.SearchProfile.FAST, workdir)
                     for machine in wl.MAP_MACHINES
-                    for model in repro.list_models()
+                    for model in wl.MAP_WARM_MODELS
                 }
                 ref.save(name, {"answers": answers})
             else:
-                sweep_reference(name, args.keep_table, workdir)
+                sweep_reference(name, workdir)
             print(f"recorded {name}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

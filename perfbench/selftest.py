@@ -78,6 +78,7 @@ class SelfTime(unittest.TestCase):
         self.assertAlmostEqual(metrics["cache.get_ms"], 4.0)
         self.assertAlmostEqual(metrics["workloads.build_ms"], 1.0)
         self.assertAlmostEqual(metrics["trace.coverage"], 0.8)
+        self.assertAlmostEqual(metrics["trace.named_coverage"], 0.4)
         self.assertAlmostEqual(metrics["trace.overhead_ratio"], 1.25)
         self.assertEqual(set(metrics), set(tracing.PER_LAYER_UNITS))
 
@@ -89,13 +90,16 @@ class CorruptedReference(unittest.TestCase):
             workload = wl.MapWarm(seed=0, workdir=Path(workdir))
             workload.prepare()
             workload.reference = copy.deepcopy(workload.reference)
-            expected = workload.reference["answers"]["case-study/alexnet"]
-            expected["energy_pj"] *= 1.0000001
+            answers = workload.reference["answers"]
+            answers["case-study/alexnet"]["energy_pj"] *= 1.0000001
+            del answers["simba-like/vgg16"]
             workload.setup()
             result = workload.round(0)
         self.assertEqual(result.attempted, 16)
-        self.assertEqual(run.failed_ops([result]), 1)
-        self.assertIn("case-study/alexnet", result.failures[0])
+        self.assertEqual(run.failed_ops([result]), 2)
+        failures = "\n".join(result.failures)
+        self.assertIn("case-study/alexnet: energy_pj", failures)
+        self.assertIn("simba-like/vgg16: no reference answer", failures)
 
     def test_point_mismatch_is_reported(self):
         table = ref.PointTable(ref.load("sweep-guided")["table"])

@@ -56,6 +56,11 @@ SPAN_METRIC = {
 #: time is what no layer boundary accounts for.
 CALL_SPAN = "bench.call"
 
+#: The public entry points the timed calls go through.  Their self time
+#: takes in all the work no inner boundary wraps, so it is left out of
+#: ``trace.named_coverage``.
+ROOT_SPANS = frozenset({"dse.explore", "mapper.search_model", "mapper.init"})
+
 
 @dataclass
 class Span:
@@ -306,7 +311,8 @@ PER_LAYER_UNITS = {
     "search.bound_ms": "ms", "search.ask_ms": "ms", "search.study_ms": "ms",
     "search.pruned": "count", "search.deduped": "count", "search.eval_ratio": "ratio",
     "workloads.build_ms": "ms",
-    "trace.coverage": "ratio", "trace.overhead_ratio": "ratio",
+    "trace.coverage": "ratio", "trace.named_coverage": "ratio",
+    "trace.overhead_ratio": "ratio",
 }
 
 
@@ -322,19 +328,23 @@ def layer_metrics(tracer: Tracer, rounds: int, untraced_call_ms: float) -> dict[
     the set-up's model construction.  ``search.eval_ratio`` is the share
     of the guided sampler's draws (proposals plus collisions it dropped)
     that were paid for with a full evaluation.  ``trace.coverage`` is the
-    share of the traced calls' wall time that layer spans account for;
-    ``trace.overhead_ratio`` is traced over untraced call time of the
-    same rounds.
+    share of the traced calls' wall time spent inside the program's
+    wrapped entry points; ``trace.named_coverage`` the share spent inside
+    inner boundaries, leaving out the entry points' own code
+    (:data:`ROOT_SPANS`); ``trace.overhead_ratio`` is traced over
+    untraced call time of the same rounds.
     """
     own = self_times(tracer.spans)
     totals: Counter = Counter()
-    build_ms = call_ms = unattributed_ms = 0.0
+    build_ms = call_ms = unattributed_ms = named_ms = 0.0
     for span, self_s in zip(tracer.spans, own):
         if span.name == CALL_SPAN:
             call_ms += span.dur * 1e3
             unattributed_ms += self_s * 1e3
         elif span.op is not None:
             totals[SPAN_METRIC[span.name]] += self_s * 1e3
+            if span.name not in ROOT_SPANS:
+                named_ms += self_s * 1e3
         elif span.name == "workloads.get_model":
             build_ms += self_s * 1e3
     counts = tracer.counts[0]
@@ -365,6 +375,7 @@ def layer_metrics(tracer: Tracer, rounds: int, untraced_call_ms: float) -> dict[
             counts["dse.valid"], counts["search.proposals"] + counts["search.deduped"]
         ),
         "trace.coverage": _ratio(call_ms - unattributed_ms, call_ms),
+        "trace.named_coverage": _ratio(named_ms, call_ms),
         "trace.overhead_ratio": _ratio(call_ms, untraced_call_ms),
     })
     return metrics
