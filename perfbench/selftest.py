@@ -41,7 +41,8 @@ class PercentileRule(unittest.TestCase):
         self.assertEqual(run.percentile(list(range(20)), 50), 9)
 
     def test_sample_count_is_printed(self):
-        reported, withheld = run.tail_notes("op_ms", [1.0] * 100)
+        median, reported, withheld = run.percentile_notes("op_ms", [1.0] * 100)
+        self.assertIn("op_ms.p50 = 1.0 ms (100 samples)", median)
         self.assertIn("100 samples", reported)
         self.assertIn("100 samples, needs 1000", withheld)
 
