@@ -33,10 +33,12 @@ audit:
 		--max-layers 4 --json benchmarks/results/audit.json
 
 # Mirrors .github/workflows/ci.yml so CI and local runs stay in lockstep:
-# lint, the tier-1 suite, the consistency audit, then the fast benchmark
-# smoke subset.
+# lint, the tier-1 suite, the benchmark self-test (its traced pass fails
+# when a wrapped boundary moved), the consistency audit, then the fast
+# benchmark smoke subset.
 ci: lint
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
+	python3 perfbench/selftest.py
 	$(MAKE) audit
 	$(MAKE) bench-smoke
 

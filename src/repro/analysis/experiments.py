@@ -452,7 +452,6 @@ def fig15_data(
     area_constraint_mm2: float = 3.0,
     memory_stride: int = 1,
     profile: SearchProfile = SearchProfile.MINIMAL,
-    max_valid_points: int | None = None,
     models: dict[str, list[ConvLayer]] | None = None,
     space: DesignSpace | None = None,
     jobs: int | None = None,
@@ -473,7 +472,6 @@ def fig15_data(
         max_chiplet_mm2=area_constraint_mm2,
         profile=profile,
         memory_stride=memory_stride,
-        max_valid_points=max_valid_points,
         jobs=jobs,
         stats=stats,
     )

@@ -303,23 +303,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
             max_attempts=args.max_attempts,
             on_error=args.on_error,
         )
+    # explore() refuses bad strategy/option combinations with a usage error
+    # (exit 2) naming the flags.
     guided = args.strategy == "guided"
-    if guided and args.trials is None:
-        print("--strategy guided requires --trials", file=sys.stderr)
-        return 2
-    if not guided and (args.trials is not None or args.study is not None):
-        print(
-            "--trials/--study only apply to --strategy guided",
-            file=sys.stderr,
-        )
-        return 2
-    if guided and args.stride not in (None, 1):
-        print(
-            "--strategy guided samples the full memory lattice; "
-            "drop --stride (or pass --stride 1)",
-            file=sys.stderr,
-        )
-        return 2
     stride = args.stride if args.stride is not None else (1 if guided else 8)
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and (
@@ -328,13 +314,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         or os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
     ):
         checkpoint_dir = SweepCheckpoint.resolve_dir(None)
-    if guided and (checkpoint_dir is not None or args.resume):
-        print(
-            "--strategy guided persists through --study, not the sweep "
-            "checkpoint; drop --checkpoint/--checkpoint-dir/--resume",
-            file=sys.stderr,
-        )
-        return 2
     meter = None
     if progress_enabled(getattr(args, "progress", None)):
         from repro.obs.progress import ProgressMeter

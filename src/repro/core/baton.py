@@ -124,7 +124,6 @@ class NNBaton:
         objective: str = "edp",
         primary_model: str | None = None,
         memory_stride: int = 1,
-        max_valid_points: int | None = None,
         profile: SearchProfile | None = None,
         max_runtime_s: float | None = None,
         jobs: int | None = None,
@@ -152,7 +151,6 @@ class NNBaton:
             primary_model: Model the recommendation optimizes (defaults to
                 the first entry of ``models``).
             memory_stride: Memory-sweep subsampling knob.
-            max_valid_points: Cap on evaluated valid points.
             profile: Mapping-search profile for the sweep (defaults to FAST;
                 large sweeps typically use MINIMAL).
             max_runtime_s: Performance budget on the primary model.
@@ -173,11 +171,6 @@ class NNBaton:
             progress: Optional :class:`repro.obs.progress.ProgressMeter`
                 updated as the sweep completes points (stderr only).
         """
-        if not models:
-            raise ValueError("models must be non-empty")
-        model = primary_model or next(iter(models))
-        if model not in models:
-            raise KeyError(f"primary model {model!r} not in models")
         points = explore(
             models,
             required_macs=required_macs,
@@ -187,7 +180,6 @@ class NNBaton:
             profile=profile or SearchProfile.FAST,
             tech=self.tech,
             memory_stride=memory_stride,
-            max_valid_points=max_valid_points,
             jobs=jobs,
             stats=stats,
             policy=policy,
@@ -198,9 +190,10 @@ class NNBaton:
             trials=trials,
             study=study,
             seed=seed,
-            primary_model=model,
+            primary_model=primary_model,
             progress=progress,
         )
+        model = primary_model or next(iter(models))
         recommended = best_point(
             points,
             model,

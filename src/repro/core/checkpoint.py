@@ -2,10 +2,10 @@
 
 A Figure-15-scale :func:`repro.core.dse.explore` sweep evaluates thousands
 of design points; one OOM-killed worker or one Ctrl-C used to throw the
-whole run away.  This module persists completed design-point results as
-they arrive, so an interrupted sweep restarted with ``--resume`` skips
-every point it already answered and produces byte-identical output to an
-uninterrupted run.
+whole run away.  This module persists evaluated design points as they
+arrive, so an interrupted sweep restarted with ``--resume`` skips every
+point it already evaluated (invalid points are cheaply validated again)
+and produces byte-identical output to an uninterrupted run.
 
 Format -- one JSON object per line, append-only:
 
@@ -102,7 +102,7 @@ def task_key(task: tuple) -> str:
 
 
 class SweepCheckpoint:
-    """Append-only JSONL store of completed design-point results.
+    """Append-only JSONL store of evaluated design points.
 
     Attributes:
         path: The checkpoint file (``sweep-<digest16>.jsonl``).
@@ -289,6 +289,10 @@ class SweepCheckpoint:
         obs.count("checkpoint.points_flushed", len(self._buffer))
         obs.event("checkpoint.flush", points=len(self._buffer))
         self._buffer.clear()
+
+    def close(self) -> None:
+        """Flush what is buffered (every append reopens the file)."""
+        self.flush()
 
 
 __all__ = [

@@ -22,38 +22,52 @@ interpretation.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.arch.area import AreaModel
-from repro.arch.config import HardwareConfig, MemoryConfig, build_hardware
+from repro.arch.config import MemoryConfig, build_hardware
 from repro.arch.technology import DEFAULT_TECHNOLOGY, TechnologyParams
 from repro.arch.topology import Topology
 from repro.arch.validate import validation_errors
-from repro.core.checkpoint import SweepCheckpoint, sweep_digest, task_key
-from repro.core.cost import InvalidMappingError, model_cost
+from repro.core.checkpoint import SweepCheckpoint, sweep_digest
 from repro.core.mapper import Mapper
 from repro.core.parallel import (
     SweepStats,
-    TaskFailure,
     TaskPolicy,
     is_picklable,
     resolve_jobs,
     run_tasks,
-    worker_context,
+)
+from repro.core.search import (
+    STRATEGY_NAMES,
+    DesignPoint,
+    ExhaustiveStrategy,
+    GuidedStrategy,
+    Study,
+    _evaluate_task,
+    _finish_point,
+    _label_failures,
+    run_search,
 )
 from repro.core.space import SearchProfile
+from repro.errors import UsageError
 from repro.workloads.layer import ConvLayer
 
 KB = 1024
 
-#: Completed points per ``point.batch`` event.  Emitted parent-side per
-#: fixed batch of completions (never per worker chunk), so the event set
-#: of a ``--jobs N`` sweep equals the serial run's.
-POINT_BATCH_EVERY = 16
+
+class SweepOptionError(UsageError, ValueError):
+    """A strategy/option combination :func:`explore` cannot run.
+
+    Still a ``ValueError`` (the historical contract) and a
+    :class:`repro.errors.UsageError` (code ``usage``, exit 2).  Messages
+    name both the argument and its command-line flag.
+    """
 
 
 @dataclass(frozen=True)
@@ -110,174 +124,10 @@ class DesignSpace:
 
     def sweep_size(self, total_macs: int | None = None) -> int:
         """Number of (computation, memory) points before validity pruning."""
-        total = 0
         mem_per_lane = (
             len(self.o_l1_per_lane_bytes) * len(self.w_l1_kb)
         ) * sum(1 for a1 in self.a_l1_kb for a2 in self.a_l2_kb if a2 >= a1)
-        total = len(self.computation_configs(total_macs)) * mem_per_lane
-        return total
-
-
-@dataclass
-class DesignPoint:
-    """One evaluated hardware design.
-
-    Attributes:
-        hw: The hardware instance.
-        chiplet_area_mm2: Area of one chiplet.
-        valid: Whether the point passed structural validation.
-        errors: Validation messages when invalid.
-        energy_pj: Per-model total energy (model name -> pJ).
-        cycles: Per-model total cycles.
-    """
-
-    hw: HardwareConfig
-    chiplet_area_mm2: float
-    valid: bool
-    errors: tuple[str, ...] = ()
-    energy_pj: dict[str, float] = field(default_factory=dict)
-    cycles: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def label(self) -> str:
-        """The (chiplet, core, lane, vector) tuple label."""
-        return self.hw.label()
-
-    def runtime_s(self, model: str) -> float:
-        """Model runtime in seconds."""
-        return self.cycles[model] * self.hw.tech.cycle_time_ns() * 1e-9
-
-    def edp(self, model: str) -> float:
-        """Model energy-delay product in joule-seconds."""
-        return self.energy_pj[model] * 1e-12 * self.runtime_s(model)
-
-    def meets_area(self, max_chiplet_mm2: float) -> bool:
-        """Whether the chiplet fits the area budget."""
-        return self.chiplet_area_mm2 <= max_chiplet_mm2
-
-
-def _evaluate_point(
-    hw: HardwareConfig,
-    models: dict[str, list[ConvLayer]],
-    profile: SearchProfile,
-) -> tuple[dict[str, float], dict[str, int], tuple[int, int]]:
-    """Optimal-mapping energy and cycles of every model on ``hw``.
-
-    Returns the per-model energy and cycle dicts plus the mapping-cache
-    (hits, misses) counters of the point's search.  The layer search runs
-    serially (``jobs=1``): sweep-level parallelism fans out across design
-    points, and nesting pools inside pool workers is never a win.
-    """
-    energy: dict[str, float] = {}
-    cycles: dict[str, int] = {}
-    mapper = Mapper(hw=hw, profile=profile)
-    for name, layers in models.items():
-        results = mapper.search_model(layers, jobs=1)
-        breakdown, total_cycles, _ = model_cost([r.best for r in results], hw)
-        energy[name] = breakdown.total_pj
-        cycles[name] = total_cycles
-    return energy, cycles, (mapper.cache.hits, mapper.cache.misses)
-
-
-def _make_point(
-    hw: HardwareConfig,
-    models: dict[str, list[ConvLayer]],
-    profile: SearchProfile,
-    required_macs: int | None = None,
-    max_chiplet_mm2: float | None = None,
-) -> tuple[DesignPoint, bool, int, int]:
-    """Validate and (when structurally valid) evaluate one design point.
-
-    Returns ``(point, structurally_valid, cache_hits, cache_misses)``; the
-    flag lets :func:`explore` re-apply ``max_valid_points`` in deterministic
-    sweep order after a parallel fan-out.
-    """
-    errors = validation_errors(
-        hw,
-        required_macs=required_macs,
-        max_chiplet_area_mm2=max_chiplet_mm2,
-    )
-    area = AreaModel(hw).chiplet_area_mm2()
-    point = DesignPoint(
-        hw=hw,
-        chiplet_area_mm2=area,
-        valid=not errors,
-        errors=tuple(errors),
-    )
-    hits = misses = 0
-    structural = point.valid
-    if point.valid:
-        eval_start = time.perf_counter()
-        try:
-            point.energy_pj, point.cycles, (hits, misses) = _evaluate_point(
-                hw, models, profile
-            )
-        except InvalidMappingError as exc:
-            point.valid = False
-            point.errors = (str(exc),)
-        obs.histogram(
-            "dse.point_eval_ms", (time.perf_counter() - eval_start) * 1e3
-        )
-    return point, structural, hits, misses
-
-
-def _granularity_task(config: tuple[int, int, int, int]):
-    """Worker: one Figure 14 factorization (context: models, profile, tech)."""
-    models, profile, tech = worker_context()
-    n_p, n_c, lane, vec = config
-    hw = build_hardware(n_p, n_c, lane, vec, tech=tech)
-    return _make_point(hw, models, profile)
-
-
-def _explore_task(task: tuple[int, int, int, int, MemoryConfig]):
-    """Worker: one Figure 15 (computation, memory) sweep point."""
-    models, profile, tech, required_macs, max_chiplet_mm2, topology = (
-        worker_context()
-    )
-    n_p, n_c, lane, vec, memory = task
-    hw = build_hardware(
-        n_p, n_c, lane, vec, memory=memory, tech=tech, topology=topology
-    )
-    return _make_point(
-        hw,
-        models,
-        profile,
-        required_macs=required_macs,
-        max_chiplet_mm2=max_chiplet_mm2,
-    )
-
-
-def _failed_point(
-    hw: HardwareConfig, failure: TaskFailure
-) -> DesignPoint:
-    """The invalid design point recorded for a task that exhausted retries."""
-    return DesignPoint(
-        hw=hw,
-        chiplet_area_mm2=AreaModel(hw).chiplet_area_mm2(),
-        valid=False,
-        errors=(
-            f"evaluation failed ({failure.error_type}) after "
-            f"{failure.attempts} attempt(s): {failure.error}",
-        ),
-    )
-
-
-def _label_failures(
-    stats: SweepStats | None,
-    fail_start: int,
-    local_to_global: Sequence[int],
-    labels: Sequence[str],
-) -> None:
-    """Rewrite run-local failure indices/labels into sweep terms."""
-    if stats is None:
-        return
-    for pos in range(fail_start, len(stats.failures)):
-        failure = stats.failures[pos]
-        if failure.index < len(local_to_global):
-            index = local_to_global[failure.index]
-            stats.failures[pos] = replace(
-                failure, index=index, label=labels[index]
-            )
+        return len(self.computation_configs(total_macs)) * mem_per_lane
 
 
 def granularity_study(
@@ -312,46 +162,47 @@ def granularity_study(
     """
     space = space or DesignSpace()
     jobs = resolve_jobs(jobs)
-    context = (models, profile, tech)
+    context = (models, profile)
     if jobs > 1 and not is_picklable(context):
         jobs = 1
-    tasks = space.computation_configs(total_macs)
+    points = []
+    for config in space.computation_configs(total_macs):
+        hw = build_hardware(*config, tech=tech)
+        points.append(
+            DesignPoint(
+                hw=hw,
+                chiplet_area_mm2=AreaModel(hw).chiplet_area_mm2(),
+                valid=False,
+                errors=tuple(validation_errors(hw)),
+            )
+        )
+    todo = [index for index, point in enumerate(points) if not point.errors]
     if stats is not None:
         stats.jobs = max(stats.jobs, jobs)
-        stats.points_total += len(tasks)
+        stats.points_total += len(points)
     fail_start = len(stats.failures) if stats is not None else 0
-    timer = stats.stage("granularity") if stats else None
-    if timer:
-        timer.__enter__()
-    try:
+    with stats.stage("granularity") if stats is not None else nullcontext():
         outcomes = run_tasks(
-            _granularity_task,
-            tasks,
+            _evaluate_task,
+            [points[index].hw for index in todo],
             jobs=jobs,
             context=context,
             policy=policy,
             stats=stats,
         )
-    finally:
-        if timer:
-            timer.__exit__(None, None, None)
-    labels = ["-".join(str(v) for v in config) for config in tasks]
-    _label_failures(stats, fail_start, list(range(len(tasks))), labels)
-    points: list[DesignPoint] = []
-    for index, outcome in enumerate(outcomes):
-        if isinstance(outcome, TaskFailure):
-            hw = build_hardware(*tasks[index], tech=tech)
-            point, hits, misses = _failed_point(hw, outcome), 0, 0
-        else:
-            point, _structural, hits, misses = outcome
+    _label_failures(
+        stats, fail_start, [(index, points[index].label) for index in todo]
+    )
+    for index, outcome in zip(todo, outcomes):
+        hits, misses = _finish_point(points[index], outcome)
         if stats is not None:
             stats.add_cache(hits, misses)
-            if point.valid:
-                stats.points_evaluated += 1
-        points.append(point)
+    evaluated = sum(1 for point in points if point.valid)
+    if stats is not None:
+        stats.points_evaluated += evaluated
     obs.count("dse.points.total", len(points))
-    obs.count("dse.points.evaluated", sum(1 for p in points if p.valid))
-    obs.count("dse.points.invalid", sum(1 for p in points if not p.valid))
+    obs.count("dse.points.evaluated", evaluated)
+    obs.count("dse.points.invalid", len(points) - evaluated)
     return points
 
 
@@ -393,68 +244,49 @@ def best_point(
     return min(eligible, key=scorers[objective])
 
 
-def _sweep_tasks(
-    space: DesignSpace, required_macs: int, memory_stride: int
-) -> list[tuple[int, int, int, int, MemoryConfig]]:
-    """The stride-filtered (computation, memory) task list, in sweep order."""
-    tasks = []
-    for n_p, n_c, lane, vec in space.computation_configs(required_macs):
-        for index, memory in enumerate(space.memory_configs(lane)):
-            if index % memory_stride:
-                continue
-            tasks.append((n_p, n_c, lane, vec, memory))
-    return tasks
-
-
-def _record_from_outcome(
-    outcome: tuple[DesignPoint, bool, int, int]
-) -> dict:
-    """The JSON-safe checkpoint record of one completed sweep outcome."""
-    point, structural, hits, misses = outcome
-    return {
-        "structural": structural,
-        "hits": hits,
-        "misses": misses,
-        "valid": point.valid,
-        "errors": list(point.errors),
-        "area": point.chiplet_area_mm2,
-        "energy_pj": point.energy_pj,
-        "cycles": point.cycles,
-    }
-
-
-def _outcome_from_record(
-    task: tuple[int, int, int, int, MemoryConfig],
-    record: dict,
-    tech: TechnologyParams,
-    topology: Topology = Topology.RING,
-) -> tuple[DesignPoint, bool, int, int] | None:
-    """Rebuild a sweep outcome from its checkpoint record.
-
-    Returns ``None`` on any malformed record, so the point is simply
-    re-evaluated rather than poisoning a resumed run.
-    """
-    try:
-        n_p, n_c, lane, vec, memory = task
-        hw = build_hardware(
-            n_p, n_c, lane, vec, memory=memory, tech=tech, topology=topology
+def _check_options(
+    strategy: str,
+    trials: int | None,
+    study: str | Path | None,
+    memory_stride: int,
+    checkpoint_dir: str | Path | None,
+    resume: bool,
+) -> None:
+    """Raise :class:`SweepOptionError` for a combination explore() refuses."""
+    if strategy not in STRATEGY_NAMES:
+        raise SweepOptionError(
+            f"unknown strategy {strategy!r} (--strategy); expected "
+            "'exhaustive' or 'guided'"
         )
-        point = DesignPoint(
-            hw=hw,
-            chiplet_area_mm2=float(record["area"]),
-            valid=bool(record["valid"]),
-            errors=tuple(str(e) for e in record["errors"]),
-            energy_pj={str(k): float(v) for k, v in record["energy_pj"].items()},
-            cycles={str(k): int(v) for k, v in record["cycles"].items()},
+    if strategy == "guided":
+        if trials is None:
+            raise SweepOptionError(
+                "strategy='guided' requires a trials budget (--trials)"
+            )
+        if memory_stride != 1:
+            raise SweepOptionError(
+                "guided search samples the full memory lattice; "
+                "memory_stride (--stride) must stay 1"
+            )
+        if checkpoint_dir is not None or resume:
+            raise SweepOptionError(
+                "guided search persists through study (--study), not the "
+                "sweep checkpoint; drop checkpoint_dir/resume (--checkpoint, "
+                "--checkpoint-dir, --resume)"
+            )
+    elif trials is not None or study is not None:
+        raise SweepOptionError(
+            "trials/study (--trials/--study) only apply to "
+            "strategy='guided' (--strategy guided)"
         )
-        return (
-            point,
-            bool(record["structural"]),
-            int(record["hits"]),
-            int(record["misses"]),
+    elif memory_stride < 1:
+        raise SweepOptionError(
+            f"memory_stride (--stride) must be >= 1, got {memory_stride}"
         )
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
+    elif resume and checkpoint_dir is None:
+        raise SweepOptionError(
+            "resume=True (--resume) requires a checkpoint_dir (--checkpoint-dir)"
+        )
 
 
 def explore(
@@ -465,7 +297,6 @@ def explore(
     topology: Topology = Topology.RING,
     profile: SearchProfile = SearchProfile.FAST,
     tech: TechnologyParams = DEFAULT_TECHNOLOGY,
-    max_valid_points: int | None = None,
     memory_stride: int = 1,
     jobs: int | None = None,
     stats: SweepStats | None = None,
@@ -480,18 +311,21 @@ def explore(
     primary_model: str | None = None,
     progress: Any | None = None,
 ) -> list[DesignPoint]:
-    """The Figure 15 full design-space exploration.
+    """The Figure 15 design-space exploration.
 
-    Sweeps every (computation, memory) combination of ``space`` whose total
+    Sweeps the (computation, memory) combinations of ``space`` whose total
     MAC count equals ``required_macs``, prunes invalid points cheaply, and
-    evaluates the survivors with the optimal per-layer mapping.
+    evaluates the survivors with the optimal per-layer mapping.  Both
+    strategies run the one ask/tell loop of
+    :func:`repro.core.search.run_search`:
 
-    With ``strategy="guided"`` the exhaustive sweep is replaced by the
-    ask/tell optimizer of :func:`repro.core.search.guided_explore`: only
-    ``trials`` full evaluations are paid, dominance-pruned and invalid
-    proposals come back as labelled ``valid=False`` points, and ``study``
-    (a sqlite file) makes the search resumable.  The exhaustive default
-    is byte-for-byte the pre-guided behaviour.
+    * ``"exhaustive"`` (default) proposes every point (every
+      ``memory_stride``-th memory combination) in sweep order;
+      ``checkpoint_dir`` makes it resumable.
+    * ``"guided"`` samples the full lattice and pays for only ``trials``
+      full evaluations; dominance-pruned proposals come back ``valid=False``
+      with a labelled error, and ``study`` (a sqlite file) makes it
+      resumable.
 
     Args:
         models: Benchmarks to evaluate (name -> layers).
@@ -503,303 +337,91 @@ def explore(
             paper's directional ring by default; mesh/switch let the sweep
             answer "does the winning granularity survive a fabric change").
         profile: Mapping-search profile for each valid point.
-        max_valid_points: Optional cap on evaluated points (sweep still
-            counts the rest as valid-but-unevaluated=False for reporting).
-        memory_stride: Evaluate every ``memory_stride``-th memory combo --
-            a documented subsampling knob for quick runs.
-        jobs: Worker processes fanning sweep points out (``None`` defers to
+        tech: Technology point.
+        memory_stride: Exhaustive only -- evaluate every
+            ``memory_stride``-th memory combo, a documented subsampling
+            knob for quick runs.
+        jobs: Worker processes fanning evaluations out (``None`` defers to
             ``REPRO_JOBS``, then serial).  Returned points are bit-identical
-            at every worker count: the cap is re-applied in sweep order, so
-            parallel runs with ``max_valid_points`` trade wasted evaluations
-            beyond the cap for wall-clock speed.
+            at every worker count.
         stats: Optional instrumentation record filled in place.
         policy: Timeout/retry/on-error contract for the fan-out (defaults
             to abort-on-first-failure, the pre-resilience semantics).
-        checkpoint_dir: When set, completed design points stream to a
+        checkpoint_dir: Exhaustive only -- evaluated points stream to a
             :class:`~repro.core.checkpoint.SweepCheckpoint` under this
             directory, keyed by the sweep digest; the checkpoint is also
             flushed when the sweep is interrupted (``KeyboardInterrupt``).
-        resume: Skip every point already answered by the checkpoint (the
-            same ``checkpoint_dir`` must be supplied); resumed outputs are
-            byte-identical to an uninterrupted run.
-        checkpoint_every: Completed points buffered per checkpoint flush.
+        resume: Answer every point the checkpoint holds instead of
+            re-evaluating it (the same ``checkpoint_dir`` must be supplied);
+            the checkpoint holds evaluated points only, so the rest are
+            validated again.  Resumed outputs are byte-identical to an
+            uninterrupted run.
+        checkpoint_every: Evaluated points buffered per checkpoint flush.
         strategy: ``"exhaustive"`` (default) or ``"guided"``.
         trials: Guided only -- the full-evaluation budget (required).
         study: Guided only -- optional sqlite study path for resume.
         seed: Guided only -- sampler seed (same seed, same trajectory).
-        primary_model: Guided only -- the model whose EDP the search
-            minimizes (defaults to the first ``models`` entry).
+        primary_model: The model whose EDP the search minimizes (defaults
+            to the first ``models`` entry); only guided search prunes by it.
         progress: Optional :class:`repro.obs.progress.ProgressMeter`
-            updated per completed point (stderr only; never stdout).
-    """
-    if strategy not in ("exhaustive", "guided"):
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'exhaustive' or 'guided'"
-        )
-    if strategy == "guided":
-        if checkpoint_dir is not None or resume:
-            raise ValueError(
-                "guided search persists through --study, not the sweep "
-                "checkpoint; drop checkpoint_dir/resume"
-            )
-        if max_valid_points is not None:
-            raise ValueError(
-                "guided search budgets with trials, not max_valid_points"
-            )
-        if memory_stride != 1:
-            raise ValueError(
-                "guided search samples the full memory lattice; "
-                "memory_stride must stay 1"
-            )
-        if trials is None:
-            raise ValueError("strategy='guided' requires a trials budget")
-        from repro.core.search import guided_explore
+            updated as points settle (stderr only; never stdout).
 
-        return guided_explore(
-            models,
-            required_macs,
-            space=space,
-            max_chiplet_mm2=max_chiplet_mm2,
-            topology=topology,
-            profile=profile,
-            tech=tech,
-            trials=trials,
-            seed=seed,
-            study=study,
-            primary_model=primary_model,
-            jobs=jobs,
-            stats=stats,
-            policy=policy,
-            progress=progress,
-        )
-    if trials is not None or study is not None:
-        raise ValueError(
-            "trials/study only apply to strategy='guided'"
-        )
-    if memory_stride < 1:
-        raise ValueError(f"memory_stride must be >= 1, got {memory_stride}")
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires a checkpoint_dir")
+    Raises:
+        SweepOptionError: For an option the chosen strategy does not take.
+        ValueError: When ``models`` is empty.
+        KeyError: When ``primary_model`` is not one of ``models``.
+    """
+    _check_options(strategy, trials, study, memory_stride, checkpoint_dir, resume)
+    if not models:
+        raise ValueError("models must be non-empty")
+    primary = primary_model or next(iter(models))
+    if primary not in models:
+        raise KeyError(f"primary model {primary!r} not in models")
     space = space or DesignSpace()
-    jobs = resolve_jobs(jobs)
-    context = (models, profile, tech, required_macs, max_chiplet_mm2, topology)
-    if jobs > 1 and not is_picklable(context):
-        jobs = 1
-    tasks = _sweep_tasks(space, required_macs, memory_stride)
-    if stats is not None:
-        stats.jobs = max(stats.jobs, jobs)
-        stats.points_total += len(tasks)
-    fail_start = len(stats.failures) if stats is not None else 0
-    keys = [task_key(task) for task in tasks]
-
-    checkpoint: SweepCheckpoint | None = None
-    resumed: dict[int, tuple[DesignPoint, bool, int, int]] = {}
-    if checkpoint_dir is not None:
-        checkpoint = SweepCheckpoint(
-            SweepCheckpoint.resolve_dir(checkpoint_dir),
-            sweep_digest(
-                models,
-                required_macs,
-                space,
-                max_chiplet_mm2,
-                profile,
-                tech,
-                memory_stride,
-                topology=topology.value,
-            ),
-            flush_every=checkpoint_every,
-        )
-        if resume:
-            stored = checkpoint.load()
-            for index, key in enumerate(keys):
-                record = stored.get(key)
-                if record is None:
-                    continue
-                outcome = _outcome_from_record(
-                    tasks[index], record, tech, topology=topology
-                )
-                if outcome is not None:
-                    resumed[index] = outcome
-            if resumed:
-                obs.count("dse.points.resumed", len(resumed))
-                if stats is not None:
-                    stats.points_resumed += len(resumed)
-        else:
-            checkpoint.reset()
-
-    pending = [index for index in range(len(tasks)) if index not in resumed]
-    pending_tasks = [tasks[index] for index in pending]
-
-    obs.event("run.start", op="explore", points=len(tasks))
-
-    if progress is not None and getattr(progress, "total", None) is None:
-        # The CLI cannot know the sweep size before the space is built.
-        progress.total = len(pending_tasks)
-
-    # Completion telemetry, parent-side so the event set is identical at
-    # every --jobs N: one point.batch per POINT_BATCH_EVERY completions
-    # (fields depend only on the completion *count*, not on order), plus
-    # the live progress meter when one is attached.
-    done = 0
-    live_hits = 0
-    live_misses = 0
-
-    def _note_done(outcome: Any) -> None:
-        nonlocal done, live_hits, live_misses
-        done += 1
-        if not isinstance(outcome, TaskFailure):
-            _, _, hits, misses = outcome
-            live_hits += hits
-            live_misses += misses
-        if done % POINT_BATCH_EVERY == 0 or done == len(pending_tasks):
-            obs.event("point.batch", done=done, total=len(pending_tasks))
-        if progress is not None:
-            lookups = live_hits + live_misses
-            extra = {"cache": live_hits / lookups} if lookups else {}
-            progress.update(done, **extra)
-
-    def _on_result(local_index: int, outcome) -> None:
-        _note_done(outcome)
-        if checkpoint is None or isinstance(outcome, TaskFailure):
-            return
-        checkpoint.record(
-            keys[pending[local_index]], _record_from_outcome(outcome)
-        )
-
-    timer = stats.stage("explore") if stats else None
-    if timer:
-        timer.__enter__()
-    try:
-        if (
-            jobs == 1
-            and max_valid_points is not None
-            and policy is None
-            and checkpoint is None
-        ):
-            pending_outcomes = _explore_serial_capped(
-                pending_tasks, context, max_valid_points, on_done=_note_done
-            )
-        else:
-            pending_outcomes = run_tasks(
-                _explore_task,
-                pending_tasks,
-                jobs=jobs,
-                context=context,
-                policy=policy,
-                stats=stats,
-                on_result=_on_result,
-            )
-    finally:
-        if timer:
-            timer.__exit__(None, None, None)
-        if checkpoint is not None:
-            # Flush whatever completed -- also on KeyboardInterrupt/SIGINT,
-            # so an interrupted sweep can resume from here.  After the
-            # stage timer: the flush is recovery I/O, not search time, and
-            # an interrupted run's event log ends on ``checkpoint.flush``.
-            checkpoint.flush()
-    _label_failures(stats, fail_start, pending, keys)
-
-    outcomes: list[Any] = [None] * len(tasks)
-    for index, outcome in resumed.items():
-        outcomes[index] = outcome
-    for local_index, outcome in enumerate(pending_outcomes):
-        outcomes[pending[local_index]] = outcome
-
-    # Re-apply the evaluation cap in deterministic sweep order.  A parallel
-    # run evaluates every structurally valid point, then demotes successes
-    # beyond the cap to the exact "skipped" records the serial walk emits.
-    points: list[DesignPoint] = []
-    evaluated = 0
-    for index, outcome in enumerate(outcomes):
-        if isinstance(outcome, TaskFailure):
-            n_p, n_c, lane, vec, memory = tasks[index]
-            hw = build_hardware(
-                n_p, n_c, lane, vec, memory=memory, tech=tech, topology=topology
-            )
-            point, structural, hits, misses = (
-                _failed_point(hw, outcome),
-                False,
-                0,
-                0,
-            )
-        else:
-            point, structural, hits, misses = outcome
-        if stats is not None:
-            stats.add_cache(hits, misses)
-        if structural:
-            if max_valid_points is not None and evaluated >= max_valid_points:
-                # Once the cap is reached the serial walk never evaluates, so
-                # even points whose parallel evaluation failed become the
-                # same "skipped" record here.
-                point.valid = False
-                point.errors = ("skipped: max_valid_points reached",)
-                point.energy_pj = {}
-                point.cycles = {}
-            elif point.valid:
-                evaluated += 1
-        points.append(point)
-    if stats is not None:
-        stats.points_evaluated += evaluated
-    obs.count("dse.points.total", len(points))
-    obs.count("dse.points.evaluated", evaluated)
-    obs.count("dse.points.invalid", sum(1 for p in points if not p.valid))
-    obs.event(
-        "run.finish", op="explore", points=len(points), evaluated=evaluated
+    digest = partial(
+        sweep_digest,
+        models,
+        required_macs,
+        space,
+        max_chiplet_mm2,
+        profile,
+        tech,
+        topology=topology.value,
     )
-    return points
-
-
-def _explore_serial_capped(
-    tasks: Sequence[tuple[int, int, int, int, MemoryConfig]],
-    context: tuple,
-    max_valid_points: int,
-    on_done: Callable[[Any], None] | None = None,
-) -> list[tuple[DesignPoint, bool, int, int]]:
-    """Serial sweep that stops evaluating once the cap is reached.
-
-    Matches the parallel path's output exactly while never paying for
-    evaluations beyond ``max_valid_points`` -- the cheap-skip behaviour the
-    pre-parallel implementation had.
-    """
-    models, profile, tech, required_macs, max_chiplet_mm2, topology = context
-    outcomes: list[tuple[DesignPoint, bool, int, int]] = []
-    evaluated = 0
-    for n_p, n_c, lane, vec, memory in tasks:
-        hw = build_hardware(
-            n_p, n_c, lane, vec, memory=memory, tech=tech, topology=topology
-        )
-        errors = validation_errors(
-            hw,
-            required_macs=required_macs,
-            max_chiplet_area_mm2=max_chiplet_mm2,
-        )
-        area = AreaModel(hw).chiplet_area_mm2()
-        point = DesignPoint(
-            hw=hw,
-            chiplet_area_mm2=area,
-            valid=not errors,
-            errors=tuple(errors),
-        )
-        hits = misses = 0
-        structural = point.valid
-        if point.valid and evaluated < max_valid_points:
-            try:
-                point.energy_pj, point.cycles, (hits, misses) = _evaluate_point(
-                    hw, models, profile
-                )
-                evaluated += 1
-            except InvalidMappingError as exc:
-                point.valid = False
-                point.errors = (str(exc),)
-        elif point.valid:
-            # Beyond the cap: the shared post-walk in explore() stamps the
-            # canonical "skipped" record; leave the point unevaluated.
-            pass
-        outcomes.append((point, structural, hits, misses))
-        if on_done is not None:
-            on_done(outcomes[-1])
-    return outcomes
+    store: SweepCheckpoint | Study | None = None
+    if strategy == "guided":
+        engine = GuidedStrategy(space, required_macs, trials=trials, seed=seed)
+        if study is not None:
+            store = Study(
+                study,
+                digest(1, strategy=engine.name, seed=seed, trials=trials),
+                meta={"strategy": engine.name, "seed": seed, "trials": trials},
+            )
+    else:
+        engine = ExhaustiveStrategy(space, required_macs, memory_stride)
+        if checkpoint_dir is not None:
+            store = SweepCheckpoint(
+                SweepCheckpoint.resolve_dir(checkpoint_dir),
+                digest(memory_stride),
+                flush_every=checkpoint_every,
+            )
+            if not resume:
+                store.reset()
+    return run_search(
+        engine,
+        models,
+        required_macs,
+        max_chiplet_mm2,
+        topology,
+        profile,
+        tech,
+        primary,
+        store=store,
+        jobs=jobs,
+        stats=stats,
+        policy=policy,
+        progress=progress,
+    )
 
 
 def refine_with_simulator(

@@ -1,30 +1,32 @@
-"""Guided design-space search: ask/tell strategies over the Table II lattice.
+"""Design-space search: one ask/tell loop over the Table II lattice.
 
-The exhaustive :func:`repro.core.dse.explore` sweep reproduces Figure 15 by
-enumerating every (computation, memory) point -- fine at the paper's ~10^4
-scale, a dead end beyond it.  This module makes larger spaces tractable with
-an optimizer-driven loop behind a small :class:`SearchStrategy` interface:
+:func:`repro.core.dse.explore` sweeps the Figure 15 space through
+:func:`run_search`, the one loop every search strategy shares (Section
+IV-D): propose design points, drop the ones that break a structural rule,
+map every layer of every model onto the rest and score them.  What varies
+is the :class:`SearchStrategy` that proposes:
 
-* **ask/tell** -- the driver asks a strategy for a batch of candidates,
-  evaluates them (re-using the parallel executor and the mapping cache via
-  the same worker the exhaustive sweep fans out), and tells the results
-  back so the next batch is better informed.
+* :class:`ExhaustiveStrategy` -- every (computation, memory) point of the
+  space in sweep order, in one round: the Figure 15 reproduction and the
+  oracle the guided mode is tested against.
 * :class:`GuidedStrategy` -- a seeded TPE/SA-style sampler: each lattice
   dimension is drawn from an elite-weighted categorical distribution with
   an annealed uniform-exploration floor, and every batch first proposes the
   unvisited lattice neighbours of the incumbent (simulated-annealing-style
   local polish that makes the exact optimum reachable, not just its basin).
-* **Dominance pruning** -- :func:`edp_lower_bound` is an admissible
-  (never-overestimating) roofline bound on a design's EDP; a candidate
-  whose bound already exceeds the incumbent's *actual* EDP cannot win and
-  is never fully evaluated.
-* :class:`Study` -- a stdlib-``sqlite3`` trial store keyed by the extended
-  sweep digest (strategy, seed and trial budget included), so interrupted
-  searches resume without re-evaluating and a guided study can never be
-  silently replayed under different search parameters.
+  It pays for only ``trials`` full evaluations, which makes spaces far
+  beyond the paper's ~10^4 points tractable.
 
-Determinism: given the same seed, space and models, a guided run proposes
-and evaluates the identical trial sequence at every ``--jobs`` count -- the
+The loop settles each proposal as **pruned** (:func:`edp_lower_bound`, an
+admissible roofline bound on a design's EDP, already exceeds the
+incumbent's *actual* EDP, so the point cannot win), **invalid**
+(structural rules), **resumed** (answered by a store) or **evaluated**
+(fanned out through :func:`repro.core.parallel.run_tasks`, then recorded).
+Stores -- the JSONL :class:`~repro.core.checkpoint.SweepCheckpoint` and the
+sqlite :class:`Study` -- therefore hold evaluated points only.
+
+Determinism: given the same seed, space and models, a run proposes and
+evaluates the identical point sequence at every ``--jobs`` count -- the
 batch composition depends only on the seeded RNG and the told results, and
 :func:`repro.core.parallel.run_tasks` preserves task order.  The pruned /
 deduped / evaluated accounting is therefore byte-stable too, which is what
@@ -34,9 +36,13 @@ the CI counter gate checks.
 from __future__ import annotations
 
 import logging
+import math
 import random
+import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -44,11 +50,16 @@ from repro import obs
 from repro.arch.area import AreaModel
 from repro.arch.config import HardwareConfig, MemoryConfig, build_hardware
 from repro.arch.energy import EnergyModel
-from repro.arch.technology import DEFAULT_TECHNOLOGY, TechnologyParams
+from repro.arch.technology import TechnologyParams
 from repro.arch.topology import Topology
 from repro.arch.validate import validation_errors
-from repro.core.checkpoint import sweep_digest, task_key
-from repro.core.cost import intrinsic_compute_energy_pj
+from repro.core.checkpoint import task_key
+from repro.core.cost import (
+    InvalidMappingError,
+    intrinsic_compute_energy_pj,
+    model_cost,
+)
+from repro.core.mapper import Mapper
 from repro import durable
 from repro.errors import ConfigError, StateCorruptionError
 from repro.core.parallel import (
@@ -59,7 +70,7 @@ from repro.core.parallel import (
     is_picklable,
     resolve_jobs,
     run_tasks,
-    worker_context,  # noqa: F401  (re-exported for strategy implementers)
+    worker_context,
 )
 from repro.core.space import SearchProfile
 from repro.workloads.layer import ConvLayer
@@ -71,8 +82,13 @@ logger = logging.getLogger("repro.search")
 #: Consecutive sampler collisions before falling back to a canonical scan.
 _MAX_SAMPLER_MISSES = 64
 
-#: Strategy names the CLI accepts (``exhaustive`` routes around this module).
+#: Strategy names :func:`repro.core.dse.explore` and the CLI accept.
 STRATEGY_NAMES = ("exhaustive", "guided")
+
+#: Settled points per ``point.batch`` event of a whole-space round.
+#: Emitted parent-side per fixed batch of settled points (never per worker
+#: chunk), so the event set of a ``--jobs N`` sweep equals the serial run's.
+POINT_BATCH_EVERY = 16
 
 
 # --- the admissible EDP lower bound -----------------------------------------------
@@ -140,6 +156,154 @@ def edp_lower_bound(hw: HardwareConfig, layers: Sequence[ConvLayer]) -> float:
     return energy_pj * 1e-12 * runtime_s
 
 
+# --- design points and their evaluation --------------------------------------------
+
+
+@dataclass
+class DesignPoint:
+    """One evaluated hardware design.
+
+    Attributes:
+        hw: The hardware instance.
+        chiplet_area_mm2: Area of one chiplet.
+        valid: Whether the point passed structural validation and was
+            evaluated (pruned, invalid and failed points are not).
+        errors: Why the point is not valid (validation messages, the
+            pruning bound, a mapping or task failure).
+        energy_pj: Per-model total energy (model name -> pJ).
+        cycles: Per-model total cycles.
+    """
+
+    hw: HardwareConfig
+    chiplet_area_mm2: float
+    valid: bool
+    errors: tuple[str, ...] = ()
+    energy_pj: dict[str, float] = field(default_factory=dict)
+    cycles: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def label(self) -> str:
+        """The (chiplet, core, lane, vector) tuple label."""
+        return self.hw.label()
+
+    def runtime_s(self, model: str) -> float:
+        """Model runtime in seconds."""
+        return self.cycles[model] * self.hw.tech.cycle_time_ns() * 1e-9
+
+    def edp(self, model: str) -> float:
+        """Model energy-delay product in joule-seconds."""
+        return self.energy_pj[model] * 1e-12 * self.runtime_s(model)
+
+    def meets_area(self, max_chiplet_mm2: float) -> bool:
+        """Whether the chiplet fits the area budget."""
+        return self.chiplet_area_mm2 <= max_chiplet_mm2
+
+
+def _evaluate_point(
+    hw: HardwareConfig,
+    models: dict[str, list[ConvLayer]],
+    profile: SearchProfile,
+) -> tuple[dict[str, float], dict[str, int], tuple[int, int]]:
+    """Optimal-mapping energy and cycles of every model on ``hw``.
+
+    Returns the per-model energy and cycle dicts plus the mapping-cache
+    (hits, misses) counters of the point's search.  The layer search runs
+    serially (``jobs=1``): sweep-level parallelism fans out across design
+    points, and nesting pools inside pool workers is never a win.
+    """
+    energy: dict[str, float] = {}
+    cycles: dict[str, int] = {}
+    mapper = Mapper(hw=hw, profile=profile)
+    for name, layers in models.items():
+        results = mapper.search_model(layers, jobs=1)
+        breakdown, total_cycles, _ = model_cost([r.best for r in results], hw)
+        energy[name] = breakdown.total_pj
+        cycles[name] = total_cycles
+    return energy, cycles, (mapper.cache.hits, mapper.cache.misses)
+
+
+def _evaluate_task(hw: HardwareConfig) -> dict[str, Any]:
+    """Worker: map every model onto one structurally valid design point.
+
+    Context: ``(models, profile)``.  Returns the point's evaluation record,
+    the JSON-safe dict a store persists and :func:`_apply_record` reads
+    back.  A point no mapping fits comes back ``valid=False`` with the
+    mapper's message: that is an answer, not a task failure.
+    """
+    models, profile = worker_context()
+    start = time.perf_counter()
+    try:
+        energy, cycles, (hits, misses) = _evaluate_point(hw, models, profile)
+        valid, errors = True, []
+    except InvalidMappingError as exc:
+        energy, cycles, hits, misses = {}, {}, 0, 0
+        valid, errors = False, [str(exc)]
+    obs.histogram("dse.point_eval_ms", (time.perf_counter() - start) * 1e3)
+    return {
+        "valid": valid,
+        "errors": errors,
+        "energy_pj": energy,
+        "cycles": cycles,
+        "hits": hits,
+        "misses": misses,
+    }
+
+
+def _apply_record(
+    point: DesignPoint, record: dict[str, Any]
+) -> tuple[int, int] | None:
+    """Fill ``point`` from an evaluation record; return its (hits, misses).
+
+    Returns ``None`` and leaves ``point`` untouched on a malformed record,
+    so a damaged store entry is re-evaluated rather than trusted.
+    """
+    try:
+        answer = (
+            bool(record["valid"]),
+            tuple(str(e) for e in record["errors"]),
+            {str(k): float(v) for k, v in record["energy_pj"].items()},
+            {str(k): int(v) for k, v in record["cycles"].items()},
+        )
+        cache = (int(record["hits"]), int(record["misses"]))
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    point.valid, point.errors, point.energy_pj, point.cycles = answer
+    return cache
+
+
+def _finish_point(point: DesignPoint, outcome: Any) -> tuple[int, int]:
+    """Fill ``point`` from one :func:`_evaluate_task` outcome.
+
+    ``outcome`` is the worker's record, or the
+    :class:`~repro.core.parallel.TaskFailure` of a task that exhausted its
+    retries (the point stays invalid, labelled with the failure).  Returns
+    the evaluation's mapping-cache (hits, misses).
+    """
+    if isinstance(outcome, TaskFailure):
+        point.errors = (
+            f"evaluation failed ({outcome.error_type}) after "
+            f"{outcome.attempts} attempt(s): {outcome.error}",
+        )
+        return 0, 0
+    return _apply_record(point, outcome)
+
+
+def _label_failures(
+    stats: SweepStats | None, start: int, slots: Sequence[tuple[int, str]]
+) -> None:
+    """Restate the failures one :func:`run_tasks` call added in sweep terms.
+
+    ``slots[i]`` is the ``(index in the returned point list, label)`` of the
+    call's ``i``-th task; ``start`` is ``len(stats.failures)`` before the call.
+    """
+    if stats is None:
+        return
+    for pos in range(start, len(stats.failures)):
+        failure = stats.failures[pos]
+        index, label = slots[failure.index]
+        stats.failures[pos] = replace(failure, index=index, label=label)
+
+
 # --- candidates and trials ---------------------------------------------------------
 
 
@@ -151,7 +315,7 @@ class Candidate:
         comp: ``(chiplets, cores, lanes, vector)``.
         memory: The resolved :class:`~repro.arch.config.MemoryConfig`.
         index: The lattice index ``(comp, o_l1, a_l1, w_l1, a_l2)`` the
-            sampler drew (kept so strategies can reason in index space).
+            strategy proposed (kept so strategies can reason in index space).
     """
 
     comp: tuple[int, int, int, int]
@@ -159,14 +323,9 @@ class Candidate:
     index: tuple[int, int, int, int, int]
 
     @property
-    def task(self) -> tuple[int, int, int, int, MemoryConfig]:
-        """The sweep-task tuple :func:`repro.core.dse._explore_task` takes."""
-        return (*self.comp, self.memory)
-
-    @property
     def key(self) -> str:
         """The canonical task key (shared with the sweep checkpoint)."""
-        return task_key(self.task)
+        return task_key((*self.comp, self.memory))
 
 
 @dataclass(frozen=True)
@@ -174,17 +333,16 @@ class Trial:
     """One told result: a candidate plus what happened to it.
 
     ``status`` is one of ``"evaluated"`` (fresh full evaluation),
-    ``"resumed"`` (answered by the study store), ``"pruned"`` (dominance
-    bound beat the incumbent), ``"invalid"`` (failed structural
-    validation) or ``"failed"`` (task exhausted its retries).  ``edp`` is
-    the primary-model EDP for evaluated/resumed trials, else ``None``.
+    ``"resumed"`` (answered by the store), ``"pruned"`` (dominance bound
+    beat the incumbent), ``"invalid"`` (failed structural validation) or
+    ``"failed"`` (task exhausted its retries).  ``edp`` is the
+    primary-model EDP of a valid evaluated/resumed trial, else ``None``.
     """
 
     candidate: Candidate
     status: str
-    point: Any  # DesignPoint; typed loosely to keep the import graph acyclic
+    point: DesignPoint | None
     edp: float | None = None
-    lower_bound: float | None = None
 
     @property
     def charged(self) -> bool:
@@ -301,23 +459,56 @@ class Lattice:
 
 
 class SearchStrategy(ABC):
-    """The ask/tell contract the guided driver speaks.
+    """The ask/tell contract :func:`run_search` speaks.
 
-    A strategy owns *what to try next*; the driver owns evaluation,
+    A strategy owns *what to try next*; the loop owns evaluation,
     pruning, persistence and accounting.  Implementations must be
     deterministic functions of their constructor arguments and the told
     trial sequence -- no wall-clock, no global RNG.
+
+    The base class keeps what the loop reads: :attr:`budget` (proposals
+    an exhaustive strategy makes, or the trials a budgeted one may pay
+    for), :attr:`spent` (told trials that consumed the budget),
+    :attr:`deduped` (proposals a strategy dropped as duplicates), and the
+    incumbent -- the best told candidate and its primary-model EDP,
+    against which the loop prunes.
     """
 
     name: str = "strategy"
+    #: Proposals per ask/tell round.  ``None`` proposes the whole space in
+    #: one round: nothing is told before every point has settled, so such a
+    #: strategy is never pruned, and the loop reports its progress per
+    #: settled point instead of once at the round's end.
+    batch_size: int | None = None
+    #: Telemetry labels: the ``op`` of the ``run.start``/``run.finish``
+    #: events, the stage timer, and the ``run.start`` field naming
+    #: :attr:`budget`.
+    op = "explore"
+    stage = "explore"
+    budget_field = "points"
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.spent = 0
+        self.deduped = 0
+        self.incumbent: Candidate | None = None
+        self.incumbent_edp = math.inf
 
     @abstractmethod
-    def ask(self, n: int) -> list[Candidate]:
-        """Propose up to ``n`` never-before-proposed candidates."""
+    def ask(self, n: int | None = None) -> list[Candidate]:
+        """Propose up to ``n`` never-before-proposed candidates.
 
-    @abstractmethod
+        ``None`` asks for the strategy's next round.
+        """
+
     def tell(self, trials: Sequence[Trial]) -> None:
-        """Record a batch of outcomes (in proposal order)."""
+        """Record a round of outcomes (in proposal order)."""
+        for trial in trials:
+            if trial.charged:
+                self.spent += 1
+            if trial.edp is not None and trial.edp < self.incumbent_edp:
+                self.incumbent_edp = trial.edp
+                self.incumbent = trial.candidate
 
     @abstractmethod
     def finished(self) -> bool:
@@ -325,28 +516,39 @@ class SearchStrategy(ABC):
 
 
 class ExhaustiveStrategy(SearchStrategy):
-    """The oracle strategy: canonical sweep order, no adaptation.
+    """The Figure 15 sweep: every point of the space, in sweep order.
 
-    Exists so the differential harness and the property suite can drive
-    both modes through one interface; :func:`repro.core.dse.explore`
-    keeps its dedicated (checkpointable, capped) exhaustive path as the
-    default production route.
+    Proposes every computation config of the MAC budget crossed with
+    every ``memory_stride``-th legal memory combination -- the order of
+    :meth:`~repro.core.dse.DesignSpace.computation_configs` x
+    :meth:`~repro.core.dse.DesignSpace.memory_configs` -- all in one round.
+    A MAC budget no computation config factorizes proposes nothing.
     """
 
     name = "exhaustive"
 
-    def __init__(self, space: Any, required_macs: int) -> None:
-        self.lattice = Lattice(space, required_macs)
-        self._queue = self.lattice.scan()
+    def __init__(
+        self, space: Any, required_macs: int, memory_stride: int = 1
+    ) -> None:
+        if memory_stride < 1:
+            raise ValueError(f"memory_stride must be >= 1, got {memory_stride}")
+        self._queue: list[tuple[int, int, int, int, int]] = []
+        if space.computation_configs(required_macs):
+            self.lattice = Lattice(space, required_macs)
+            memory = [index[1:] for index in self.lattice.scan() if index[0] == 0]
+            self._queue = [
+                (ci, *mem)
+                for ci in range(self.lattice.dims[0])
+                for mem in memory[::memory_stride]
+            ]
+        super().__init__(budget=len(self._queue))
         self._cursor = 0
 
-    def ask(self, n: int) -> list[Candidate]:
-        batch = self._queue[self._cursor : self._cursor + n]
+    def ask(self, n: int | None = None) -> list[Candidate]:
+        stop = len(self._queue) if n is None else self._cursor + n
+        batch = self._queue[self._cursor : stop]
         self._cursor += len(batch)
         return [self.lattice.candidate(index) for index in batch]
-
-    def tell(self, trials: Sequence[Trial]) -> None:  # pragma: no cover - no-op
-        return
 
     def finished(self) -> bool:
         return self._cursor >= len(self._queue)
@@ -370,9 +572,17 @@ class GuidedStrategy(SearchStrategy):
     Dedup: a sampler draw that lands on an already-proposed index is a
     *collision*; collisions are counted (:attr:`deduped`) and re-drawn,
     so no design point is ever evaluated twice within a study.
+
+    Rounds hold :attr:`batch_size` proposals (fewer once the budget is
+    nearly spent), fixed independent of ``--jobs`` so the trajectory is
+    identical at every worker count.
     """
 
     name = "guided"
+    batch_size = 8
+    op = "guided_explore"
+    stage = "guided"
+    budget_field = "trials"
 
     def __init__(
         self,
@@ -385,33 +595,24 @@ class GuidedStrategy(SearchStrategy):
     ) -> None:
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        super().__init__(budget=trials)
         self.lattice = Lattice(space, required_macs)
-        self.trials = trials
         self.seed = seed
         self.elite_fraction = elite_fraction
         self.explore_floor = explore_floor
         self.rng = random.Random(seed)
-        self.deduped = 0
-        self.spent = 0
         self._proposed: set[tuple[int, int, int, int, int]] = set()
         self._results: list[tuple[float, tuple[int, int, int, int, int]]] = []
-        self._incumbent: tuple[int, int, int, int, int] | None = None
-        self._incumbent_edp = float("inf")
         self._exhausted = False
-
-    # -- state the driver reads --
-
-    @property
-    def incumbent_edp(self) -> float:
-        """The best primary-model EDP told so far (inf before any)."""
-        return self._incumbent_edp
 
     # -- the ask/tell contract --
 
-    def ask(self, n: int) -> list[Candidate]:
+    def ask(self, n: int | None = None) -> list[Candidate]:
+        if n is None:
+            n = min(self.batch_size, max(self.budget - self.spent, 1))
         out: list[tuple[int, int, int, int, int]] = []
-        if self._incumbent is not None:
-            for index in self.lattice.neighbours(self._incumbent):
+        if self.incumbent is not None:
+            for index in self.lattice.neighbours(self.incumbent.index):
                 if len(out) >= n:
                     break
                 if index not in self._proposed:
@@ -442,23 +643,21 @@ class GuidedStrategy(SearchStrategy):
         return [self.lattice.candidate(index) for index in out]
 
     def tell(self, trials: Sequence[Trial]) -> None:
-        for trial in trials:
-            if trial.charged:
-                self.spent += 1
-            if trial.edp is not None:
-                self._results.append((trial.edp, trial.candidate.index))
-                if trial.edp < self._incumbent_edp:
-                    self._incumbent_edp = trial.edp
-                    self._incumbent = trial.candidate.index
+        super().tell(trials)
+        self._results.extend(
+            (trial.edp, trial.candidate.index)
+            for trial in trials
+            if trial.edp is not None
+        )
 
     def finished(self) -> bool:
-        return self._exhausted or self.spent >= self.trials
+        return self._exhausted or self.spent >= self.budget
 
     # -- sampling internals --
 
     def _sample(self) -> tuple[int, int, int, int, int] | None:
         explore_p = max(
-            self.explore_floor, 1.0 - self.spent / max(self.trials, 1)
+            self.explore_floor, 1.0 - self.spent / max(self.budget, 1)
         )
         weights = self._elite_weights()
         index = []
@@ -671,278 +870,231 @@ class Study:
         self._conn.close()
 
 
-# --- the driver --------------------------------------------------------------------
+# --- the loop ----------------------------------------------------------------------
 
 
-def guided_explore(
+def run_search(
+    strategy: SearchStrategy,
     models: dict[str, list[ConvLayer]],
     required_macs: int,
-    space: Any = None,
-    max_chiplet_mm2: float | None = None,
-    topology: Topology = Topology.RING,
-    profile: SearchProfile = SearchProfile.FAST,
-    tech: TechnologyParams = DEFAULT_TECHNOLOGY,
-    trials: int = 128,
-    seed: int = 0,
-    study: str | Path | None = None,
-    primary_model: str | None = None,
-    batch_size: int = 8,
+    max_chiplet_mm2: float | None,
+    topology: Topology,
+    profile: SearchProfile,
+    tech: TechnologyParams,
+    primary: str,
+    store: Any = None,
     jobs: int | None = None,
     stats: SweepStats | None = None,
     policy: TaskPolicy | None = None,
-    strategy: SearchStrategy | None = None,
     progress: Any | None = None,
-) -> list:
-    """Run an ask/tell search over the Table II space; return its points.
+) -> list[DesignPoint]:
+    """Run ``strategy``'s ask/tell loop; return one point per proposal.
 
-    The counterpart of :func:`repro.core.dse.explore` for the guided
-    strategy: same models/budget/space/profile semantics, same
-    :class:`~repro.core.dse.DesignPoint` results (pruned and invalid
-    proposals are returned ``valid=False`` with a labelled error), but
-    only ``trials`` full evaluations are ever paid.
+    Each round asks the strategy for proposals and settles every one, in
+    this order, as ``pruned`` (its :func:`edp_lower_bound` on ``primary``
+    exceeds the strategy's incumbent), ``invalid`` (structural rules),
+    ``resumed`` (``store`` holds its evaluation) or ``evaluated`` (mapped
+    through :func:`run_tasks`, then recorded in ``store``; ``failed`` when
+    the task exhausted its retries).  The round is then told back in
+    proposal order.  Pruned and invalid points come back ``valid=False``
+    with a labelled error.
 
     Args:
+        strategy: What to propose (see :class:`SearchStrategy`).
         models: Benchmarks to evaluate (name -> layers).
-        required_macs: Exact MAC budget.
-        space: Exploration space (Table II by default).
-        max_chiplet_mm2: Per-chiplet area constraint (structural pruning).
-        topology: Package interconnect every proposed machine is built
-            with (directional ring by default).
+        required_macs: Exact MAC budget (a structural rule).
+        max_chiplet_mm2: Per-chiplet area budget (a structural rule).
+        topology: Package interconnect every proposed machine is built with.
         profile: Mapping-search profile per evaluated point.
         tech: Technology point.
-        trials: Full-evaluation budget (resumed study trials count too).
-        seed: Sampler seed; same seed => byte-identical trial sequence.
-        study: Optional sqlite study path for persistence/resume.
-        primary_model: Model whose EDP the search minimizes (defaults to
-            the first entry of ``models``; all models are still evaluated
-            per point, like the exhaustive sweep).
-        batch_size: Proposals per ask/tell round.  Fixed independent of
-            ``jobs`` so the trajectory is identical at every worker count.
-        jobs: Worker processes per evaluation batch.
-        stats: Optional instrumentation record filled in place.
-        policy: Timeout/retry/on-error contract for the batch fan-outs.
-        strategy: Injected strategy (defaults to a fresh
-            :class:`GuidedStrategy`); mainly for tests.
+        primary: The model whose EDP the incumbent and the bound use.
+        store: Optional :class:`~repro.core.checkpoint.SweepCheckpoint` or
+            :class:`Study`: loaded once, handed each evaluation record,
+            flushed after every round that more rounds follow, and closed
+            when the loop ends (also on ``KeyboardInterrupt``).
+        jobs: Worker processes per round's evaluations.
+        stats: Optional instrumentation record filled in place; failures
+            are labelled with their task key and their index in the
+            returned point list.
+        policy: Timeout/retry/on-error contract for the fan-outs.
         progress: Optional :class:`repro.obs.progress.ProgressMeter`
-            updated per ask/tell round (stderr only; never stdout).
+            (stderr only; never stdout).  A whole-space round updates it
+            once per settled point that the store did not answer, in
+            proposal order; a bounded round updates it once, when told,
+            with the running ``pruned``/``deduped`` counts.
     """
-    from repro.core.dse import (
-        DesignPoint,
-        DesignSpace,
-        _explore_task,
-        _failed_point,
-        _outcome_from_record,
-        _record_from_outcome,
-    )
-
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    space = space or DesignSpace()
-    if not models:
-        raise ValueError("models must be non-empty")
-    primary = primary_model or next(iter(models))
-    if primary not in models:
-        raise KeyError(f"primary model {primary!r} not in models")
-    engine = strategy or GuidedStrategy(
-        space, required_macs, trials=trials, seed=seed
-    )
     jobs = resolve_jobs(jobs)
-    context = (models, profile, tech, required_macs, max_chiplet_mm2, topology)
+    context = (models, profile)
     if jobs > 1 and not is_picklable(context):
         jobs = 1
     if stats is not None:
         stats.jobs = max(stats.jobs, jobs)
-
-    store: Study | None = None
+    stream = strategy.batch_size is None
     stored: dict[str, dict[str, Any]] = {}
-    if study is not None:
-        digest = sweep_digest(
-            models,
-            required_macs,
-            space,
-            max_chiplet_mm2,
-            profile,
-            tech,
-            1,
-            strategy=engine.name,
-            seed=seed,
-            trials=trials,
-            topology=topology.value,
-        )
-        store = Study(
-            study,
-            digest,
-            meta={"strategy": engine.name, "seed": seed, "trials": trials},
-        )
-        stored = store.load()
-
     points: list[DesignPoint] = []
-    incumbent_edp = float("inf")
-    n_evaluated = n_pruned = n_invalid = n_resumed = 0
+    tally: Counter = Counter()
+    live = Counter()  # mapping-cache lookups of the streamed evaluations
+    # The current round, shared with the callbacks below.  A trial waiting
+    # for its evaluation is "pending" (never told) until its task returns.
+    trials: list[Trial] = []
+    pending: list[int] = []
+    cursor = reported = unanswered = 0
 
-    obs.event("run.start", op="guided_explore", trials=trials)
+    def told_edp(point: DesignPoint) -> float | None:
+        return point.edp(primary) if point.valid else None
 
-    timer = stats.stage("guided") if stats else None
-    if timer:
-        timer.__enter__()
+    def settle(cand: Candidate) -> Trial:
+        hw = build_hardware(
+            *cand.comp, memory=cand.memory, tech=tech, topology=topology
+        )
+        point = DesignPoint(
+            hw=hw, chiplet_area_mm2=AreaModel(hw).chiplet_area_mm2(), valid=False
+        )
+        incumbent = strategy.incumbent_edp
+        if incumbent < math.inf:
+            bound = edp_lower_bound(hw, models[primary])
+            if bound > incumbent:
+                point.errors = (
+                    f"pruned: EDP lower bound {bound:.4e} Js "
+                    f"exceeds incumbent {incumbent:.4e} Js",
+                )
+                return Trial(cand, "pruned", point)
+        point.errors = tuple(
+            validation_errors(
+                hw,
+                required_macs=required_macs,
+                max_chiplet_area_mm2=max_chiplet_mm2,
+            )
+        )
+        if point.errors:
+            return Trial(cand, "invalid", point)
+        record = stored.get(cand.key)
+        cache = _apply_record(point, record) if record is not None else None
+        if cache is None:
+            return Trial(cand, "pending", point)
+        if stats is not None:
+            stats.add_cache(*cache)
+        return Trial(cand, "resumed", point, told_edp(point))
+
+    def report_settled() -> None:
+        # Walk the settled prefix of a whole-space round, so reports keep
+        # proposal order and at jobs=1 each one follows its own point.
+        nonlocal cursor, reported
+        while cursor < len(trials) and trials[cursor].status != "pending":
+            if trials[cursor].status != "resumed":
+                reported += 1
+                if reported % POINT_BATCH_EVERY == 0 or reported == unanswered:
+                    obs.event("point.batch", done=reported, total=unanswered)
+                if progress is not None:
+                    lookups = live["hits"] + live["misses"]
+                    extra = {"cache": live["hits"] / lookups} if lookups else {}
+                    progress.update(reported, **extra)
+            cursor += 1
+
+    def on_result(local: int, outcome: Any) -> None:
+        pos = pending[local]
+        trial = trials[pos]
+        hits, misses = _finish_point(trial.point, outcome)
+        live.update(hits=hits, misses=misses)
+        if stats is not None:
+            stats.add_cache(hits, misses)
+        failed = isinstance(outcome, TaskFailure)
+        trials[pos] = replace(
+            trial,
+            status="failed" if failed else "evaluated",
+            edp=told_edp(trial.point),
+        )
+        if stream:
+            report_settled()
+        if store is not None and not failed:
+            store.record(trial.candidate.key, outcome)
+
+    obs.event(
+        "run.start", op=strategy.op, **{strategy.budget_field: strategy.budget}
+    )
     try:
-        while not engine.finished():
-            remaining = max(trials - engine.spent, 1) if isinstance(
-                engine, GuidedStrategy
-            ) else batch_size
-            candidates = engine.ask(min(batch_size, remaining))
-            if not candidates:
-                break
-            if stats is not None:
-                stats.points_total += len(candidates)
-            by_key: dict[str, Trial] = {}
-            to_eval: list[Candidate] = []
-            for cand in candidates:
-                hw = build_hardware(
-                    *cand.comp, memory=cand.memory, tech=tech, topology=topology
-                )
-                record = stored.get(cand.key)
-                if record is not None:
-                    outcome = _outcome_from_record(
-                        cand.task, record, tech, topology=topology
-                    )
-                    if outcome is not None:
-                        point, _structural, hits, misses = outcome
-                        if stats is not None:
-                            stats.add_cache(hits, misses)
-                        edp = point.edp(primary) if point.valid else None
-                        by_key[cand.key] = Trial(cand, "resumed", point, edp)
-                        continue
-                area = AreaModel(hw).chiplet_area_mm2()
-                # The bound is the cheapest complete rejection: a dominated
-                # candidate cannot beat the incumbent whether or not it is
-                # even legal, so it is pruned before the validity check.
-                if incumbent_edp < float("inf"):
-                    bound = edp_lower_bound(hw, models[primary])
-                    if bound > incumbent_edp:
-                        point = DesignPoint(
-                            hw=hw,
-                            chiplet_area_mm2=area,
-                            valid=False,
-                            errors=(
-                                f"pruned: EDP lower bound {bound:.4e} Js "
-                                f"exceeds incumbent {incumbent_edp:.4e} Js",
-                            ),
-                        )
-                        by_key[cand.key] = Trial(
-                            cand, "pruned", point, lower_bound=bound
-                        )
-                        continue
-                errors = validation_errors(
-                    hw,
-                    required_macs=required_macs,
-                    max_chiplet_area_mm2=max_chiplet_mm2,
-                )
-                if errors:
-                    point = DesignPoint(
-                        hw=hw,
-                        chiplet_area_mm2=area,
-                        valid=False,
-                        errors=tuple(errors),
-                    )
-                    by_key[cand.key] = Trial(cand, "invalid", point)
-                    continue
-                to_eval.append(cand)
-            if to_eval:
-                outcomes = run_tasks(
-                    _explore_task,
-                    [cand.task for cand in to_eval],
+        if store is not None:
+            stored = store.load()
+        with stats.stage(strategy.stage) if stats is not None else nullcontext():
+            while not strategy.finished():
+                proposals = strategy.ask()
+                if not proposals:
+                    break
+                if stats is not None:
+                    stats.points_total += len(proposals)
+                trials = [settle(cand) for cand in proposals]
+                pending = [
+                    pos
+                    for pos, trial in enumerate(trials)
+                    if trial.status == "pending"
+                ]
+                if stream:
+                    cursor = reported = 0
+                    unanswered = sum(t.status != "resumed" for t in trials)
+                    if progress is not None and getattr(
+                        progress, "total", None
+                    ) is None:
+                        progress.total = unanswered
+                    report_settled()
+                fail_start = len(stats.failures) if stats is not None else 0
+                run_tasks(
+                    _evaluate_task,
+                    [trials[pos].point.hw for pos in pending],
                     jobs=jobs,
                     context=context,
                     policy=policy,
                     stats=stats,
+                    on_result=on_result,
                 )
-                for cand, outcome in zip(to_eval, outcomes):
-                    if isinstance(outcome, TaskFailure):
-                        hw = build_hardware(
-                            *cand.comp,
-                            memory=cand.memory,
-                            tech=tech,
-                            topology=topology,
-                        )
-                        by_key[cand.key] = Trial(
-                            cand, "failed", _failed_point(hw, outcome)
-                        )
-                        continue
-                    point, _structural, hits, misses = outcome
-                    if stats is not None:
-                        stats.add_cache(hits, misses)
-                    edp = point.edp(primary) if point.valid else None
-                    by_key[cand.key] = Trial(cand, "evaluated", point, edp)
-                    if store is not None:
-                        store.record(cand.key, _record_from_outcome(outcome))
-            # Tell in proposal order so the trajectory is jobs-independent.
-            batch_trials = [by_key[cand.key] for cand in candidates]
-            engine.tell(batch_trials)
-            # Per-round, parent-side: fields track the (jobs-independent)
-            # proposal count, so the event set equals the serial run's.
-            obs.event(
-                "point.batch",
-                done=len(points) + len(batch_trials),
-                total=trials,
-            )
-            for trial in batch_trials:
-                points.append(trial.point)
-                if trial.status == "evaluated":
-                    n_evaluated += 1
-                elif trial.status == "resumed":
-                    n_resumed += 1
-                elif trial.status == "pruned":
-                    n_pruned += 1
-                elif trial.status == "invalid":
-                    n_invalid += 1
-                if trial.edp is not None and trial.edp < incumbent_edp:
-                    incumbent_edp = trial.edp
-            if store is not None:
-                store.flush()
-            if progress is not None:
-                progress.update(
-                    len(points),
-                    pruned=n_pruned,
-                    deduped=(
-                        engine.deduped
-                        if isinstance(engine, GuidedStrategy)
-                        else 0
-                    ),
+                _label_failures(
+                    stats,
+                    fail_start,
+                    [(len(points) + pos, trials[pos].candidate.key) for pos in pending],
                 )
+                strategy.tell(trials)
+                points.extend(trial.point for trial in trials)
+                tally.update(trial.status for trial in trials)
+                if store is not None and not strategy.finished():
+                    store.flush()
+                if not stream:
+                    obs.event(
+                        "point.batch", done=len(points), total=strategy.budget
+                    )
+                    if progress is not None:
+                        progress.update(
+                            len(points),
+                            pruned=tally["pruned"],
+                            deduped=strategy.deduped,
+                        )
     finally:
         if store is not None:
+            # After the stage timer: closing flushes recovery I/O, not
+            # search time, and an interrupted run's log ends on that flush.
             store.close()
-        if timer:
-            timer.__exit__(None, None, None)
 
-    deduped = engine.deduped if isinstance(engine, GuidedStrategy) else 0
+    evaluated = sum(1 for point in points if point.valid)
     if stats is not None:
-        stats.points_evaluated += sum(
-            1 for p in points if p.valid and p.energy_pj
-        )
-        stats.points_pruned += n_pruned
-        stats.points_deduped += deduped
-        if n_resumed:
-            stats.points_resumed += n_resumed
+        stats.points_evaluated += evaluated
+        stats.points_pruned += tally["pruned"]
+        stats.points_deduped += strategy.deduped
+        stats.points_resumed += tally["resumed"]
     obs.count("dse.points.total", len(points))
-    obs.count("dse.points.evaluated", n_evaluated + n_resumed)
-    obs.count("dse.points.invalid", n_invalid)
-    obs.count("dse.points.pruned", n_pruned)
-    obs.count("dse.points.deduped", deduped)
-    if n_resumed:
-        obs.count("dse.points.resumed", n_resumed)
-    obs.event(
-        "run.finish",
-        op="guided_explore",
-        points=len(points),
-        evaluated=n_evaluated + n_resumed,
-    )
+    obs.count("dse.points.evaluated", evaluated)
+    obs.count("dse.points.invalid", len(points) - evaluated - tally["pruned"])
+    for name, value in (
+        ("pruned", tally["pruned"]),
+        ("deduped", strategy.deduped),
+        ("resumed", tally["resumed"]),
+    ):
+        if value:
+            obs.count(f"dse.points.{name}", value)
+    obs.event("run.finish", op=strategy.op, points=len(points), evaluated=evaluated)
     return points
 
 
 __all__ = [
     "Candidate",
+    "DesignPoint",
     "ExhaustiveStrategy",
     "GuidedStrategy",
     "Lattice",
@@ -952,5 +1104,5 @@ __all__ = [
     "StudyConfigError",
     "Trial",
     "edp_lower_bound",
-    "guided_explore",
+    "run_search",
 ]

@@ -208,6 +208,39 @@ class TestExploreResume:
         assert point_fingerprint(resumed) == point_fingerprint(clean)
         assert stats.points_resumed == 1
 
+    def test_capped_sweep_stores_and_resumes_evaluated_points_only(
+        self, tmp_path
+    ):
+        models = small_models()
+        # At 64 MACs the 0.7 mm^2 cap invalidates two of the four points.
+        kwargs = dict(self.kwargs(), required_macs=64, max_chiplet_mm2=0.7)
+
+        def payload(points):
+            return json.dumps(
+                [
+                    [p.label, p.hw.memory.a_l1_bytes] + list(entry)
+                    for p, entry in zip(points, point_fingerprint(points))
+                ]
+            ).encode()
+
+        first = explore(models, checkpoint_dir=tmp_path, **kwargs)
+        evaluated = [p for p in first if p.valid]
+        assert 0 < len(evaluated) < len(first)
+        stored = SweepCheckpoint(
+            SweepCheckpoint.resolve_dir(tmp_path),
+            digest_of(models, required_macs=64, max_chiplet_mm2=0.7),
+        ).load()
+        assert sorted(stored) == sorted(
+            task_key((*p.hw.config_tuple(), p.hw.memory)) for p in evaluated
+        )
+        stats = SweepStats()
+        resumed = explore(
+            models, checkpoint_dir=tmp_path, resume=True, stats=stats, **kwargs
+        )
+        assert payload(resumed) == payload(first)
+        assert payload(first) == payload(explore(models, **kwargs))
+        assert stats.points_resumed == len(evaluated)
+
     def test_changed_sweep_never_reuses_the_checkpoint(self, tmp_path):
         models = small_models()
         explore(models, checkpoint_dir=tmp_path, **self.kwargs())

@@ -163,17 +163,6 @@ class TestExplore:
         )
         assert sum(p.valid for p in constrained) < sum(p.valid for p in unconstrained)
 
-    def test_max_valid_points_caps_evaluation(self):
-        points = explore(
-            tiny_model(),
-            required_macs=256,
-            space=SMALL_SPACE,
-            profile=SearchProfile.MINIMAL,
-            memory_stride=4,
-            max_valid_points=1,
-        )
-        assert sum(1 for p in points if p.valid and p.energy_pj) == 1
-
     def test_invalid_stride_raises(self):
         with pytest.raises(ValueError):
             explore(tiny_model(), required_macs=256, memory_stride=0)

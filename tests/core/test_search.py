@@ -3,9 +3,9 @@
 import pytest
 
 from repro.arch.config import build_hardware
-from repro.core.checkpoint import sweep_digest
+from repro.core.checkpoint import sweep_digest, task_key
 from repro.core.dse import DesignSpace, best_point, explore
-from repro.core.parallel import SweepStats
+from repro.core.parallel import SweepStats, TaskPolicy
 from repro.core.search import (
     ExhaustiveStrategy,
     GuidedStrategy,
@@ -13,9 +13,9 @@ from repro.core.search import (
     Study,
     StudyConfigError,
     edp_lower_bound,
-    guided_explore,
 )
 from repro.core.space import SearchProfile
+from repro.testing.faults import FaultPlan, install_plan, parse_fault_specs
 from repro.workloads.layer import ConvLayer
 
 # A lattice small enough that guided-with-enough-trials covers it fully:
@@ -40,16 +40,22 @@ TINY_MODELS = {
 
 
 def _tiny_guided(trials, seed=0, **kwargs):
-    return guided_explore(
+    return explore(
         TINY_MODELS,
         TINY_MACS,
         space=TINY_SPACE,
         profile=SearchProfile.MINIMAL,
+        strategy="guided",
         trials=trials,
         seed=seed,
         jobs=1,
         **kwargs,
     )
+
+
+def _key(point):
+    """The task key of a returned design point."""
+    return task_key((*point.hw.config_tuple(), point.hw.memory))
 
 
 def _fingerprint(points):
@@ -121,6 +127,53 @@ class TestStrategies:
             batch = strategy.ask(7)
             seen.extend(cand.index for cand in batch)
         assert seen == strategy.lattice.scan()
+
+    @pytest.mark.parametrize(
+        "space, macs",
+        [
+            (TINY_SPACE, TINY_MACS),
+            (DesignSpace(), 4096),
+            # Several O-L1 options and A-L1 sizes above some A-L2 sizes,
+            # so the hierarchy filter drops combinations mid-sequence.
+            (
+                DesignSpace(
+                    vector_sizes=(4, 8),
+                    lanes=(2, 8),
+                    cores=(2, 4),
+                    chiplets=(1, 4),
+                    o_l1_per_lane_bytes=(48, 96, 144),
+                    a_l1_kb=(16, 64, 128),
+                    w_l1_kb=(4, 36),
+                    a_l2_kb=(32, 64, 256),
+                ),
+                256,
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 97])
+    def test_exhaustive_strategy_follows_sweep_order(self, space, macs, stride):
+        # The computation configs crossed with every stride-th legal memory
+        # combination, in DesignSpace order: the Figure 15 sweep order.
+        expected = [
+            task_key((*comp, memory))
+            for comp in space.computation_configs(macs)
+            for index, memory in enumerate(space.memory_configs(comp[2]))
+            if index % stride == 0
+        ]
+        assert expected
+        strategy = ExhaustiveStrategy(space, macs, stride)
+        assert [cand.key for cand in strategy.ask()] == expected
+        assert strategy.finished()
+
+    def test_exhaustive_strategy_unfactorable_budget_proposes_nothing(self):
+        strategy = ExhaustiveStrategy(TINY_SPACE, 7, 3)
+        assert strategy.finished()
+        assert strategy.ask() == []
+        assert explore(TINY_MODELS, 7, space=TINY_SPACE, memory_stride=3) == []
+
+    def test_exhaustive_strategy_rejects_bad_stride(self):
+        with pytest.raises(ValueError, match="memory_stride"):
+            ExhaustiveStrategy(TINY_SPACE, TINY_MACS, 0)
 
     def test_guided_never_reproposes(self):
         strategy = GuidedStrategy(TINY_SPACE, TINY_MACS, trials=1000, seed=3)
@@ -332,6 +385,42 @@ class TestStudyCorruption:
         assert list(tmp_path.glob("study.sqlite.corrupt-*"))
 
 
+class TestFailureLabels:
+    """Skipped failures name their point on both strategies."""
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"strategy": "guided", "trials": 20}]
+    )
+    def test_failures_carry_task_key_and_point_index(self, options):
+        # The fault hits task 1 of every run_tasks call: once in the
+        # exhaustive round, once per guided round that evaluates >= 2.
+        install_plan(FaultPlan(parse_fault_specs("exc:@indices=1&attempts=0")))
+        try:
+            stats = SweepStats()
+            points = explore(
+                TINY_MODELS,
+                TINY_MACS,
+                space=TINY_SPACE,
+                profile=SearchProfile.MINIMAL,
+                jobs=1,
+                policy=TaskPolicy(on_error="skip"),
+                stats=stats,
+                **options,
+            )
+        finally:
+            install_plan(None)
+        assert stats.points_failed == len(stats.failures) >= 1
+        if options:
+            assert len(stats.failures) > 1
+        indices = [failure.index for failure in stats.failures]
+        assert len(set(indices)) == len(indices)
+        for failure in stats.failures:
+            point = points[failure.index]
+            assert failure.label == _key(point)
+            assert not point.valid
+            assert point.errors[0].startswith("evaluation failed")
+
+
 class TestExploreDispatch:
     def test_guided_requires_trials(self):
         with pytest.raises(ValueError, match="trials"):
@@ -366,6 +455,13 @@ class TestExploreDispatch:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             explore(TINY_MODELS, TINY_MACS, space=TINY_SPACE, strategy="tpe")
+
+    def test_option_errors_are_usage_errors(self):
+        from repro.errors import EXIT_USAGE, UsageError
+
+        with pytest.raises(UsageError, match="--trials") as excinfo:
+            explore(TINY_MODELS, TINY_MACS, space=TINY_SPACE, strategy="guided")
+        assert excinfo.value.exit_code == EXIT_USAGE
 
 
 class TestDigestIncludesSearchParams:

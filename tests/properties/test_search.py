@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.arch.config import build_hardware
 from repro.core.cost import InvalidMappingError, evaluate_mapping
-from repro.core.dse import DesignSpace, _evaluate_point
-from repro.core.search import GuidedStrategy, edp_lower_bound, guided_explore
+from repro.core.dse import DesignSpace, explore
+from repro.core.search import GuidedStrategy, _evaluate_point, edp_lower_bound
 from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
 
@@ -167,11 +167,12 @@ class TestSeededReproducibility:
         }
 
         def run():
-            points = guided_explore(
+            points = explore(
                 models,
                 PROP_MACS,
                 space=PROP_SPACE,
                 profile=SearchProfile.MINIMAL,
+                strategy="guided",
                 trials=12,
                 seed=seed,
                 jobs=1,
