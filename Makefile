@@ -102,10 +102,11 @@ print("degraded sinks:", ", ".join(sorted(degraded)))' "$$tmp/metrics.json" && \
 	echo "corrupt study quarantined; guided search completed"
 
 # Run-telemetry gate (mirrors the CI obs-telemetry job): the event-log/
-# progress/export suites, then two end-to-end legs.  Leg 1: a sweep with
+# progress/export suites, then three end-to-end legs.  Leg 1: a sweep with
 # --progress piped (auto-off; no TTY) must leave the result payload
 # byte-identical to a --no-progress run.  Leg 2: a --jobs 4 sweep's event
-# set and histogram counts must equal the serial run's.  See
+# set and histogram counts must equal the serial run's.  Leg 3: a --jobs 4
+# `repro map` must export the serial run's counters.  See
 # docs/observability.md.
 obs-telemetry:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
@@ -138,7 +139,19 @@ h4 = json.load(open(sys.argv[4]))["histograms"]; \
 assert {k: v["count"] for k, v in h1.items()} == \
 	{k: v["count"] for k, v in h4.items()}; \
 print(f"jobs-4 telemetry equals serial: {len(j1)} events, {len(h1)} histograms")' \
-		"$$tmp/run-j1" "$$tmp/run-j4" "$$tmp/m-j1.json" "$$tmp/m-j4.json"
+		"$$tmp/run-j1" "$$tmp/run-j4" "$$tmp/m-j1.json" "$$tmp/m-j4.json" && \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile minimal --jobs 4 --metrics-out "$$tmp/map-j4.json" \
+		>/dev/null && \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile minimal --jobs 1 --metrics-out "$$tmp/map-j1.json" \
+		>/dev/null && \
+	python -c 'import json, sys; \
+c4 = json.load(open(sys.argv[1]))["counters"]; \
+c1 = json.load(open(sys.argv[2]))["counters"]; \
+assert c1 and c1 == c4, (c1, c4); \
+print(f"map jobs-4 counters equal serial: {len(c1)} counters")' \
+		"$$tmp/map-j4.json" "$$tmp/map-j1.json"
 
 # Guided-vs-exhaustive differential gate (mirrors the CI guided-dse job):
 # sweep the full Fig. 15 space as the oracle, run the seeded guided search

@@ -11,8 +11,6 @@ bit-for-bit by ``tests/properties/test_batch_kernel.py``.
 
 import time
 
-import pytest
-
 from conftest import bench_profile
 from repro.analysis.reporting import format_table
 from repro.arch.config import case_study_hardware
@@ -51,7 +49,6 @@ def _best_of(fn, *args):
     return best, value
 
 
-@pytest.mark.skipif(not batch.numpy_available(), reason="numpy backend unavailable")
 def test_batch_kernel_throughput(record_bench):
     hw = case_study_hardware()
     profile = bench_profile()

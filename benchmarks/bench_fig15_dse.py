@@ -10,24 +10,21 @@ subsamples it with REPRO_FIG15_STRIDE=4 (the structural sweep size is
 reported either way).
 """
 
-from conftest import bench_jobs, fig15_stride
+from conftest import bench_jobs, fig15_stride, run_ledger
 from repro.analysis.experiments import fig15_data
 from repro.analysis.reporting import format_scatter, format_search_stats, format_table
 from repro.core.parallel import SweepStats
 
 
 def test_fig15_design_space(benchmark, record_bench):
-    stats = SweepStats()
-    data = benchmark.pedantic(
-        fig15_data,
-        kwargs={
-            "memory_stride": fig15_stride(),
-            "jobs": bench_jobs(),
-            "stats": stats,
-        },
-        rounds=1,
-        iterations=1,
-    )
+    with run_ledger() as recorder:
+        data = benchmark.pedantic(
+            fig15_data,
+            kwargs={"memory_stride": fig15_stride(), "jobs": bench_jobs()},
+            rounds=1,
+            iterations=1,
+        )
+    stats = SweepStats(recorder.metrics, jobs=bench_jobs())
     valid = data.valid_points
     models = list(valid[0].energy_pj) if valid else []
 

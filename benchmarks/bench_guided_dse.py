@@ -9,7 +9,7 @@ equal -- the determinism contract: guided accounting is a pure function
 of (seed, space, models), never of the worker count.
 """
 
-from conftest import bench_jobs
+from conftest import bench_jobs, run_ledger
 from repro.core.dse import best_point, explore
 from repro.core.parallel import SweepStats
 from repro.core.space import SearchProfile
@@ -22,22 +22,22 @@ GUIDED_SEED = 0
 
 def test_guided_dse(benchmark, record_bench):
     models = {"alexnet": alexnet(224)}
-    stats = SweepStats()
-    points = benchmark.pedantic(
-        explore,
-        args=(models, GUIDED_MACS),
-        kwargs={
-            "max_chiplet_mm2": 3.0,
-            "profile": SearchProfile.MINIMAL,
-            "strategy": "guided",
-            "trials": GUIDED_TRIALS,
-            "seed": GUIDED_SEED,
-            "jobs": bench_jobs(),
-            "stats": stats,
-        },
-        rounds=1,
-        iterations=1,
-    )
+    with run_ledger() as recorder:
+        points = benchmark.pedantic(
+            explore,
+            args=(models, GUIDED_MACS),
+            kwargs={
+                "max_chiplet_mm2": 3.0,
+                "profile": SearchProfile.MINIMAL,
+                "strategy": "guided",
+                "trials": GUIDED_TRIALS,
+                "seed": GUIDED_SEED,
+                "jobs": bench_jobs(),
+            },
+            rounds=1,
+            iterations=1,
+        )
+    stats = SweepStats(recorder.metrics)
     optimum = best_point(points, "alexnet", max_chiplet_mm2=3.0)
     lines = [
         f"Guided DSE -- {GUIDED_MACS}-MAC space, seed {GUIDED_SEED}, "

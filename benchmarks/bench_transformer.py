@@ -10,9 +10,7 @@ per shape), then maps the full 12-block model to record the cache leverage.
 
 import time
 
-import pytest
-
-from conftest import bench_profile
+from conftest import bench_profile, run_ledger
 from repro.analysis.reporting import format_table
 from repro.arch.config import build_hardware
 from repro.core import batch
@@ -49,7 +47,6 @@ def _best_of(fn, *args):
     return best, value
 
 
-@pytest.mark.skipif(not batch.numpy_available(), reason="numpy backend unavailable")
 def test_transformer_gemm_throughput(record_bench):
     hw = build_hardware(4, 8, 8, 8)
     profile = bench_profile()
@@ -111,10 +108,11 @@ def test_transformer_shape_cache_leverage(record_bench):
     profile = bench_profile()
     layers = bert_base()
 
-    stats = SweepStats()
-    start = time.perf_counter()
-    results = Mapper(hw=hw, profile=profile).search_model(layers, stats=stats)
-    elapsed = time.perf_counter() - start
+    with run_ledger() as recorder:
+        start = time.perf_counter()
+        results = Mapper(hw=hw, profile=profile).search_model(layers)
+        elapsed = time.perf_counter() - start
+    stats = SweepStats(recorder.metrics)
     assert len(results) == len(layers)
 
     hits, misses = stats.cache_hits, stats.cache_misses

@@ -22,10 +22,13 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
+from repro import obs
 from repro.core.parallel import resolve_jobs
 from repro.core.space import SearchProfile
 from repro.obs.bench import RECORD_DIR_ENV, BenchCapture
@@ -47,6 +50,22 @@ def fig15_stride() -> int:
 def bench_jobs() -> int:
     """Worker-process count for the sweep benches (REPRO_JOBS, default 1)."""
     return resolve_jobs(None)
+
+
+@contextmanager
+def run_ledger() -> Iterator[obs.Recorder]:
+    """The live recorder a bench's run counts under.
+
+    ``repro bench`` already records every test body (and gates on its
+    counters), so a bench that reads its run counts reuses that recorder;
+    a plain pytest run gets a metrics-only one.
+    """
+    recorder = obs.get_recorder()
+    if recorder.enabled:
+        yield recorder
+    else:
+        with obs.use(obs.MetricsRecorder()) as recorder:
+            yield recorder
 
 
 @pytest.fixture

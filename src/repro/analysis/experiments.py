@@ -24,7 +24,6 @@ from repro.core.dse import (
 )
 from repro.core.loopnest import LoopNest
 from repro.core.mapper import Mapper
-from repro.core.parallel import SweepStats
 from repro.core.partition import (
     PlanarGrid,
     conflict_elements,
@@ -388,7 +387,6 @@ def fig14_data(
     profile: SearchProfile = SearchProfile.FAST,
     models: dict | None = None,
     jobs: int | None = None,
-    stats: SweepStats | None = None,
 ) -> Fig14Data:
     """The chiplet-granularity study (Figure 14)."""
     builders = models or FIG14_MODELS
@@ -397,7 +395,7 @@ def fig14_data(
         for name, builder in builders.items()
     }
     points = granularity_study(
-        layer_sets, total_macs=total_macs, profile=profile, jobs=jobs, stats=stats
+        layer_sets, total_macs=total_macs, profile=profile, jobs=jobs
     )
     return Fig14Data(
         points=tuple(points),
@@ -455,7 +453,6 @@ def fig15_data(
     models: dict[str, list[ConvLayer]] | None = None,
     space: DesignSpace | None = None,
     jobs: int | None = None,
-    stats: SweepStats | None = None,
 ) -> Fig15Data:
     """The full design-space exploration (Figure 15).
 
@@ -473,7 +470,6 @@ def fig15_data(
         profile=profile,
         memory_stride=memory_stride,
         jobs=jobs,
-        stats=stats,
     )
     return Fig15Data(
         points=tuple(points),

@@ -11,8 +11,9 @@ Subcommands mirror the paper's two flows plus inspection helpers::
 
 ``explore`` is also reachable as ``dse``.  ``map``, ``explore``/``dse``,
 ``audit`` and ``profile`` accept ``--trace-out`` (Chrome trace-event JSON,
-opens in Perfetto) and ``--metrics-out`` (counters/gauges JSON); either flag
-installs a live :mod:`repro.obs` recorder for the run.
+opens in Perfetto) and ``--metrics-out`` (counters/gauges JSON).  Every
+command runs under a live :mod:`repro.obs` recorder, whose counters are
+the one ledger the printed run summary reads.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.arch.topology import Topology
 from repro.core.baton import NNBaton
 from repro.core.cache import MappingCache
 from repro.core.checkpoint import CHECKPOINT_DIR_ENV, SweepCheckpoint
-from repro.core.parallel import SweepStats, TaskPolicy
+from repro.core.parallel import SweepStats, TaskPolicy, resolve_jobs
 from repro.core.serialize import compiler_report
 from repro.core.space import SearchProfile
 from repro.simba import evaluate_simba_model
@@ -204,14 +205,14 @@ def cmd_map(args: argparse.Namespace) -> int:
     cache = (
         MappingCache(args.cache_dir) if args.cache_dir else MappingCache.from_env()
     )
-    stats = SweepStats()
     mapper = Mapper(
         hw=hw,
         profile=SearchProfile(args.profile),
         objective=objective,
         cache=cache,
     )
-    results = mapper.search_model(layers, jobs=args.jobs, stats=stats)
+    with obs.stage("search_model"):
+        results = mapper.search_model(layers, jobs=args.jobs)
     energy, cycles, edp = model_cost([r.best for r in results], hw)
     result = PostDesignResult(
         hw=hw, layers=tuple(results), energy=energy, cycles=cycles, edp_js=edp
@@ -238,7 +239,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         f"{result.cycles:,} cycles ({result.runtime_s() * 1e3:.2f} ms), "
         f"EDP {result.edp_js:.3e} Js"
     )
-    print(format_search_stats(stats))
+    print(format_search_stats(_run_stats(args)))
     print(f"Mapping cache: {cache.describe()}")
 
     if args.json:
@@ -291,7 +292,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         for name in args.models.split(",")
     }
     baton = NNBaton()
-    stats = SweepStats()
     policy = None
     if (
         args.on_error != "abort"
@@ -331,7 +331,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             memory_stride=stride,
             profile=SearchProfile(args.profile),
             jobs=args.jobs,
-            stats=stats,
             policy=policy,
             checkpoint_dir=checkpoint_dir,
             resume=args.resume,
@@ -368,9 +367,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
         f"Swept {result.swept} design points; "
         f"{len(result.valid_points)} valid evaluated."
     )
+    stats = _run_stats(args)
     print(format_search_stats(stats))
-    if stats.failures:
-        print(format_failures(stats.failures))
+    failures = [point.failure for point in result.points if point.failure]
+    if failures:
+        print(format_failures(failures))
     if args.json:
         def _point_entry(point):
             return {
@@ -462,6 +463,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 )
         print(f"Wrote {len(result.valid_points)} valid points to {args.csv}")
     return 0
+
+
+def _run_stats(args: argparse.Namespace) -> SweepStats:
+    """The run summary: a view of the live recorder's counters."""
+    return SweepStats(obs.get_recorder().metrics, jobs=resolve_jobs(args.jobs))
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -1208,21 +1214,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run the selected subcommand, recording observability when asked.
+    """Run the selected subcommand under a live recorder; write its exports.
 
-    Installs a live :mod:`repro.obs` recorder around the subcommand when
-    observability output was requested (``--trace-out`` / ``--metrics-out``,
-    or the always-recording ``profile`` command) and writes the exports
-    after the command returns -- even a failing run keeps its trace.
+    Every command records its metrics -- the counters the run summary
+    reads.  Spans and run events cost memory per call, so only a run that
+    exports them (``--trace-out``, ``--events-out``) or profiles them
+    (``repro profile``) gets the full :class:`repro.obs.Recorder`; the
+    rest run under a :class:`repro.obs.MetricsRecorder`.  The exports are
+    written after the command returns -- even a failing run keeps its trace.
     """
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     metrics_prom = getattr(args, "metrics_prom", None)
     events_out = getattr(args, "events_out", None)
-    wants_obs = trace_out or metrics_out or metrics_prom or events_out
-    if not wants_obs and args.func is not cmd_profile:
-        return args.func(args)
-    recorder = obs.Recorder()
+    if trace_out or events_out or args.func is cmd_profile:
+        recorder = obs.Recorder()
+    else:
+        recorder = obs.MetricsRecorder()
     if events_out:
         from repro.obs.events import EventLog, resolve_events_path
 

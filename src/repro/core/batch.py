@@ -31,7 +31,7 @@ minimum, which is exactly the first-in-enumeration winner the scalar loop
 keeps on ties.
 
 ``REPRO_BATCH_KERNEL=0`` (or ``false``/``off``/``no``) opts out and forces
-the scalar path everywhere; the kernel is the default when numpy imports.
+the scalar path everywhere; the kernel is the default otherwise.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-try:  # numpy is a hard dependency of the package, but stay importable without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _set_numpy_for_tests
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import obs
 from repro.arch.config import HardwareConfig
@@ -109,15 +106,8 @@ def batch_chunk_candidates() -> int | None:
     return max(1, value // _BATCH_BYTES_PER_CANDIDATE)
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend imported."""
-    return np is not None
-
-
 def batch_kernel_enabled() -> bool:
-    """The effective on/off switch (numpy present and env not opted out)."""
-    if np is None:
-        return False
+    """The effective on/off switch (``REPRO_BATCH_KERNEL`` not opted out)."""
     raw = os.environ.get(BATCH_KERNEL_ENV, "").strip().lower()
     if not raw:
         return True
@@ -316,12 +306,9 @@ def evaluate_batch(
     """Evaluate every candidate mapping of one (layer, hw) in one pass.
 
     Raises:
-        RuntimeError: When numpy is unavailable.
         BatchOverflowError: When an int64 product would leave the exact
             range (callers fall back to the scalar oracle).
     """
-    if np is None:
-        raise RuntimeError("numpy is required for the batch kernel")
     if not candidates:
         raise ValueError("candidates must be non-empty")
     cols = _encode(candidates)
@@ -616,8 +603,8 @@ def search_batch(
     """Batch-evaluate ``candidates`` and pick the scalar-identical winner.
 
     Returns ``None`` when the kernel cannot guarantee bit-identity for this
-    call (unknown objective, empty candidate list, numpy missing, or the
-    int64 exactness guard tripping) -- callers then run the scalar loop.
+    call (unknown objective, empty candidate list, or the int64 exactness
+    guard tripping) -- callers then run the scalar loop.
 
     When ``REPRO_BATCH_MAX_BYTES`` caps the working set, the list is
     evaluated in chunks.  Chunking cannot change any per-candidate value
@@ -628,7 +615,7 @@ def search_batch(
     every chunk size.
     """
     scorer = BATCH_OBJECTIVES.get(objective)
-    if scorer is None or np is None or not candidates:
+    if scorer is None or not candidates:
         return None
     chunk = batch_chunk_candidates()
     if chunk is None or chunk >= len(candidates):

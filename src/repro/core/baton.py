@@ -22,7 +22,7 @@ from repro.arch.topology import Topology
 from repro.core.cost import EnergyBreakdown, model_cost
 from repro.core.dse import DesignPoint, DesignSpace, best_point, explore
 from repro.core.mapper import LayerMappingResult, Mapper
-from repro.core.parallel import SweepStats, TaskPolicy
+from repro.core.parallel import TaskPolicy
 from repro.core.space import SearchProfile
 from repro.workloads.layer import ConvLayer
 
@@ -92,7 +92,6 @@ class NNBaton:
         layers: list[ConvLayer],
         hw: HardwareConfig,
         jobs: int | None = None,
-        stats: SweepStats | None = None,
     ) -> PostDesignResult:
         """Map every layer of a model onto a fixed hardware configuration.
 
@@ -101,10 +100,9 @@ class NNBaton:
             hw: The machine to map onto.
             jobs: Worker processes for the layer search (``None`` defers to
                 ``REPRO_JOBS``, then serial).
-            stats: Optional instrumentation record filled in place.
         """
         mapper = Mapper(hw=hw, profile=self.profile)
-        results = mapper.search_model(layers, jobs=jobs, stats=stats)
+        results = mapper.search_model(layers, jobs=jobs)
         energy, cycles, edp = model_cost([r.best for r in results], hw)
         return PostDesignResult(
             hw=hw,
@@ -127,7 +125,6 @@ class NNBaton:
         profile: SearchProfile | None = None,
         max_runtime_s: float | None = None,
         jobs: int | None = None,
-        stats: SweepStats | None = None,
         policy: TaskPolicy | None = None,
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
@@ -157,7 +154,6 @@ class NNBaton:
             jobs: Worker processes fanning sweep points out (``None`` defers
                 to ``REPRO_JOBS``, then serial); results are bit-identical
                 at every worker count.
-            stats: Optional instrumentation record filled in place.
             policy: Timeout/retry/on-error contract for the sweep fan-out.
             checkpoint_dir: Stream completed points to a sweep checkpoint
                 under this directory (see :func:`repro.core.dse.explore`).
@@ -181,7 +177,6 @@ class NNBaton:
             tech=self.tech,
             memory_stride=memory_stride,
             jobs=jobs,
-            stats=stats,
             policy=policy,
             checkpoint_dir=checkpoint_dir,
             resume=resume,

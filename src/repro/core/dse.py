@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -36,13 +35,7 @@ from repro.arch.topology import Topology
 from repro.arch.validate import validation_errors
 from repro.core.checkpoint import SweepCheckpoint, sweep_digest
 from repro.core.mapper import Mapper
-from repro.core.parallel import (
-    SweepStats,
-    TaskPolicy,
-    is_picklable,
-    resolve_jobs,
-    run_tasks,
-)
+from repro.core.parallel import TaskPolicy, is_picklable, resolve_jobs, run_tasks
 from repro.core.search import (
     STRATEGY_NAMES,
     DesignPoint,
@@ -51,7 +44,6 @@ from repro.core.search import (
     Study,
     _evaluate_task,
     _finish_point,
-    _label_failures,
     run_search,
 )
 from repro.core.space import SearchProfile
@@ -137,7 +129,6 @@ def granularity_study(
     profile: SearchProfile = SearchProfile.FAST,
     tech: TechnologyParams = DEFAULT_TECHNOLOGY,
     jobs: int | None = None,
-    stats: SweepStats | None = None,
     policy: TaskPolicy | None = None,
 ) -> list[DesignPoint]:
     """The Figure 14 study: every factorization of ``total_macs``.
@@ -145,7 +136,10 @@ def granularity_study(
     Buffers are assembled proportionally to the computation resources; every
     point is evaluated on every model with the optimal mapping strategy.
     Invalid points (structural rule violations) are returned unevaluated so
-    callers can report the pruning.
+    callers can report the pruning; a point whose evaluation failed keeps
+    its :attr:`~repro.core.search.DesignPoint.failure`, labelled with the
+    point's label.  The evaluations run in the ``granularity``
+    :func:`repro.obs.stage`.
 
     Args:
         models: Benchmarks to evaluate (name -> layers).
@@ -156,7 +150,6 @@ def granularity_study(
         jobs: Worker processes fanning factorizations out (``None`` defers
             to ``REPRO_JOBS``, then serial); results are bit-identical at
             every worker count.
-        stats: Optional instrumentation record filled in place.
         policy: Timeout/retry/on-error contract for the fan-out (defaults
             to abort-on-first-failure).
     """
@@ -177,29 +170,17 @@ def granularity_study(
             )
         )
     todo = [index for index, point in enumerate(points) if not point.errors]
-    if stats is not None:
-        stats.jobs = max(stats.jobs, jobs)
-        stats.points_total += len(points)
-    fail_start = len(stats.failures) if stats is not None else 0
-    with stats.stage("granularity") if stats is not None else nullcontext():
+    with obs.stage("granularity"):
         outcomes = run_tasks(
             _evaluate_task,
             [points[index].hw for index in todo],
             jobs=jobs,
             context=context,
             policy=policy,
-            stats=stats,
         )
-    _label_failures(
-        stats, fail_start, [(index, points[index].label) for index in todo]
-    )
     for index, outcome in zip(todo, outcomes):
-        hits, misses = _finish_point(points[index], outcome)
-        if stats is not None:
-            stats.add_cache(hits, misses)
+        _finish_point(points[index], outcome, index, points[index].label)
     evaluated = sum(1 for point in points if point.valid)
-    if stats is not None:
-        stats.points_evaluated += evaluated
     obs.count("dse.points.total", len(points))
     obs.count("dse.points.evaluated", evaluated)
     obs.count("dse.points.invalid", len(points) - evaluated)
@@ -299,7 +280,6 @@ def explore(
     tech: TechnologyParams = DEFAULT_TECHNOLOGY,
     memory_stride: int = 1,
     jobs: int | None = None,
-    stats: SweepStats | None = None,
     policy: TaskPolicy | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
@@ -344,7 +324,6 @@ def explore(
         jobs: Worker processes fanning evaluations out (``None`` defers to
             ``REPRO_JOBS``, then serial).  Returned points are bit-identical
             at every worker count.
-        stats: Optional instrumentation record filled in place.
         policy: Timeout/retry/on-error contract for the fan-out (defaults
             to abort-on-first-failure, the pre-resilience semantics).
         checkpoint_dir: Exhaustive only -- evaluated points stream to a
@@ -418,7 +397,6 @@ def explore(
         primary,
         store=store,
         jobs=jobs,
-        stats=stats,
         policy=policy,
         progress=progress,
     )

@@ -27,7 +27,6 @@ from repro.core.cache import MappingCache, cache_key, rebuild_record
 from repro.core.cost import CostReport, InvalidMappingError, evaluate_mapping
 from repro.core.mapping import Mapping
 from repro.core.parallel import (
-    SweepStats,
     TaskFailure,
     TaskPolicy,
     is_picklable,
@@ -86,12 +85,12 @@ def _shape_key(layer: ConvLayer) -> tuple:
 def _search_layer_task(layer: ConvLayer) -> LayerMappingResult:
     """Worker: search one layer with the context's (hw, profile, objective).
 
-    Runs in a pool process with a private in-memory cache; the parent
-    harvests the result into its shared cache.
+    Runs in a pool process and bypasses the cache entirely: the parent's
+    serial pass does the lookups (and counts them) and stores the result.
     """
     hw, profile, objective = worker_context()
     mapper = Mapper(hw=hw, profile=profile, objective=objective, cache=MappingCache())
-    return mapper.search_layer(layer)
+    return mapper._search_fresh(layer)
 
 
 @dataclass
@@ -178,12 +177,21 @@ class Mapper:
             InvalidMappingError: If no candidate is legal (a structurally
                 impossible layer/hardware pair).
         """
+        return self._lookup(layer, {})
+
+    def _lookup(
+        self, layer: ConvLayer, searched: dict[str, LayerMappingResult]
+    ) -> LayerMappingResult:
+        """Look ``layer`` up; on a miss, take its result from ``searched``
+        (the parallel prefetch's results, by cache key) or search afresh."""
         key = self._key(layer)
         cached = self.cache.get(key, rebuild=lambda rec: self._rebuild(rec, layer))
         if cached is not None:
             return self._relabel(cached, layer)
 
-        result = self._search_fresh(layer)
+        result = searched.get(key)
+        if result is None:
+            result = self._search_fresh(layer)
         self.cache.put(
             key,
             result,
@@ -261,19 +269,17 @@ class Mapper:
         )
 
     def _prefetch(
-        self,
-        layers: list[ConvLayer],
-        jobs: int,
-        policy: TaskPolicy | None = None,
-        stats: SweepStats | None = None,
-    ) -> None:
-        """Search uncached unique shapes in parallel and fill the cache.
+        self, layers: list[ConvLayer], jobs: int, policy: TaskPolicy | None = None
+    ) -> dict[str, LayerMappingResult]:
+        """Search uncached unique shapes in parallel, keyed by cache key.
 
-        Falls back to doing nothing (the serial per-layer path takes over)
-        when fewer than two shapes are pending or the search context cannot
-        cross a process boundary (e.g. a closure objective).  A shape whose
-        task failed under ``policy.on_error="skip"`` is simply not cached --
-        the serial per-layer pass re-searches it in-process.
+        The workers search without a cache; the serial per-layer pass then
+        looks every layer up exactly as at ``jobs=1`` and takes a miss's
+        result from here, so the cache counters are jobs-invariant.
+        Returns nothing to reuse (the serial pass searches in-process) when
+        fewer than two shapes are pending or the search context cannot
+        cross a process boundary (e.g. a closure objective); a shape whose
+        task failed under ``policy.on_error="skip"`` is left out the same way.
         """
         pending: dict[str, ConvLayer] = {}
         for layer in layers:
@@ -281,41 +287,27 @@ class Mapper:
             if key not in pending and not self.cache.contains(key):
                 pending[key] = layer
         if len(pending) < 2:
-            return
+            return {}
         context = (self.hw, self.profile, self.objective)
         if not is_picklable(context) or not is_picklable(list(pending.values())):
-            return
-        for key in pending:
-            self.cache.misses += 1
-        # Mirror the manual miss accounting above (the workers' own cache
-        # counters stay private to their throwaway caches).
-        obs.count("cache.misses", len(pending))
+            return {}
         results = run_tasks(
             _search_layer_task,
             list(pending.values()),
             jobs=jobs,
             context=context,
             policy=policy,
-            stats=stats,
         )
-        for key, result in zip(pending, results):
-            if isinstance(result, TaskFailure):
-                continue
-            self.cache.put(
-                key,
-                result,
-                record={
-                    "mapping": mapping_to_dict(result.mapping),
-                    "evaluated": result.candidates_evaluated,
-                    "invalid": result.candidates_invalid,
-                },
-            )
+        return {
+            key: result
+            for key, result in zip(pending, results)
+            if not isinstance(result, TaskFailure)
+        }
 
     def search_model(
         self,
         layers: list[ConvLayer],
         jobs: int | None = None,
-        stats: SweepStats | None = None,
         policy: TaskPolicy | None = None,
     ) -> list[LayerMappingResult]:
         """Optimal mapping for every layer of a model.
@@ -325,34 +317,17 @@ class Mapper:
             jobs: Worker count for the unique-shape fan-out; ``None`` defers
                 to the mapper default, then ``REPRO_JOBS``, then serial.
                 Results are bit-identical at every worker count.
-            stats: Optional instrumentation record to fill in place.
             policy: Timeout/retry contract for the parallel prefetch; a
                 prefetch failure degrades to an in-process re-search.
         """
         if not layers:
             raise ValueError("layers must be non-empty")
         effective = resolve_jobs(jobs if jobs is not None else self.jobs)
-        hits0, misses0 = self.cache.hits, self.cache.misses
-        timer = stats.stage("search_model") if stats else None
-        if timer:
-            timer.__enter__()
-        try:
-            with obs.span("mapper.search_model", layers=len(layers), jobs=effective):
-                if effective > 1:
-                    self._prefetch(layers, effective, policy=policy, stats=stats)
-                results = [self.search_layer(layer) for layer in layers]
-        finally:
-            if timer:
-                timer.__exit__(None, None, None)
+        with obs.span("mapper.search_model", layers=len(layers), jobs=effective):
+            searched = self._prefetch(layers, effective, policy) if effective > 1 else {}
+            results = [self._lookup(layer, searched) for layer in layers]
         obs.count("mapper.layers.searched", len(layers))
         self.cache.save()
-        if stats is not None:
-            stats.jobs = max(stats.jobs, effective)
-            stats.points_total += len(layers)
-            stats.points_evaluated += len(layers)
-            stats.add_cache(
-                self.cache.hits - hits0, self.cache.misses - misses0
-            )
         return results
 
 

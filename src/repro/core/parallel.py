@@ -20,20 +20,20 @@ shapes.  This module provides the one fan-out primitive both reuse:
   backoff while deterministic exceptions are not, a broken pool is rebuilt
   once and the run degrades to the serial in-process path if it breaks
   again.
-* :class:`SweepStats` -- the per-run instrumentation record (stage timings,
-  cache counters, failure/retry/pool-restart accounting, points/sec)
-  surfaced by the CLI and
-  :func:`repro.analysis.reporting.format_search_stats`.
+* :class:`SweepStats` -- a read-only view of one run's counters in the
+  :mod:`repro.obs` ledger (stage timings, cache counters,
+  failure/retry/pool-restart accounting, points/sec) surfaced by the CLI
+  and :func:`repro.analysis.reporting.format_search_stats`.
 
 Workers receive their shared context via :func:`worker_context`; worker
 functions must be module-level (picklable) callables of one task argument.
 
 When a live :mod:`repro.obs` recorder is installed in the parent, every
-worker process runs its tasks under a private recorder and ships the
-captured spans and counters back alongside each outcome (successes *and*
-failures); the parent merges them, so a ``--jobs N`` sweep reports
-identically-shaped metrics to the serial run (counters are
-order-independent sums).
+worker process runs its tasks under a private recorder of the same kind
+and ships the captured spans and counters back alongside each outcome
+(successes *and* failures); the parent merges them before it hands the
+outcome on, so a ``--jobs N`` sweep reports identically-shaped metrics to
+the serial run (counters are order-independent sums).
 
 Fault injection (:mod:`repro.testing.faults`) hooks both execution paths:
 when ``REPRO_FAULTS`` is set (or a plan is installed in-process), every
@@ -52,11 +52,12 @@ import traceback as traceback_module
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
 from repro.errors import ReproError
+from repro.obs.metrics import MetricsRegistry
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -76,8 +77,9 @@ _WORKER_CONTEXT: Any = None
 # child processes; lets the chunk runner stay module-level).
 _WORKER_FN: Callable[[Any], Any] | None = None
 
-# Whether tasks in this process run under per-task obs capture.
-_WORKER_CAPTURE = False
+# The recorder type tasks in this process run under (per-task obs
+# capture), or None when the parent records nothing.
+_WORKER_RECORDER: type | None = None
 
 # True inside pool worker processes (lets the fault injector distinguish
 # "kill this worker" from "kill the host process").
@@ -211,8 +213,8 @@ class TaskFailure:
     """The structured record of one task that exhausted its attempts.
 
     Under ``on_error="skip"`` these appear *in place of* results in the
-    list :func:`run_tasks` returns, and accumulate in
-    :attr:`SweepStats.failures`.
+    list :func:`run_tasks` returns (and are counted as
+    ``parallel.failures``).
 
     Attributes:
         index: Position of the task in the submitted sequence.
@@ -262,12 +264,12 @@ def _call_task(fn: Callable[[Any], Any], index: int, task: Any, attempt: int) ->
 def _init_worker(
     context: Any,
     worker: Callable[[Any], Any] | None = None,
-    capture_obs: bool = False,
+    recorder_type: type | None = None,
 ) -> None:
-    global _WORKER_CONTEXT, _WORKER_FN, _WORKER_CAPTURE, _IN_WORKER
+    global _WORKER_CONTEXT, _WORKER_FN, _WORKER_RECORDER, _IN_WORKER
     _WORKER_CONTEXT = context
     _WORKER_FN = worker
-    _WORKER_CAPTURE = capture_obs
+    _WORKER_RECORDER = recorder_type
     _IN_WORKER = True
 
 
@@ -296,7 +298,7 @@ def _run_chunk(payload: tuple[int, float, tuple[tuple[int, Any], ...]]) -> list[
     assert _WORKER_FN is not None
     outcomes: list[tuple] = []
     for index, task in items:
-        recorder = obs.Recorder() if _WORKER_CAPTURE else None
+        recorder = _WORKER_RECORDER() if _WORKER_RECORDER else None
         try:
             if recorder is not None:
                 with obs.use(recorder):
@@ -335,12 +337,10 @@ class _Run:
         self,
         tasks: Sequence[Any],
         policy: TaskPolicy,
-        stats: "SweepStats | None",
         on_result: Callable[[int, Any], None] | None,
     ) -> None:
         self.tasks = tasks
         self.policy = policy
-        self.stats = stats
         self.on_result = on_result
         self.slots: list[Any] = [_UNSET] * len(tasks)
 
@@ -352,8 +352,6 @@ class _Run:
     def record_retry(self, count: int = 1) -> None:
         obs.count("parallel.retries", count)
         obs.event("task.retry", count=count)
-        if self.stats is not None:
-            self.stats.retries += count
 
     def record_failure(
         self, index: int, encoded: dict[str, Any], attempts: int, kind: str
@@ -376,9 +374,6 @@ class _Run:
             kind=kind,
         )
         obs.count("parallel.failures")
-        if self.stats is not None:
-            self.stats.points_failed += 1
-            self.stats.failures.append(failure)
         self.record_result(index, failure)
 
 
@@ -396,7 +391,6 @@ def run_tasks(
     jobs: int | None = None,
     context: Any = None,
     policy: TaskPolicy | None = None,
-    stats: "SweepStats | None" = None,
     on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any]:
     """Apply ``worker`` to every task, preserving task order.
@@ -411,7 +405,7 @@ def run_tasks(
     the pre-resilience implementation did, while ``on_error="skip"``
     returns a :class:`TaskFailure` in the failed task's slot.  Worker
     death and per-task timeouts are survived by rebuilding the pool
-    (:attr:`SweepStats.pool_restarts`) and, if it keeps breaking, by
+    (counted as ``parallel.pool_restarts``) and, if it keeps breaking, by
     degrading to the serial in-process path.
 
     Args:
@@ -421,7 +415,6 @@ def run_tasks(
         context: Shared read-only state for the workers.
         policy: Timeout/retry/on-error contract (defaults to
             :data:`DEFAULT_POLICY`).
-        stats: Optional instrumentation record filled in place.
         on_result: Callback invoked in the parent as each task settles,
             with ``(task index, result-or-TaskFailure)``; completion order
             is arbitrary above ``jobs=1``.  Lets callers checkpoint
@@ -430,7 +423,7 @@ def run_tasks(
     policy = policy or DEFAULT_POLICY
     jobs = resolve_jobs(jobs)
     tasks = list(tasks)
-    run = _Run(tasks, policy, stats, on_result)
+    run = _Run(tasks, policy, on_result)
     if jobs == 1 or len(tasks) <= 1:
         _run_serial(run, worker, list(enumerate(tasks)), context)
         return run.slots
@@ -507,6 +500,7 @@ def _run_pool(
     tasks = run.tasks
     recorder = obs.get_recorder()
     capture = recorder.enabled
+    recorder_type = type(recorder) if capture else None
     chunksize = 1 if policy.timeout_s is not None else max(
         1, len(tasks) // (jobs * 4)
     )
@@ -523,7 +517,7 @@ def _run_pool(
         return ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)),
             initializer=_init_worker,
-            initargs=(context, worker, capture),
+            initargs=(context, worker, recorder_type),
         )
 
     def requeue_for_retry(chunk: _Chunk, kind: str, reason: str) -> None:
@@ -644,8 +638,6 @@ def _run_pool(
             if broken or submit_broken:
                 breaks += 1
                 obs.count("parallel.pool_restarts")
-                if run.stats is not None:
-                    run.stats.pool_restarts += 1
                 _kill_pool(pool)
                 pool = None
                 reschedule_in_flight(broken, "crash", "worker process died")
@@ -656,8 +648,6 @@ def _run_pool(
             if overdue:
                 obs.count("parallel.timeouts", len(overdue))
                 obs.count("parallel.pool_restarts")
-                if run.stats is not None:
-                    run.stats.pool_restarts += 1
                 _kill_pool(pool)
                 pool = None
                 reschedule_in_flight(
@@ -674,44 +664,66 @@ def _run_pool(
             pool.shutdown(wait=True)
 
 
-@dataclass
-class SweepStats:
-    """Instrumentation for one search/sweep run.
+def _counter(name: str, doc: str) -> property:
+    """A :class:`SweepStats` property reading one ledger counter."""
+    return property(lambda self: int(self.metrics.counter(name)), doc=doc)
 
-    Attributes:
-        jobs: Effective worker count.
-        points_total: Design points (or layers) handed to the run.
-        points_evaluated: Points that completed a full evaluation.
-        points_failed: Points whose task exhausted every attempt
-            (``on_error="skip"`` only; an aborting run raises instead).
-        points_resumed: Points answered from a sweep checkpoint instead of
-            being re-evaluated (:mod:`repro.core.checkpoint`).
-        points_pruned: Points discarded by dominance pruning -- their EDP
-            lower bound already exceeded the incumbent's actual EDP, so the
-            full evaluation was never paid (:mod:`repro.core.search`).
-        points_deduped: Sampler proposals discarded as duplicates of an
-            already-proposed design point within the same guided run.
-        retries: Task attempts re-dispatched after crash-only faults.
-        pool_restarts: Worker pools rebuilt after a break or timeout kill.
-        cache_hits: Mapping-cache hits accumulated across the run.
-        cache_misses: Mapping-cache misses (fresh searches).
-        failures: The structured per-task failure records.
-        stage_s: Wall-clock seconds per named stage.
+
+@dataclass(frozen=True)
+class SweepStats:
+    """A read-only view of one run's counters in the :mod:`repro.obs` ledger.
+
+    Every event of a run is counted once, on the live recorder; this view
+    reads the summary :func:`repro.analysis.reporting.format_search_stats`
+    prints from that recorder's :class:`~repro.obs.MetricsRegistry`::
+
+        recorder = obs.MetricsRecorder()
+        with obs.use(recorder):
+            explore(...)
+        stats = SweepStats(recorder.metrics, jobs=resolve_jobs(jobs))
+
+    Points are the ``dse.points.*`` counters of a sweep; a map run (no
+    ``dse.points.total``) counts every searched layer
+    (``mapper.layers.searched``) as one evaluated point.  Stage times are
+    the ``stage.<name>_ms`` histograms of :func:`repro.obs.stage`.
     """
 
+    metrics: MetricsRegistry
     jobs: int = 1
-    points_total: int = 0
-    points_evaluated: int = 0
-    points_failed: int = 0
-    points_resumed: int = 0
-    points_pruned: int = 0
-    points_deduped: int = 0
-    retries: int = 0
-    pool_restarts: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    failures: list[TaskFailure] = field(default_factory=list)
-    stage_s: dict[str, float] = field(default_factory=dict)
+
+    points_failed = _counter("parallel.failures", "Tasks that exhausted every attempt.")
+    points_resumed = _counter("dse.points.resumed", "Points a checkpoint or study answered.")
+    points_pruned = _counter("dse.points.pruned", "Points the dominance bound discarded.")
+    points_deduped = _counter("dse.points.deduped", "Duplicate sampler proposals dropped.")
+    retries = _counter("parallel.retries", "Attempts re-dispatched after crash-only faults.")
+    pool_restarts = _counter("parallel.pool_restarts", "Pools rebuilt after a break or kill.")
+    cache_hits = _counter("cache.hits", "Mapping-cache hits (resumed points' stored ones too).")
+    cache_misses = _counter("cache.misses", "Mapping-cache misses (fresh searches).")
+
+    @property
+    def _sweep(self) -> bool:
+        return bool(self.metrics.counter("dse.points.total"))
+
+    @property
+    def points_total(self) -> int:
+        """Design points (or layers) handed to the run."""
+        name = "dse.points.total" if self._sweep else "mapper.layers.searched"
+        return int(self.metrics.counter(name))
+
+    @property
+    def points_evaluated(self) -> int:
+        """Points that completed a full evaluation."""
+        name = "dse.points.evaluated" if self._sweep else "mapper.layers.searched"
+        return int(self.metrics.counter(name))
+
+    @property
+    def stage_s(self) -> dict[str, float]:
+        """Wall-clock seconds per stage name."""
+        return {
+            name[len("stage.") : -len("_ms")]: state["sum"] / 1e3
+            for name, state in self.metrics.histograms().items()
+            if name.startswith("stage.") and name.endswith("_ms")
+        }
 
     @property
     def wall_s(self) -> float:
@@ -723,49 +735,6 @@ class SweepStats:
         """Evaluated-point throughput over the whole run."""
         wall = self.wall_s
         return self.points_evaluated / wall if wall > 0 else 0.0
-
-    def stage(self, name: str) -> "_StageTimer":
-        """Context manager accumulating a stage's wall-clock time."""
-        return _StageTimer(self, name)
-
-    def add_cache(self, hits: int, misses: int) -> None:
-        """Accumulate cache counters from one evaluation."""
-        self.cache_hits += hits
-        self.cache_misses += misses
-
-
-class _StageTimer:
-    """Accumulates elapsed wall time into ``stats.stage_s[name]``.
-
-    Each stage also opens a ``stage.<name>`` span on the current
-    :mod:`repro.obs` recorder, so profiled runs see the same stage
-    boundaries in their trace that the CLI prints from ``stage_s``.
-    """
-
-    def __init__(self, stats: SweepStats, name: str) -> None:
-        self._stats = stats
-        self._name = name
-        self._start = 0.0
-        self._span = None
-
-    def __enter__(self) -> "_StageTimer":
-        self._span = obs.span(f"stage.{self._name}")
-        self._span.__enter__()
-        # The event carries the phase name only -- no duration or timing
-        # fields -- so the event *set* stays identical across --jobs N.
-        obs.event("phase.start", phase=self._name)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._stats.stage_s[self._name] = (
-            self._stats.stage_s.get(self._name, 0.0) + elapsed
-        )
-        obs.event("phase.finish", phase=self._name)
-        if self._span is not None:
-            self._span.__exit__(None, None, None)
-            self._span = None
 
 
 def chunked(items: Sequence[Any], size: int) -> Iterator[list[Any]]:

@@ -41,7 +41,6 @@ import random
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -63,7 +62,6 @@ from repro.core.mapper import Mapper
 from repro import durable
 from repro.errors import ConfigError, StateCorruptionError
 from repro.core.parallel import (
-    SweepStats,
     TaskFailure,
     TaskPolicy,
     _fault_plan,
@@ -172,6 +170,9 @@ class DesignPoint:
             pruning bound, a mapping or task failure).
         energy_pj: Per-model total energy (model name -> pJ).
         cycles: Per-model total cycles.
+        failure: The :class:`~repro.core.parallel.TaskFailure` of an
+            evaluation that exhausted its retries, restated with the
+            point's index in the returned list and its label.
     """
 
     hw: HardwareConfig
@@ -180,6 +181,7 @@ class DesignPoint:
     errors: tuple[str, ...] = ()
     energy_pj: dict[str, float] = field(default_factory=dict)
     cycles: dict[str, int] = field(default_factory=dict)
+    failure: TaskFailure | None = None
 
     @property
     def label(self) -> str:
@@ -271,37 +273,22 @@ def _apply_record(
     return cache
 
 
-def _finish_point(point: DesignPoint, outcome: Any) -> tuple[int, int]:
+def _finish_point(point: DesignPoint, outcome: Any, index: int, label: str) -> None:
     """Fill ``point`` from one :func:`_evaluate_task` outcome.
 
     ``outcome`` is the worker's record, or the
     :class:`~repro.core.parallel.TaskFailure` of a task that exhausted its
-    retries (the point stays invalid, labelled with the failure).  Returns
-    the evaluation's mapping-cache (hits, misses).
+    retries: the point stays invalid, labelled with the failure, which it
+    keeps restated as the point at ``index`` named ``label``.
     """
     if isinstance(outcome, TaskFailure):
         point.errors = (
             f"evaluation failed ({outcome.error_type}) after "
             f"{outcome.attempts} attempt(s): {outcome.error}",
         )
-        return 0, 0
-    return _apply_record(point, outcome)
-
-
-def _label_failures(
-    stats: SweepStats | None, start: int, slots: Sequence[tuple[int, str]]
-) -> None:
-    """Restate the failures one :func:`run_tasks` call added in sweep terms.
-
-    ``slots[i]`` is the ``(index in the returned point list, label)`` of the
-    call's ``i``-th task; ``start`` is ``len(stats.failures)`` before the call.
-    """
-    if stats is None:
+        point.failure = replace(outcome, index=index, label=label)
         return
-    for pos in range(start, len(stats.failures)):
-        failure = stats.failures[pos]
-        index, label = slots[failure.index]
-        stats.failures[pos] = replace(failure, index=index, label=label)
+    _apply_record(point, outcome)
 
 
 # --- candidates and trials ---------------------------------------------------------
@@ -580,26 +567,20 @@ class GuidedStrategy(SearchStrategy):
 
     name = "guided"
     batch_size = 8
+    elite_fraction = 0.2
+    explore_floor = 0.15
     op = "guided_explore"
     stage = "guided"
     budget_field = "trials"
 
     def __init__(
-        self,
-        space: Any,
-        required_macs: int,
-        trials: int,
-        seed: int = 0,
-        elite_fraction: float = 0.2,
-        explore_floor: float = 0.15,
+        self, space: Any, required_macs: int, trials: int, seed: int = 0
     ) -> None:
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         super().__init__(budget=trials)
         self.lattice = Lattice(space, required_macs)
         self.seed = seed
-        self.elite_fraction = elite_fraction
-        self.explore_floor = explore_floor
         self.rng = random.Random(seed)
         self._proposed: set[tuple[int, int, int, int, int]] = set()
         self._results: list[tuple[float, tuple[int, int, int, int, int]]] = []
@@ -884,7 +865,6 @@ def run_search(
     primary: str,
     store: Any = None,
     jobs: int | None = None,
-    stats: SweepStats | None = None,
     policy: TaskPolicy | None = None,
     progress: Any | None = None,
 ) -> list[DesignPoint]:
@@ -897,7 +877,12 @@ def run_search(
     through :func:`run_tasks`, then recorded in ``store``; ``failed`` when
     the task exhausted its retries).  The round is then told back in
     proposal order.  Pruned and invalid points come back ``valid=False``
-    with a labelled error.
+    with a labelled error; a failed point keeps its
+    :attr:`DesignPoint.failure`, labelled with its task key.  The loop
+    runs in the strategy's :func:`repro.obs.stage` and counts each point
+    once in ``dse.points.*``; a resumed point re-reports its stored
+    ``cache.hits``/``cache.misses``, so a resumed run counts what the
+    clean run counted.
 
     Args:
         strategy: What to propose (see :class:`SearchStrategy`).
@@ -913,27 +898,23 @@ def run_search(
             flushed after every round that more rounds follow, and closed
             when the loop ends (also on ``KeyboardInterrupt``).
         jobs: Worker processes per round's evaluations.
-        stats: Optional instrumentation record filled in place; failures
-            are labelled with their task key and their index in the
-            returned point list.
         policy: Timeout/retry/on-error contract for the fan-outs.
         progress: Optional :class:`repro.obs.progress.ProgressMeter`
             (stderr only; never stdout).  A whole-space round updates it
             once per settled point that the store did not answer, in
-            proposal order; a bounded round updates it once, when told,
-            with the running ``pruned``/``deduped`` counts.
+            proposal order (with the recorder's running mapping-cache hit
+            rate, when one is live); a bounded round updates it once, when
+            told, with the running ``pruned``/``deduped`` counts.
     """
     jobs = resolve_jobs(jobs)
     context = (models, profile)
     if jobs > 1 and not is_picklable(context):
         jobs = 1
-    if stats is not None:
-        stats.jobs = max(stats.jobs, jobs)
     stream = strategy.batch_size is None
+    ledger = getattr(obs.get_recorder(), "metrics", None)
     stored: dict[str, dict[str, Any]] = {}
     points: list[DesignPoint] = []
     tally: Counter = Counter()
-    live = Counter()  # mapping-cache lookups of the streamed evaluations
     # The current round, shared with the callbacks below.  A trial waiting
     # for its evaluation is "pending" (never told) until its task returns.
     trials: list[Trial] = []
@@ -972,8 +953,9 @@ def run_search(
         cache = _apply_record(point, record) if record is not None else None
         if cache is None:
             return Trial(cand, "pending", point)
-        if stats is not None:
-            stats.add_cache(*cache)
+        for name, value in zip(("cache.hits", "cache.misses"), cache):
+            if value:
+                obs.count(name, value)
         return Trial(cand, "resumed", point, told_edp(point))
 
     def report_settled() -> None:
@@ -986,18 +968,20 @@ def run_search(
                 if reported % POINT_BATCH_EVERY == 0 or reported == unanswered:
                     obs.event("point.batch", done=reported, total=unanswered)
                 if progress is not None:
-                    lookups = live["hits"] + live["misses"]
-                    extra = {"cache": live["hits"] / lookups} if lookups else {}
-                    progress.update(reported, **extra)
+                    progress.update(reported, **cache_rate())
             cursor += 1
+
+    def cache_rate() -> dict[str, float]:
+        if ledger is None:
+            return {}
+        hits = ledger.counter("cache.hits")
+        lookups = hits + ledger.counter("cache.misses")
+        return {"cache": hits / lookups} if lookups else {}
 
     def on_result(local: int, outcome: Any) -> None:
         pos = pending[local]
         trial = trials[pos]
-        hits, misses = _finish_point(trial.point, outcome)
-        live.update(hits=hits, misses=misses)
-        if stats is not None:
-            stats.add_cache(hits, misses)
+        _finish_point(trial.point, outcome, len(points) + pos, trial.candidate.key)
         failed = isinstance(outcome, TaskFailure)
         trials[pos] = replace(
             trial,
@@ -1015,13 +999,11 @@ def run_search(
     try:
         if store is not None:
             stored = store.load()
-        with stats.stage(strategy.stage) if stats is not None else nullcontext():
+        with obs.stage(strategy.stage):
             while not strategy.finished():
                 proposals = strategy.ask()
                 if not proposals:
                     break
-                if stats is not None:
-                    stats.points_total += len(proposals)
                 trials = [settle(cand) for cand in proposals]
                 pending = [
                     pos
@@ -1036,20 +1018,13 @@ def run_search(
                     ) is None:
                         progress.total = unanswered
                     report_settled()
-                fail_start = len(stats.failures) if stats is not None else 0
                 run_tasks(
                     _evaluate_task,
                     [trials[pos].point.hw for pos in pending],
                     jobs=jobs,
                     context=context,
                     policy=policy,
-                    stats=stats,
                     on_result=on_result,
-                )
-                _label_failures(
-                    stats,
-                    fail_start,
-                    [(len(points) + pos, trials[pos].candidate.key) for pos in pending],
                 )
                 strategy.tell(trials)
                 points.extend(trial.point for trial in trials)
@@ -1073,11 +1048,6 @@ def run_search(
             store.close()
 
     evaluated = sum(1 for point in points if point.valid)
-    if stats is not None:
-        stats.points_evaluated += evaluated
-        stats.points_pruned += tally["pruned"]
-        stats.points_deduped += strategy.deduped
-        stats.points_resumed += tally["resumed"]
     obs.count("dse.points.total", len(points))
     obs.count("dse.points.evaluated", evaluated)
     obs.count("dse.points.invalid", len(points) - evaluated - tally["pruned"])

@@ -3,9 +3,12 @@
 One module-level *current recorder* serves the whole process.  It defaults
 to the :class:`NullRecorder`, so instrumentation scattered through the
 mapper, the DSE sweeps, the simulator and the audit layer costs one no-op
-method call per site until something installs a live :class:`Recorder`
-(the CLI's ``--trace-out`` / ``--metrics-out`` flags, ``repro profile``,
-or a test via :func:`use`).
+method call per site until something installs a live recorder: the CLI
+runs every command under a :class:`MetricsRecorder` (or a full
+:class:`Recorder` when ``--trace-out``, ``--events-out`` or ``repro
+profile`` needs spans and events), and tests install one via :func:`use`.
+The live recorder's metrics are the run's one counter ledger:
+:class:`repro.core.parallel.SweepStats` is a read-only view over them.
 
 Typical instrumentation site::
 
@@ -29,11 +32,12 @@ are documented in ``docs/observability.md``.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import NullRecorder, Recorder, SpanEvent
+from repro.obs.recorder import MetricsRecorder, NullRecorder, Recorder, SpanEvent
 
 #: The permanently-installed disabled recorder (shared, stateless).
 NULL_RECORDER = NullRecorder()
@@ -98,7 +102,27 @@ def event(name: str, **fields: Any) -> None:
     _current.event(name, **fields)
 
 
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Time one named run stage into the ``stage.<name>_ms`` histogram.
+
+    The stage also opens a ``stage.<name>`` span bracketed by
+    ``phase.start``/``phase.finish`` events.  The events carry the phase
+    name only -- no duration -- so a run's event *set* stays identical
+    across ``--jobs N``.
+    """
+    with span(f"stage.{name}"):
+        event("phase.start", phase=name)
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            histogram(f"stage.{name}_ms", (time.perf_counter() - start) * 1e3)
+            event("phase.finish", phase=name)
+
+
 __all__ = [
+    "MetricsRecorder",
     "MetricsRegistry",
     "NULL_RECORDER",
     "NullRecorder",
@@ -112,5 +136,6 @@ __all__ = [
     "histogram",
     "set_recorder",
     "span",
+    "stage",
     "use",
 ]

@@ -272,13 +272,13 @@ class MetricsRegistry:
         """
         histograms: dict[str, Any] = {}
         for name, state in self.histograms().items():
-            stats = self.histogram_stats(name)
-            assert stats is not None
-            stats_payload: dict[str, Any] = dict(stats)
-            stats_payload["buckets"] = {
+            summary = self.histogram_stats(name)
+            assert summary is not None
+            payload: dict[str, Any] = dict(summary)
+            payload["buckets"] = {
                 str(exp): count for exp, count in sorted(state["buckets"].items())
             }
-            histograms[name] = stats_payload
+            histograms[name] = payload
         return {
             "counters": self.counters(),
             "gauges": self.gauges(),
@@ -301,10 +301,10 @@ class MetricsRegistry:
         entries.update(self.counters())
         entries.update(self.gauges())
         for name in self.histograms():
-            stats = self.histogram_stats(name)
-            assert stats is not None
+            summary = self.histogram_stats(name)
+            assert summary is not None
             for field in ("count", "sum", "min", "max", "p50", "p90", "p99"):
-                entries[f"{name}.{field}"] = stats[field]
+                entries[f"{name}.{field}"] = summary[field]
         return "\n".join(
             f"{name} {value:g}" for name, value in sorted(entries.items())
         )

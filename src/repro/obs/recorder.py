@@ -5,13 +5,15 @@ the same thread record the enclosing path (``dse.explore/mapper.search_layer``),
 so a sweep's profile aggregates by call path and a Chrome trace opens in
 Perfetto (https://ui.perfetto.dev) with nested slices per process/thread.
 
-Two recorder types share one duck-typed interface:
+Three recorder types share one duck-typed interface:
 
 * :class:`Recorder` -- the live tracer: monotonic ``perf_counter_ns``
   timestamps, a lock-guarded event list (thread-safe), a
   :class:`~repro.obs.metrics.MetricsRegistry`, picklable snapshots so
   worker processes can ship their spans and counters back to the parent,
   and exporters (Chrome trace JSON, metrics JSON/flat text).
+* :class:`MetricsRecorder` -- a :class:`Recorder` that keeps the metrics
+  and discards spans and run events: the CLI's default ledger.
 * :class:`NullRecorder` -- the always-installed default: every method is a
   no-op and ``span()`` returns one shared, stateless context manager, so
   instrumentation left in the code costs one attribute lookup and call
@@ -325,4 +327,30 @@ class Recorder:
         return target
 
 
-__all__ = ["NullRecorder", "Recorder", "SpanEvent"]
+class MetricsRecorder(Recorder):
+    """A live recorder that keeps metrics only.
+
+    Counters, gauges and histograms land in :attr:`metrics` exactly as on
+    a :class:`Recorder`; spans and run events are discarded at the call
+    site (and dropped from merged worker snapshots), so a long sweep's
+    memory stays flat.  The CLI runs every command under one of these
+    unless a trace, an event log or ``repro profile`` needs the spans.
+    """
+
+    def span(self, name: str, **args: Any) -> _NullSpan:
+        """A no-op context manager (one shared instance)."""
+        return _NULL_SPAN
+
+    def event(self, name: str, **fields: Any) -> None:
+        """Discard a run event."""
+
+    def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
+        """Fold a worker snapshot's metrics in; drop its spans and events."""
+        self.metrics.merge(
+            snapshot.get("counters"),
+            snapshot.get("gauges"),
+            snapshot.get("histograms"),
+        )
+
+
+__all__ = ["MetricsRecorder", "NullRecorder", "Recorder", "SpanEvent"]

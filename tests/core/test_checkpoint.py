@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.arch.technology import DEFAULT_TECHNOLOGY
 from repro.core.checkpoint import (
     CHECKPOINT_DIR_ENV,
@@ -50,6 +51,14 @@ def digest_of(models, **overrides):
     )
     kwargs.update(overrides)
     return sweep_digest(models, **kwargs)
+
+
+def counted_explore(*args, **kwargs):
+    """``explore`` under a metrics-only recorder, plus its stats view."""
+    recorder = obs.MetricsRecorder()
+    with obs.use(recorder):
+        points = explore(*args, **kwargs)
+    return points, SweepStats(recorder.metrics)
 
 
 def point_fingerprint(points):
@@ -164,12 +173,10 @@ class TestExploreResume:
     def test_full_resume_skips_every_point(self, tmp_path):
         models = small_models()
         first = explore(models, checkpoint_dir=tmp_path, **self.kwargs())
-        stats = SweepStats()
-        second = explore(
+        second, stats = counted_explore(
             models,
             checkpoint_dir=tmp_path,
             resume=True,
-            stats=stats,
             **self.kwargs(),
         )
         assert point_fingerprint(first) == point_fingerprint(second)
@@ -177,6 +184,18 @@ class TestExploreResume:
         # Resumed runs re-report the stored cache counters, so the stats
         # shape matches an uninterrupted run.
         assert stats.cache_misses > 0
+
+    def test_resumed_run_reports_the_clean_runs_cache_counters(self, tmp_path):
+        models = small_models()
+        _, clean = counted_explore(
+            models, checkpoint_dir=tmp_path, **self.kwargs()
+        )
+        _, resumed = counted_explore(
+            models, checkpoint_dir=tmp_path, resume=True, **self.kwargs()
+        )
+        assert resumed.points_resumed == clean.points_evaluated > 0
+        assert resumed.cache_hits == clean.cache_hits
+        assert resumed.cache_misses == clean.cache_misses > 0
 
     def test_interrupt_flushes_then_resume_is_identical(self, tmp_path):
         models = small_models()
@@ -197,12 +216,10 @@ class TestExploreResume:
             digest_of(models),
         ).load()
         assert len(stored) == 1  # point 0 completed before the interrupt
-        stats = SweepStats()
-        resumed = explore(
+        resumed, stats = counted_explore(
             models,
             checkpoint_dir=tmp_path,
             resume=True,
-            stats=stats,
             **self.kwargs(),
         )
         assert point_fingerprint(resumed) == point_fingerprint(clean)
@@ -233,9 +250,8 @@ class TestExploreResume:
         assert sorted(stored) == sorted(
             task_key((*p.hw.config_tuple(), p.hw.memory)) for p in evaluated
         )
-        stats = SweepStats()
-        resumed = explore(
-            models, checkpoint_dir=tmp_path, resume=True, stats=stats, **kwargs
+        resumed, stats = counted_explore(
+            models, checkpoint_dir=tmp_path, resume=True, **kwargs
         )
         assert payload(resumed) == payload(first)
         assert payload(first) == payload(explore(models, **kwargs))
@@ -244,12 +260,10 @@ class TestExploreResume:
     def test_changed_sweep_never_reuses_the_checkpoint(self, tmp_path):
         models = small_models()
         explore(models, checkpoint_dir=tmp_path, **self.kwargs())
-        stats = SweepStats()
-        explore(
+        _, stats = counted_explore(
             models,
             checkpoint_dir=tmp_path,
             resume=True,
-            stats=stats,
             max_chiplet_mm2=2.0,
             **self.kwargs(),
         )
@@ -261,12 +275,10 @@ class TestExploreResume:
             FaultPlan(parse_fault_specs("exc:@indices=1&attempts=0"))
         )
         try:
-            stats = SweepStats()
-            points = explore(
+            points, stats = counted_explore(
                 models,
                 checkpoint_dir=tmp_path,
                 policy=TaskPolicy(on_error="skip"),
-                stats=stats,
                 **self.kwargs(),
             )
         finally:
@@ -274,7 +286,7 @@ class TestExploreResume:
         assert stats.points_failed == 1
         assert not points[1].valid
         assert "evaluation failed" in points[1].errors[0]
-        assert stats.failures[0].label  # labelled with the task key
+        assert points[1].failure.label  # labelled with the task key
         stored = SweepCheckpoint(
             SweepCheckpoint.resolve_dir(tmp_path), digest_of(models)
         ).load()

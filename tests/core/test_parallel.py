@@ -7,6 +7,7 @@ at every worker count -- ``jobs=N`` must return exactly what the serial
 
 import pytest
 
+from repro import obs
 from repro.arch.config import case_study_hardware
 from repro.core.cache import MappingCache
 from repro.core.dse import DesignSpace, explore, granularity_study
@@ -107,16 +108,19 @@ class TestRunTasks:
 
 class TestSweepStats:
     def test_stage_timer_accumulates(self):
-        stats = SweepStats()
-        with stats.stage("a"):
-            pass
-        with stats.stage("a"):
-            pass
+        recorder = obs.MetricsRecorder()
+        with obs.use(recorder):
+            with obs.stage("a"):
+                pass
+            with obs.stage("a"):
+                pass
+        stats = SweepStats(recorder.metrics)
         assert stats.stage_s["a"] >= 0.0
         assert stats.wall_s == sum(stats.stage_s.values())
+        assert recorder.metrics.histogram_stats("stage.a_ms")["count"] == 2
 
     def test_points_per_sec_zero_without_time(self):
-        assert SweepStats().points_per_sec == 0.0
+        assert SweepStats(obs.MetricsRecorder().metrics).points_per_sec == 0.0
 
 
 class TestSearchDeterminism:
@@ -165,15 +169,16 @@ class TestSearchDeterminism:
         assert point_fingerprint(serial) == point_fingerprint(parallel)
 
     def test_explore_fills_stats(self):
-        stats = SweepStats()
-        explore(
-            small_models(),
-            required_macs=32,
-            space=SMALL_SPACE,
-            profile=SearchProfile.MINIMAL,
-            jobs=1,
-            stats=stats,
-        )
+        recorder = obs.MetricsRecorder()
+        with obs.use(recorder):
+            explore(
+                small_models(),
+                required_macs=32,
+                space=SMALL_SPACE,
+                profile=SearchProfile.MINIMAL,
+                jobs=1,
+            )
+        stats = SweepStats(recorder.metrics)
         assert stats.points_total == 2
         assert stats.points_evaluated >= 1
         assert "explore" in stats.stage_s

@@ -10,6 +10,7 @@ task index.
 
 import pytest
 
+from repro import obs
 from repro.core.parallel import (
     SweepStats,
     TaskFailure,
@@ -40,6 +41,14 @@ def _clean_faults(monkeypatch):
 
 def plan(text: str) -> FaultPlan:
     return FaultPlan(parse_fault_specs(text))
+
+
+def run_counted(*args, **kwargs):
+    """``run_tasks`` under a metrics-only recorder, plus its stats view."""
+    recorder = obs.MetricsRecorder()
+    with obs.use(recorder):
+        results = run_tasks(*args, **kwargs)
+    return results, SweepStats(recorder.metrics)
 
 
 def failure_summary(results):
@@ -76,30 +85,26 @@ class TestSerialRecovery:
 
     def test_skip_isolates_the_failure(self):
         install_plan(plan("exc:@indices=2"))
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             [1, 2, 3, 4],
             jobs=1,
             policy=TaskPolicy(on_error="skip"),
-            stats=stats,
         )
         assert results[:2] == [3, 6] and results[3] == 12
         assert failure_summary(results) == [
             (2, "InjectedTaskError", "exception", 1)
         ]
         assert stats.points_failed == 1
-        assert stats.failures[0].traceback
+        assert results[2].traceback
 
     def test_transient_fault_retries_then_succeeds(self):
         install_plan(plan("crash:@indices=1"))  # attempts=1: first try only
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             [5, 6, 7],
             jobs=1,
             policy=TaskPolicy(backoff_s=0.001),
-            stats=stats,
         )
         assert results == [15, 18, 21]
         assert stats.retries == 1
@@ -107,13 +112,11 @@ class TestSerialRecovery:
 
     def test_deterministic_exception_is_never_retried(self):
         install_plan(plan("exc:@indices=1&attempts=0"))
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             [5, 6],
             jobs=1,
             policy=TaskPolicy(on_error="skip", backoff_s=0.001),
-            stats=stats,
         )
         assert failure_summary(results) == [
             (1, "InjectedTaskError", "exception", 1)
@@ -122,15 +125,13 @@ class TestSerialRecovery:
 
     def test_permanent_crash_exhausts_attempts(self):
         install_plan(plan("crash:@indices=1&attempts=0"))
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             [5, 6],
             jobs=1,
             policy=TaskPolicy(
                 on_error="skip", max_attempts=2, backoff_s=0.001
             ),
-            stats=stats,
         )
         assert failure_summary(results) == [
             (1, "InjectedCrashError", "crash", 2)
@@ -164,13 +165,11 @@ class TestSerialRecovery:
 class TestPoolRecovery:
     def test_skip_isolates_worker_exceptions(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "exc:@indices=3&attempts=0")
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             list(range(8)),
             jobs=2,
             policy=TaskPolicy(on_error="skip"),
-            stats=stats,
         )
         assert failure_summary(results) == [
             (3, "InjectedTaskError", "exception", 1)
@@ -183,12 +182,11 @@ class TestPoolRecovery:
     def test_failure_accounting_matches_serial(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "exc:0.3@seed=11&attempts=0")
         policy = TaskPolicy(on_error="skip", backoff_s=0.001)
-        serial_stats, parallel_stats = SweepStats(), SweepStats()
-        serial = run_tasks(
-            _triple, list(range(16)), jobs=1, policy=policy, stats=serial_stats
+        serial, serial_stats = run_counted(
+            _triple, list(range(16)), jobs=1, policy=policy
         )
-        parallel = run_tasks(
-            _triple, list(range(16)), jobs=4, policy=policy, stats=parallel_stats
+        parallel, parallel_stats = run_counted(
+            _triple, list(range(16)), jobs=4, policy=policy
         )
         assert failure_summary(serial) == failure_summary(parallel)
         assert failure_summary(serial)  # the rate actually fired
@@ -200,13 +198,11 @@ class TestPoolRecovery:
 
     def test_crash_retries_then_succeeds(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "crash:0.3@seed=7")
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             list(range(12)),
             jobs=3,
             policy=TaskPolicy(backoff_s=0.001),
-            stats=stats,
         )
         assert results == [3 * i for i in range(12)]
         assert stats.retries > 0
@@ -214,13 +210,11 @@ class TestPoolRecovery:
 
     def test_worker_kill_rebuilds_the_pool(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:@indices=2")
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             list(range(6)),
             jobs=2,
             policy=TaskPolicy(backoff_s=0.001),
-            stats=stats,
         )
         assert results == [3 * i for i in range(6)]
         assert stats.pool_restarts >= 1
@@ -228,15 +222,13 @@ class TestPoolRecovery:
 
     def test_repeated_breaks_degrade_to_serial(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:@indices=0&attempts=0")
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             list(range(6)),
             jobs=2,
             policy=TaskPolicy(
                 on_error="skip", max_pool_restarts=1, backoff_s=0.001
             ),
-            stats=stats,
         )
         # The killer task ends as a crash failure (the serial path downgrades
         # the kill); every other task still completes.
@@ -246,13 +238,11 @@ class TestPoolRecovery:
 
     def test_timeout_kills_and_retries(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "hang:@indices=1&sleep=30")
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             list(range(4)),
             jobs=2,
             policy=TaskPolicy(timeout_s=0.4, backoff_s=0.001),
-            stats=stats,
         )
         # attempts=1 (the default): the retry does not hang, so the task
         # recovers after the watchdog kills its first attempt.
@@ -262,15 +252,13 @@ class TestPoolRecovery:
 
     def test_timeout_exhausts_to_failure(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "hang:@indices=1&sleep=30&attempts=0")
-        stats = SweepStats()
-        results = run_tasks(
+        results, stats = run_counted(
             _triple,
             list(range(3)),
             jobs=2,
             policy=TaskPolicy(
                 timeout_s=0.3, max_attempts=1, on_error="skip"
             ),
-            stats=stats,
         )
         assert failure_summary(results) == [(1, "timeout", "timeout", 1)]
         assert results[0] == 0 and results[2] == 6

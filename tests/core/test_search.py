@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.arch.config import build_hardware
 from repro.core.checkpoint import sweep_digest, task_key
 from repro.core.dse import DesignSpace, best_point, explore
@@ -51,6 +52,15 @@ def _tiny_guided(trials, seed=0, **kwargs):
         jobs=1,
         **kwargs,
     )
+
+
+def _counted(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` under a metrics-only recorder, plus its
+    stats view."""
+    recorder = obs.MetricsRecorder()
+    with obs.use(recorder):
+        points = run(*args, **kwargs)
+    return points, SweepStats(recorder.metrics)
 
 
 def _key(point):
@@ -249,8 +259,7 @@ class TestGuidedExplore:
         assert a != b
 
     def test_budget_respected(self):
-        stats = SweepStats()
-        points = _tiny_guided(trials=9, stats=stats)
+        points, stats = _counted(_tiny_guided, trials=9)
         evaluated = sum(1 for p in points if p.valid and p.energy_pj)
         assert evaluated <= 9
         assert stats.points_evaluated == evaluated
@@ -258,8 +267,7 @@ class TestGuidedExplore:
     def test_pruned_points_are_labelled(self):
         # An unconstrained run over the tiny lattice prunes at least one
         # oversized-memory candidate once an incumbent exists.
-        stats = SweepStats()
-        points = _tiny_guided(trials=96, stats=stats)
+        points, stats = _counted(_tiny_guided, trials=96)
         pruned = [
             p
             for p in points
@@ -289,8 +297,7 @@ class TestStudyResume:
     def test_resume_skips_completed_trials(self, tmp_path):
         study = tmp_path / "study.sqlite"
         first = _tiny_guided(trials=20, study=study)
-        stats = SweepStats()
-        second = _tiny_guided(trials=20, study=study, stats=stats)
+        second, stats = _counted(_tiny_guided, trials=20, study=study)
         assert stats.points_resumed > 0
         # Every evaluated answer came from the study, none re-ran.
         assert stats.points_evaluated == stats.points_resumed
@@ -299,8 +306,7 @@ class TestStudyResume:
     def test_partial_study_resumes_then_continues(self, tmp_path):
         study = tmp_path / "study.sqlite"
         _tiny_guided(trials=10, study=study)
-        stats = SweepStats()
-        bigger = _tiny_guided(trials=25, study=None, stats=None)
+        bigger = _tiny_guided(trials=25, study=None)
         # A larger budget is a different search: same path must be refused.
         with pytest.raises(StudyConfigError):
             _tiny_guided(trials=25, study=study)
@@ -396,25 +402,25 @@ class TestFailureLabels:
         # exhaustive round, once per guided round that evaluates >= 2.
         install_plan(FaultPlan(parse_fault_specs("exc:@indices=1&attempts=0")))
         try:
-            stats = SweepStats()
-            points = explore(
+            points, stats = _counted(
+                explore,
                 TINY_MODELS,
                 TINY_MACS,
                 space=TINY_SPACE,
                 profile=SearchProfile.MINIMAL,
                 jobs=1,
                 policy=TaskPolicy(on_error="skip"),
-                stats=stats,
                 **options,
             )
         finally:
             install_plan(None)
-        assert stats.points_failed == len(stats.failures) >= 1
+        failures = [point.failure for point in points if point.failure]
+        assert stats.points_failed == len(failures) >= 1
         if options:
-            assert len(stats.failures) > 1
-        indices = [failure.index for failure in stats.failures]
+            assert len(failures) > 1
+        indices = [failure.index for failure in failures]
         assert len(set(indices)) == len(indices)
-        for failure in stats.failures:
+        for failure in failures:
             point = points[failure.index]
             assert failure.label == _key(point)
             assert not point.valid

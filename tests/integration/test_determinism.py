@@ -5,10 +5,14 @@ and the observability layer promises identically-shaped metrics: counters
 are order-independent sums shipped home from each worker, so a ``--jobs 4``
 run must report exactly the totals of the serial run.  Both promises are
 checked end to end through the real CLI (the ``dse`` alias of ``explore``),
-comparing the exported JSON byte for byte.
+comparing the exported JSON byte for byte.  The post-design flow (``map``)
+promises the same counters: its parallel prefetch searches shapes in the
+workers but leaves every cache lookup to the parent's serial pass.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -117,3 +121,43 @@ class TestEventLogInvariance:
         names = [e["event"] for e in sweeps["serial"][2]]
         assert names[0] == "run.start" and names[-1] == "run.finish"
         assert "phase.start" in names and "point.batch" in names
+
+
+def run_map(tmp_path: Path, jobs: int) -> tuple[dict, list[str]]:
+    """One ``repro map``: its exported metrics and its mapping-cache lines."""
+    metrics_path = tmp_path / f"map-metrics-j{jobs}.json"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(
+            [
+                "map", "resnet50",
+                "--profile", "minimal",
+                "--jobs", str(jobs),
+                "--metrics-out", str(metrics_path),
+            ]
+        )
+    assert code == 0
+    cache_lines = [
+        line.strip()
+        for line in stdout.getvalue().splitlines()
+        if line.strip().lower().startswith("mapping cache:")
+    ]
+    return json.loads(metrics_path.read_text()), cache_lines
+
+
+@pytest.fixture(scope="module")
+def maps(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("map-determinism")
+    return {jobs: run_map(tmp_path, jobs) for jobs in (1, 2)}
+
+
+class TestMapInvariance:
+    def test_counters_identical(self, maps):
+        serial, parallel = maps[1][0]["counters"], maps[2][0]["counters"]
+        assert serial["cache.misses"] > 0
+        assert serial == parallel
+
+    def test_mapping_cache_lines_identical(self, maps):
+        # The run summary's line and the cache's own describe() line.
+        assert len(maps[1][1]) == 2
+        assert maps[1][1] == maps[2][1]

@@ -163,6 +163,29 @@ class TestSnapshots:
         assert {e["run"] for e in events} == {"abc123"}
 
 
+class TestMetricsRecorder:
+    def test_keeps_metrics_and_drops_spans_and_events(self):
+        rec = obs.MetricsRecorder()
+        with obs.use(rec):
+            with obs.stage("s"):
+                obs.count("c", 2)
+        assert rec.metrics.counter("c") == 2
+        assert rec.metrics.histogram_stats("stage.s_ms")["count"] == 1
+        assert rec.events() == [] and rec.run_events() == []
+
+    def test_merge_snapshot_keeps_only_metrics(self):
+        worker = Recorder()
+        with worker.span("task"):
+            worker.count("items", 5)
+            worker.histogram("lat", 2.0)
+            worker.event("task.retry", count=1)
+        parent = obs.MetricsRecorder()
+        parent.merge_snapshot(worker.snapshot())
+        assert parent.metrics.counter("items") == 5
+        assert parent.metrics.histogram_stats("lat")["count"] == 1
+        assert parent.events() == [] and parent.run_events() == []
+
+
 class TestChromeTrace:
     def _trace(self):
         rec = Recorder()
