@@ -46,7 +46,9 @@ ci: lint
 # recovery path of the resilient executor, checkpoint/resume, and cache
 # quarantine under the deterministic REPRO_FAULTS harness, then the
 # end-to-end check that a faulted parallel sweep stays byte-identical to
-# a clean serial run.  See docs/robustness.md.
+# a clean serial run, then two maps appending to one --cache-dir at once,
+# each of which must re-run from disk with no fresh search.  See
+# docs/robustness.md.
 faults:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/testing/test_faults.py tests/core/test_parallel_faults.py \
@@ -61,7 +63,22 @@ faults:
 		--macs 512 --models alexnet --stride 997 --profile minimal \
 		--jobs 4 --on-error skip --json "$$tmp/faulted.json" >/dev/null && \
 	cmp "$$tmp/clean.json" "$$tmp/faulted.json" && \
-	echo "faulted sweep byte-identical to clean serial run"
+	echo "faulted sweep byte-identical to clean serial run" && \
+	{ PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile minimal --cache-dir "$$tmp/cache" >/dev/null & a=$$!; \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map vgg16 \
+		--profile minimal --cache-dir "$$tmp/cache" >/dev/null & b=$$!; \
+	wait $$a; ra=$$?; wait $$b && test $$ra -eq 0; } && \
+	for model in resnet50 vgg16; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map $$model \
+			--profile minimal --cache-dir "$$tmp/cache" \
+			--metrics-out "$$tmp/$$model.json" >/dev/null && \
+		python -c 'import json, sys; \
+c = json.load(open(sys.argv[1]))["counters"]; \
+assert not c.get("cache.misses") and c.get("cache.disk_hits", 0) > 0, c; \
+print(sys.argv[2], "re-run from the shared cache:", c["cache.disk_hits"], \
+	"disk hits, no misses")' "$$tmp/$$model.json" $$model || exit 1; \
+	done
 
 # I/O fault-injection gate (mirrors the CI io-faults step): the
 # durability/taxonomy/fuzz suites, then two end-to-end legs.  Leg 1: a

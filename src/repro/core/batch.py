@@ -602,9 +602,10 @@ def search_batch(
 ) -> BatchSearchOutcome | None:
     """Batch-evaluate ``candidates`` and pick the scalar-identical winner.
 
-    Returns ``None`` when the kernel cannot guarantee bit-identity for this
-    call (unknown objective, empty candidate list, or the int64 exactness
-    guard tripping) -- callers then run the scalar loop.
+    ``objective`` names one of the mapper's two objectives
+    (:data:`BATCH_OBJECTIVES`).  Returns ``None`` when the kernel cannot
+    guarantee bit-identity for this call (empty candidate list, or the
+    int64 exactness guard tripping) -- callers then run the scalar loop.
 
     When ``REPRO_BATCH_MAX_BYTES`` caps the working set, the list is
     evaluated in chunks.  Chunking cannot change any per-candidate value
@@ -614,8 +615,8 @@ def search_batch(
     winner -- and therefore the whole sweep output -- is byte-identical at
     every chunk size.
     """
-    scorer = BATCH_OBJECTIVES.get(objective)
-    if scorer is None or not candidates:
+    scorer = BATCH_OBJECTIVES[objective]
+    if not candidates:
         return None
     chunk = batch_chunk_candidates()
     if chunk is None or chunk >= len(candidates):

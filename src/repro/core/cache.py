@@ -13,7 +13,7 @@ Two tiers back the cache:
 
 * an **in-memory** dict -- always on, shared across ``Mapper`` instances
   when callers inject one cache object;
-* an optional **on-disk JSON store** under ``.repro_cache/`` (or the
+* an optional **on-disk JSONL store** under ``.repro_cache/`` (or the
   directory named by ``REPRO_CACHE_DIR``) holding the *winning mapping* of
   each entry, serialized with :mod:`repro.core.serialize`.  On a disk hit
   the single stored mapping is re-evaluated (one cost-model call instead of
@@ -22,12 +22,14 @@ Two tiers back the cache:
 Hit/miss counters feed the instrumentation surfaced by the CLI and
 :func:`repro.analysis.reporting.format_search_stats`.
 
-Robustness: concurrent :meth:`MappingCache.save` calls serialize through a
-per-digest ``fcntl`` lock file, so two sweeps flushing the same machine
-cannot lose each other's entries; corrupt or version-mismatched files are
-quarantined (renamed ``<file>.corrupt-<ts>``) rather than silently
-shadowing the store, and stale temp files left by crashed writers are swept
-on the next save.
+Robustness: each digest file is append-only, like the sweep checkpoint.
+:meth:`MappingCache.save` appends one ``{"entries": {...}, "version": 1}``
+line holding the entries put since the last save, and the loader merges
+every line.  No writer rewrites a file, so concurrent sweeps flushing the
+same machine cannot lose each other's entries.  A torn line is skipped
+(``cache.corrupt_lines``); a file with a line of another format version,
+or with no readable line, is set aside (renamed ``<file>.corrupt-<ms>``)
+rather than silently shadowing the store.
 """
 
 from __future__ import annotations
@@ -36,14 +38,8 @@ import json
 import logging
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+from typing import Any, Callable
 
 from repro import durable, obs
 from repro.arch.config import HardwareConfig
@@ -94,47 +90,6 @@ def _max_cache_bytes() -> int | None:
     return value
 
 
-@contextmanager
-def _digest_lock(path: Path) -> Iterator[None]:
-    """An exclusive advisory lock guarding one digest file's read-merge-write.
-
-    Serializes concurrent :meth:`MappingCache.save` calls against the same
-    digest so neither loses the other's entries.  Degrades to unlocked
-    operation where ``fcntl`` (or the lock file) is unavailable.
-    """
-    if fcntl is None:
-        yield
-        return
-    lock_path = path.with_name(path.name + ".lock")
-    try:
-        handle = open(lock_path, "a+")
-    except OSError as exc:
-        if durable.is_resource_error(exc):
-            durable.record_sink_failure("cache", exc)
-        yield
-        return
-    try:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        yield
-    finally:
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        except OSError:  # pragma: no cover - unlock on a dead descriptor
-            pass
-        handle.close()
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (POSIX signal-0 probe)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 def cache_key(
     shape_key: tuple,
     hw_digest: str,
@@ -159,7 +114,8 @@ class MappingCache:
     The in-memory tier holds opaque result objects
     (:class:`repro.core.mapper.LayerMappingResult`); the disk tier holds
     JSON records of the winning mapping plus the search statistics, grouped
-    into one file per hardware digest so unrelated machines never contend.
+    into one append-only file per hardware digest so unrelated machines
+    never contend.
 
     Attributes:
         directory: Disk-store directory, or ``None`` for memory-only.
@@ -167,7 +123,7 @@ class MappingCache:
         misses: Lookups that required a fresh search.
         disk_hits: Subset of ``hits`` answered by re-evaluating a stored
             mapping from disk.
-        corrupt_files: Disk files quarantined for corruption or a format
+        corrupt_files: Disk files set aside for corruption or a format
             version mismatch during this process's loads.
     """
 
@@ -180,7 +136,8 @@ class MappingCache:
         self._mem: dict[str, Any] = {}
         self._disk: dict[str, dict[str, Any]] = {}
         self._loaded_digests: set[str] = set()
-        self._dirty_digests: set[str] = set()
+        # Records put since the last save, by digest: the next line to append.
+        self._unsaved: dict[str, dict[str, Any]] = {}
 
     @classmethod
     def from_env(cls) -> "MappingCache":
@@ -245,8 +202,7 @@ class MappingCache:
         self._mem[key] = result
         obs.count("cache.puts")
         if self.directory is not None and record is not None:
-            self._disk[key] = record
-            self._dirty_digests.add(self._digest_of(key))
+            self._unsaved.setdefault(self._digest_of(key), {})[key] = record
 
     # --- disk tier -------------------------------------------------------------
 
@@ -259,10 +215,11 @@ class MappingCache:
         return self.directory / f"mappings-{digest[:16]}.json"
 
     def _ensure_loaded(self, digest: str) -> None:
-        """Lazily read the disk file of one hardware digest.
+        """Lazily read and merge the lines of one hardware digest's file.
 
-        A file that fails to decode, or that carries a different format
-        version, is quarantined (renamed ``<file>.corrupt-<ts>``) so it
+        A torn line is skipped and counted (``cache.corrupt_lines``).  A
+        file holding a line of another format version, or no readable
+        line at all, is set aside (renamed ``<file>.corrupt-<ms>``) so it
         cannot shadow the store; the load then proceeds as a clean miss.
         """
         if self.directory is None or digest in self._loaded_digests:
@@ -281,20 +238,26 @@ class MappingCache:
             if durable.is_resource_error(exc):
                 durable.record_sink_failure("cache", exc)
             return
-        try:
-            payload = json.loads(text)
-            version = payload.get("version")
-            entries = payload.get("entries", {})
-            if not isinstance(entries, dict):
-                raise ValueError("entries is not an object")
-        except (ValueError, AttributeError):
-            self._quarantine(path, "undecodable JSON")
+        lines, torn = durable.parse_lines(text)
+        batches = []
+        for line in lines:
+            if line.get("version") != CACHE_FORMAT_VERSION:
+                self._set_aside(path, f"format version {line.get('version')!r}")
+                return
+            entries = line.get("entries")
+            if isinstance(entries, dict):
+                batches.append(entries)
+            else:
+                torn += 1
+        if not batches:
+            self._set_aside(path, "no readable line")
             return
-        if version != CACHE_FORMAT_VERSION:
-            self._quarantine(path, f"format version {version!r}")
-            return
-        for key, record in entries.items():
-            self._disk.setdefault(key, record)
+        if torn:
+            obs.count("cache.corrupt_lines", torn)
+            logger.warning("cache file %s: skipped %d torn line(s)", path, torn)
+        for entries in batches:
+            for key, record in entries.items():
+                self._disk.setdefault(key, record)
         obs.histogram(
             "cache.load_ms", (time.perf_counter() - load_start) * 1e3
         )
@@ -303,48 +266,15 @@ class MappingCache:
         except OSError:
             pass
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Set aside an unusable cache file instead of deleting it."""
-        target = path.with_name(
-            f"{path.name}.corrupt-{int(time.time() * 1000)}"
-        )
+    def _set_aside(self, path: Path, reason: str) -> None:
+        """Set aside an unusable cache file; a failed rename is not fatal."""
         try:
-            path.replace(target)
-        except FileNotFoundError:
-            return
+            durable.set_aside(path, "cache.corrupt_files", reason)
         except OSError as exc:
             if durable.is_resource_error(exc):
                 durable.record_sink_failure("cache", exc)
             return
         self.corrupt_files += 1
-        obs.count("cache.corrupt_files")
-        logger.warning(
-            "set aside corrupt cache file %s (%s) -> %s",
-            path,
-            reason,
-            target.name,
-        )
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp files abandoned by writers that no longer exist."""
-        assert self.directory is not None
-        for tmp in self.directory.glob("mappings-*.tmp.*"):
-            try:
-                pid = int(tmp.name.rsplit(".", 1)[-1])
-            except ValueError:
-                continue
-            if pid == os.getpid() or _pid_alive(pid):
-                continue
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                continue
-            except OSError as exc:
-                if durable.is_resource_error(exc):
-                    durable.record_sink_failure("cache", exc)
-                continue
-            obs.count("cache.stale_tmp_removed")
-            logger.warning("removed stale cache temp file %s", tmp.name)
 
     @staticmethod
     def _maybe_corrupt(text: str) -> str:
@@ -359,16 +289,13 @@ class MappingCache:
         return text if corrupted is None else corrupted
 
     def save(self) -> None:
-        """Flush dirty entries to disk (merge + atomic durable write per digest).
+        """Append the entries put since the last save, one line per digest.
 
-        Each digest's read-merge-write runs under an exclusive ``fcntl``
-        lock file, so entries written by other processes since the last
-        load are merged back in -- concurrent sweeps extend, never
-        truncate, the store.  Stale ``.tmp.<pid>`` files whose writers have
-        died are swept first.  Writes go through
-        :func:`repro.durable.atomic_write` (fsync'd temp + rename), so a
-        ``kill -9`` at any instant leaves either the old file or the new
-        one, never a torn mix.
+        Each line goes out in one fsync'd ``O_APPEND`` write
+        (:func:`repro.durable.append_lines`).  No file is ever rewritten,
+        so concurrent sweeps extend, never truncate, the store, and a
+        ``kill -9`` can tear at most the line being written, which the
+        loader skips.
 
         A flush that hits a full or failing disk (ENOSPC/EIO/...) degrades
         the cache sink -- one warning, the ``degraded.cache`` counter --
@@ -377,50 +304,26 @@ class MappingCache:
         set, least-recently-used digest files are evicted after the flush
         until the store fits the budget.
         """
-        if self.directory is None or not self._dirty_digests:
+        if self.directory is None or not self._unsaved:
             return
         if not durable.sink_enabled("cache"):
             return
         obs.count("cache.saves")
-        obs.count("cache.digests_flushed", len(self._dirty_digests))
+        obs.count("cache.digests_flushed", len(self._unsaved))
         save_start = time.perf_counter()
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._sweep_stale_tmp()
-            for digest in sorted(self._dirty_digests):
-                path = self._path_for(digest)
-                with _digest_lock(path):
-                    entries: dict[str, Any] = {}
-                    try:
-                        payload = json.loads(path.read_text())
-                        if payload.get("version") == CACHE_FORMAT_VERSION:
-                            entries.update(payload.get("entries", {}))
-                    except (OSError, ValueError, AttributeError):
-                        pass
-                    entries.update(
-                        {
-                            key: record
-                            for key, record in self._disk.items()
-                            if self._digest_of(key) == digest
-                        }
-                    )
-                    text = self._maybe_corrupt(
-                        json.dumps(
-                            {"version": CACHE_FORMAT_VERSION, "entries": entries},
-                            indent=None,
-                            sort_keys=True,
-                        )
-                    )
-                    durable.atomic_write(path, text, sink="cache")
-        except OSError as exc:
-            if durable.is_resource_error(exc):
-                durable.record_sink_failure("cache", exc)
+        for digest in sorted(self._unsaved):
+            line = self._maybe_corrupt(
+                json.dumps(
+                    {"version": CACHE_FORMAT_VERSION, "entries": self._unsaved[digest]},
+                    sort_keys=True,
+                )
+            )
+            if not durable.append_lines(self._path_for(digest), [line], sink="cache"):
                 return
-            raise
         obs.histogram(
             "cache.save_ms", (time.perf_counter() - save_start) * 1e3
         )
-        self._dirty_digests.clear()
+        self._unsaved.clear()
         self._evict_lru()
 
     def _evict_lru(self) -> None:

@@ -18,9 +18,10 @@ the area budget, search profile, technology point and memory stride), the
 same discipline the mapping cache applies to hardware digests: a changed
 sweep parameter lands in a different file and never poisons a resume.
 Appends are buffered and flushed as one ``write`` on an ``O_APPEND``
-descriptor, so concurrent or killed writers can at worst leave one torn
-*tail* line -- the loader tolerates (and counts) undecodable lines instead
-of discarding the checkpoint.
+descriptor (:func:`repro.durable.append_lines`), so concurrent or killed
+writers can at worst leave one torn *tail* line -- the next flush starts a
+fresh line after it, and the loader tolerates (and counts) undecodable
+lines instead of discarding the checkpoint.
 """
 
 from __future__ import annotations
@@ -157,16 +158,9 @@ class SweepCheckpoint:
             return {}
         records: dict[str, dict[str, Any]] = {}
         version_ok = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                kind = payload["kind"]
-            except (ValueError, TypeError, KeyError):
-                self.corrupt_lines += 1
-                continue
+        lines, self.corrupt_lines = durable.parse_lines(text)
+        for payload in lines:
+            kind = payload.get("kind")
             if kind == "header":
                 if payload.get("version") != CHECKPOINT_FORMAT_VERSION:
                     self._set_aside(
@@ -179,6 +173,8 @@ class SweepCheckpoint:
                     records[str(payload["key"])] = dict(payload["record"])
                 except (KeyError, TypeError, ValueError):
                     self.corrupt_lines += 1
+            elif "kind" not in payload:
+                self.corrupt_lines += 1
         if self.corrupt_lines:
             obs.count("checkpoint.corrupt_lines", self.corrupt_lines)
             logger.warning(
@@ -194,23 +190,12 @@ class SweepCheckpoint:
         return records
 
     def _set_aside(self, reason: str) -> None:
-        """Quarantine an unusable checkpoint file instead of deleting it."""
-        target = self.path.with_name(self.path.name + f".corrupt-{os.getpid()}")
+        """Set aside an unusable checkpoint; a failed rename is not fatal."""
         try:
-            self.path.replace(target)
-        except FileNotFoundError:
-            return
+            durable.set_aside(self.path, "checkpoint.set_aside", reason)
         except OSError as exc:
             if durable.is_resource_error(exc):
                 durable.record_sink_failure("checkpoint", exc)
-            return
-        obs.count("checkpoint.set_aside")
-        logger.warning(
-            "set aside unusable checkpoint %s (%s) -> %s",
-            self.path,
-            reason,
-            target.name,
-        )
 
     # --- writing ---------------------------------------------------------------
 
@@ -221,6 +206,11 @@ class SweepCheckpoint:
         :meth:`flush` -- the sweep proceeds without resumability rather
         than dying before the first point.
         """
+        self._buffer.clear()
+        self._write_header()
+
+    def _write_header(self) -> None:
+        """Replace the file with a lone header line (keeps the buffer)."""
         if not durable.sink_enabled("checkpoint"):
             return
         header = json.dumps(
@@ -239,7 +229,6 @@ class SweepCheckpoint:
                 durable.record_sink_failure("checkpoint", exc)
                 return
             raise
-        self._buffer.clear()
         self._header_written = True
 
     def record(self, key: str, record: dict[str, Any]) -> None:
@@ -257,10 +246,10 @@ class SweepCheckpoint:
         """Append every buffered record in one atomic-enough write.
 
         The payload goes out as a single ``write`` on an ``O_APPEND``
-        descriptor and is fsync'd (:func:`repro.durable.durable_append`);
+        descriptor and is fsync'd (:func:`repro.durable.append_lines`);
         a crash mid-write can tear at most the final line, which
-        :meth:`load` tolerates, and a flush that returned cannot be lost
-        to a power cut.
+        :meth:`load` tolerates and the next flush starts a fresh line
+        after, so a flush that returned cannot be lost to a power cut.
 
         A full or failing disk (ENOSPC/EIO/...) degrades the checkpoint
         sink -- one warning, the ``degraded.checkpoint`` counter -- and
@@ -271,24 +260,18 @@ class SweepCheckpoint:
         if not durable.sink_enabled("checkpoint"):
             self._buffer.clear()
             return
-        try:
-            if not self._header_written:
-                if self.path.exists():
-                    self._header_written = True
-                else:
-                    self.reset()
-            payload = "".join(line + "\n" for line in self._buffer)
-            durable.durable_append(self.path, payload, sink="checkpoint")
-        except OSError as exc:
-            if durable.is_resource_error(exc):
-                durable.record_sink_failure("checkpoint", exc)
-                self._buffer.clear()
-                return
-            raise
-        obs.count("checkpoint.flushes")
-        obs.count("checkpoint.points_flushed", len(self._buffer))
-        obs.event("checkpoint.flush", points=len(self._buffer))
+        if not self._header_written:
+            if self.path.exists():
+                self._header_written = True
+            else:
+                self._write_header()
+        points = len(self._buffer)
+        written = durable.append_lines(self.path, self._buffer, sink="checkpoint")
         self._buffer.clear()
+        if written:
+            obs.count("checkpoint.flushes")
+            obs.count("checkpoint.points_flushed", points)
+            obs.event("checkpoint.flush", points=points)
 
     def close(self) -> None:
         """Flush what is buffered (every append reopens the file)."""

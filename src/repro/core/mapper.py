@@ -29,7 +29,6 @@ from repro.core.mapping import Mapping
 from repro.core.parallel import (
     TaskFailure,
     TaskPolicy,
-    is_picklable,
     resolve_jobs,
     run_tasks,
     worker_context,
@@ -100,7 +99,9 @@ class Mapper:
     Attributes:
         hw: The fixed hardware configuration.
         profile: Mapping-space pruning profile.
-        objective: Scalar objective to minimize (default: energy).
+        objective: :func:`energy_objective` (the default) or
+            :func:`edp_objective`.  Results are cached and batch-scored
+            under the function's name, so no other callable is accepted.
         cache: Mapping cache; injected instances are shared across mappers,
             the default honours ``REPRO_CACHE_DIR`` for an on-disk store.
         jobs: Default worker count for :meth:`search_model` (``None`` defers
@@ -114,21 +115,18 @@ class Mapper:
     jobs: int | None = None
 
     def __post_init__(self) -> None:
+        # Identity, not name: a lookalike callable would share the real
+        # objective's cache key and be served its winners.
+        if self.objective not in (energy_objective, edp_objective):
+            raise ValueError(
+                "objective must be energy_objective or edp_objective, "
+                f"got {self.objective!r}"
+            )
         self._space = MappingSpace(hw=self.hw, profile=self.profile)
         if self.cache is None:
             self.cache = MappingCache.from_env()
         self._hw_digest = hardware_digest(self.hw)
-        self._objective_name = getattr(
-            self.objective, "__name__", type(self.objective).__name__
-        )
-        # The batch kernel scores only the two known objectives; identity
-        # (not name) equality, so a custom callable never takes the fast path.
-        if self.objective is energy_objective:
-            self._batch_objective: str | None = "energy_objective"
-        elif self.objective is edp_objective:
-            self._batch_objective = "edp_objective"
-        else:
-            self._batch_objective = None
+        self._objective_name = self.objective.__name__
 
     def _key(self, layer: ConvLayer) -> str:
         """The cache key of one layer on this (hw, profile, objective)."""
@@ -208,11 +206,12 @@ class Mapper:
 
         The struct-of-arrays batch kernel (:mod:`repro.core.batch`) scores
         every candidate in one numpy pass when it can guarantee bit-identity
-        with the scalar loop (known objective, ``REPRO_BATCH_KERNEL`` not
-        opted out); the winner's full :class:`CostReport` then comes from a
-        single scalar ``evaluate_mapping`` call.  Otherwise the scalar
-        strict-``<`` scan below is the path -- it stays the golden oracle
-        either way (see ``tests/properties/test_batch_kernel.py``).
+        with the scalar loop (``REPRO_BATCH_KERNEL`` not opted out, values
+        in the int64-exact range); the winner's full :class:`CostReport`
+        then comes from a single scalar ``evaluate_mapping`` call.
+        Otherwise the scalar strict-``<`` scan below is the path -- it stays
+        the golden oracle either way (see
+        ``tests/properties/test_batch_kernel.py``).
 
         Candidate counters are batched into one pair of ``obs.count`` calls
         after the scan, so the per-candidate hot loop carries no
@@ -226,9 +225,9 @@ class Mapper:
         with obs.span("mapper.search_fresh", layer=layer.name):
             candidates = self._space.unique_candidates(layer)
             outcome = None
-            if batch.batch_kernel_enabled() and self._batch_objective is not None:
+            if batch.batch_kernel_enabled():
                 outcome = batch.search_batch(
-                    layer, self.hw, candidates, objective=self._batch_objective
+                    layer, self.hw, candidates, objective=self._objective_name
                 )
             if outcome is not None:
                 evaluated = outcome.evaluated
@@ -277,9 +276,8 @@ class Mapper:
         looks every layer up exactly as at ``jobs=1`` and takes a miss's
         result from here, so the cache counters are jobs-invariant.
         Returns nothing to reuse (the serial pass searches in-process) when
-        fewer than two shapes are pending or the search context cannot
-        cross a process boundary (e.g. a closure objective); a shape whose
-        task failed under ``policy.on_error="skip"`` is left out the same way.
+        fewer than two shapes are pending; a shape whose task failed under
+        ``policy.on_error="skip"`` is left out the same way.
         """
         pending: dict[str, ConvLayer] = {}
         for layer in layers:
@@ -288,14 +286,11 @@ class Mapper:
                 pending[key] = layer
         if len(pending) < 2:
             return {}
-        context = (self.hw, self.profile, self.objective)
-        if not is_picklable(context) or not is_picklable(list(pending.values())):
-            return {}
         results = run_tasks(
             _search_layer_task,
             list(pending.values()),
             jobs=jobs,
-            context=context,
+            context=(self.hw, self.profile, self.objective),
             policy=policy,
         )
         return {

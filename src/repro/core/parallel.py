@@ -137,7 +137,7 @@ def is_picklable(obj: Any) -> bool:
     """Whether ``obj`` can cross a process boundary.
 
     Callers use this to fall back to the serial path when the shared context
-    contains e.g. a closure objective.
+    cannot be pickled.
     """
     try:
         pickle.dumps(obj)

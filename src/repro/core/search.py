@@ -35,7 +35,6 @@ the CI counter gate checks.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 import time
@@ -74,8 +73,6 @@ from repro.core.space import SearchProfile
 from repro.workloads.layer import ConvLayer
 
 KB = 1024
-
-logger = logging.getLogger("repro.search")
 
 #: Consecutive sampler collisions before falling back to a canonical scan.
 _MAX_SAMPLER_MISSES = 64
@@ -697,10 +694,10 @@ class Study:
     Durability: the database opens in WAL journal mode with
     ``synchronous=FULL``, so a committed trial survives ``kill -9`` at any
     instant.  A file that fails sqlite's ``quick_check`` (truncated,
-    overwritten, not a database at all) is quarantined as
-    ``<file>.corrupt-<ts>`` -- exactly like the mapping cache -- and the
-    search restarts from a fresh study instead of dying on a raw
-    ``sqlite3.DatabaseError``.
+    overwritten, not a database at all) is set aside as
+    ``<file>.corrupt-<ms>`` by :func:`repro.durable.set_aside` -- exactly
+    like the mapping cache -- and the search restarts from a fresh study
+    instead of dying on a raw ``sqlite3.DatabaseError``.
     """
 
     SCHEMA_VERSION = 1
@@ -751,7 +748,7 @@ class Study:
         """Connect in WAL mode, quarantining a corrupt file on the way.
 
         A truncated or garbage study file fails ``PRAGMA journal_mode`` or
-        ``PRAGMA quick_check``; it is renamed ``<file>.corrupt-<ts>`` (the
+        ``PRAGMA quick_check``; it is renamed ``<file>.corrupt-<ms>`` (the
         ``study.corrupt_files`` counter records it, one warning is logged)
         and a fresh database takes its place.
 
@@ -760,7 +757,6 @@ class Study:
                 renamed out of the way -- there is no healthy path left.
         """
         import sqlite3
-        import time
 
         for attempt in range(2):
             conn = None
@@ -779,25 +775,15 @@ class Study:
                     conn.close()
                 if attempt:  # the freshly created replacement failed too
                     raise
-                target = self.path.with_name(
-                    f"{self.path.name}.corrupt-{int(time.time() * 1000)}"
-                )
                 try:
-                    self.path.replace(target)
+                    self.quarantined = durable.set_aside(
+                        self.path, "study.corrupt_files", str(exc)
+                    )
                 except OSError as rename_exc:
                     raise StateCorruptionError(
                         f"study {self.path} is corrupt ({exc}) and could "
                         f"not be quarantined: {rename_exc}"
                     ) from exc
-                self.quarantined = target
-                obs.count("study.corrupt_files")
-                logger.warning(
-                    "set aside corrupt study %s (%s) -> %s; starting a "
-                    "fresh study",
-                    self.path,
-                    exc,
-                    target.name,
-                )
         raise AssertionError("unreachable")  # pragma: no cover
 
     def load(self) -> dict[str, dict[str, Any]]:

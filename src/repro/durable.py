@@ -10,8 +10,14 @@ helpers here:
   never a torn one, and the rename is durable once the call returns.
 * :func:`durable_append` -- one ``write`` on an ``O_APPEND`` descriptor
   followed by ``fsync`` (and a parent-directory ``fsync`` when the call
-  created the file).  A crash can tear at most the final record, which
-  every loader in the tree already tolerates.
+  created the file).  A crash can tear at most the final record, and the
+  next append starts a fresh line after it.
+
+Records persist one way: JSONL.  The mapping cache, the sweep checkpoint
+and the event log write through :func:`append_lines`, and every JSONL
+loader reads through :func:`parse_lines`, which skips blank lines and
+counts torn or foreign ones instead of failing.  A file a loader cannot
+trust at all is renamed out of the way by :func:`set_aside`.
 
 Both helpers consult the deterministic fault injector
 (:mod:`repro.testing.faults`) before touching the disk, so ``REPRO_FAULTS``
@@ -32,10 +38,13 @@ atomicity) with ``REPRO_DURABLE_FSYNC=0``.
 from __future__ import annotations
 
 import errno as _errno
+import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
+from typing import Any, Sequence
 
 from repro import obs
 
@@ -174,7 +183,10 @@ def durable_append(path: str | Path, text: str, sink: str = "file") -> Path:
     The payload goes out as a single ``write`` on an ``O_APPEND``
     descriptor and is fsynced before the call returns; when the call
     creates the file, the parent directory is fsynced too.  A crash can
-    tear at most the final line.
+    tear at most the final line.  When the file does not end in a newline
+    (a torn tail), the payload starts with one, so it is never glued to
+    the fragment.  Two appenders racing past the same torn tail can leave
+    a blank line, which :func:`parse_lines` skips.
 
     Raises:
         OSError: On any write failure (see :func:`atomic_write`).
@@ -183,9 +195,12 @@ def durable_append(path: str | Path, text: str, sink: str = "file") -> Path:
     _fault_io(sink)
     created = not path.exists()
     sync = fsync_enabled()
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         data = text.encode("utf-8")
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
         written = os.write(fd, data)
         if written != len(data):  # pragma: no cover - short write on ENOSPC
             raise OSError(_errno.ENOSPC, f"short write on {path}")
@@ -196,6 +211,76 @@ def durable_append(path: str | Path, text: str, sink: str = "file") -> Path:
     if created and sync:
         _fsync_path(path.parent)
     return path
+
+
+def append_lines(path: str | Path, lines: Sequence[str], sink: str) -> bool:
+    """Durably append serialized records to ``path``, one per line.
+
+    Creates the parent directory, then sends every line out in one
+    fsync'd :func:`durable_append`.  A resource failure degrades ``sink``
+    (:func:`record_sink_failure`) and returns ``False``; callers check
+    :func:`sink_enabled` before writing again.
+
+    Args:
+        path: The JSONL file.
+        lines: Serialized records without their trailing newlines.
+        sink: Logical sink name for fault injection and degradation.
+
+    Raises:
+        OSError: On a write failure that is not resource exhaustion.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        durable_append(path, "".join(line + "\n" for line in lines), sink=sink)
+    except OSError as exc:
+        if not is_resource_error(exc):
+            raise
+        record_sink_failure(sink, exc)
+        return False
+    return True
+
+
+def parse_lines(text: str) -> tuple[list[dict[str, Any]], int]:
+    """The JSON-object lines of ``text``, plus a count of unreadable lines.
+
+    Blank lines are skipped.  A torn line, garbage, or a JSON value that
+    is not an object is counted and skipped, never fatal; each loader
+    then applies its own schema check to the objects.
+    """
+    records: list[dict[str, Any]] = []
+    bad = 0
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            bad += 1
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            bad += 1
+    return records, bad
+
+
+def set_aside(path: Path, counter: str, reason: str) -> Path:
+    """Rename an unusable state file to ``<name>.corrupt-<ms>``.
+
+    The file is kept for inspection, never deleted; the move is counted
+    under ``counter`` and logged once.  Each caller decides what a failed
+    rename means.
+
+    Raises:
+        OSError: When the rename fails (``FileNotFoundError`` when the
+            file is already gone).
+    """
+    target = path.with_name(f"{path.name}.corrupt-{int(time.time() * 1000)}")
+    path.replace(target)
+    obs.count(counter)
+    logger.warning("set aside unusable %s (%s) -> %s", path, reason, target.name)
+    return target
 
 
 # --- graceful degradation ----------------------------------------------------------
@@ -246,12 +331,15 @@ def reset_degraded() -> None:
 __all__ = [
     "DURABLE_FSYNC_ENV",
     "RESOURCE_ERRNOS",
+    "append_lines",
     "atomic_write",
     "degraded_sinks",
     "durable_append",
     "fsync_enabled",
     "is_resource_error",
+    "parse_lines",
     "record_sink_failure",
     "reset_degraded",
+    "set_aside",
     "sink_enabled",
 ]

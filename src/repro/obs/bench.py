@@ -248,21 +248,12 @@ class BenchCapture:
 def load_fragments(record_dir: str | Path) -> dict[str, dict[str, Any]]:
     """One run's fragments keyed by bench id (last write wins)."""
     path = Path(record_dir) / FRAGMENTS_NAME
-    fragments: dict[str, dict[str, Any]] = {}
     try:
         text = path.read_text()
     except OSError:
-        return fragments
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-            fragments[str(payload["bench"])] = payload
-        except (ValueError, TypeError, KeyError):
-            continue
-    return fragments
+        return {}
+    lines, _ = durable.parse_lines(text)
+    return {str(line["bench"]): line for line in lines if "bench" in line}
 
 
 # --- record assembly ---------------------------------------------------------------
@@ -401,25 +392,13 @@ def load_history(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     from a killed writer, stray garbage) are counted and skipped, never
     fatal -- the same discipline as the sweep checkpoint loader.
     """
-    corrupt = 0
-    records: list[dict[str, Any]] = []
     try:
         text = Path(path).read_text()
     except OSError:
-        return records, corrupt
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except ValueError:
-            corrupt += 1
-            continue
-        if not isinstance(payload, dict) or payload.get("schema") != BENCH_SCHEMA:
-            corrupt += 1
-            continue
-        records.append(payload)
+        return [], 0
+    lines, corrupt = durable.parse_lines(text)
+    records = [line for line in lines if line.get("schema") == BENCH_SCHEMA]
+    corrupt += len(lines) - len(records)
     if corrupt:
         obs.count("bench.history_corrupt_lines", corrupt)
     return records, corrupt

@@ -17,7 +17,7 @@ to an append-only JSONL file, one JSON object per line:
   one process even when worker snapshots merge in arbitrary order.
 * ``t`` is a wall-clock timestamp (``time.time()``).
 
-Appends go through :func:`repro.durable.durable_append` on the ``events``
+Appends go through :func:`repro.durable.append_lines` on the ``events``
 sink: a crash tears at most the final line (which :func:`load_events`
 tolerates), and a full or failing disk degrades the sink after one warning
 -- the sweep's answers are never affected.  The event *set* of a
@@ -89,7 +89,7 @@ class EventLog:
     Attached to the parent's :class:`repro.obs.Recorder`; every event the
     recorder sees (emitted locally or merged from a worker snapshot) is
     stamped with this log's ``run`` id and appended via
-    :func:`repro.durable.durable_append` on the ``events`` sink.  Resource
+    :func:`repro.durable.append_lines` on the ``events`` sink.  Resource
     failures (ENOSPC/EIO) degrade the sink once --
     ``degraded.events`` counter, one warning -- and the run continues
     with an incomplete log and unchanged answers.
@@ -109,24 +109,18 @@ class EventLog:
 
         Re-entrant appends are dropped (kept in recorder memory only):
         fault injection on the ``events`` sink emits a ``fault.injected``
-        event *from inside* this append's ``durable_append``, and letting
-        that recurse back into the log would loop forever.
+        event *from inside* this append's write, and letting that recurse
+        back into the log would loop forever.
         """
         if not durable.sink_enabled("events") or self._appending:
             return
         stamped = dict(record)
         stamped["run"] = self.run_id
-        line = json.dumps(stamped, sort_keys=True) + "\n"
         self._appending = True
         try:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            durable.durable_append(self.path, line, sink="events")
-        except OSError as exc:
-            if durable.is_resource_error(exc):
-                durable.record_sink_failure("events", exc)
-                return
-            raise
+            durable.append_lines(
+                self.path, [json.dumps(stamped, sort_keys=True)], sink="events"
+            )
         finally:
             self._appending = False
 
@@ -158,25 +152,9 @@ def load_events(path: str | Path) -> tuple[list[dict[str, Any]], int]:
         text = path.read_text()
     except FileNotFoundError:
         return [], 0
-    events: list[dict[str, Any]] = []
-    corrupt = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            corrupt += 1
-            continue
-        if (
-            not isinstance(record, dict)
-            or record.get("v") != EVENT_SCHEMA_VERSION
-        ):
-            corrupt += 1
-            continue
-        events.append(record)
-    return events, corrupt
+    records, corrupt = durable.parse_lines(text)
+    events = [r for r in records if r.get("v") == EVENT_SCHEMA_VERSION]
+    return events, corrupt + len(records) - len(events)
 
 
 def schema_errors(events: list[dict[str, Any]]) -> list[str]:

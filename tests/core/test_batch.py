@@ -123,10 +123,6 @@ class TestOverflowGuard:
 
 
 class TestSearchBatchGuards:
-    def test_unknown_objective_falls_back(self):
-        layer, hw, candidates = tied_pair()
-        assert batch.search_batch(layer, hw, candidates, objective="custom") is None
-
     def test_empty_candidates_fall_back(self):
         layer, hw, _ = tied_pair()
         assert batch.search_batch(layer, hw, []) is None
@@ -156,18 +152,29 @@ class TestMapperIntegration:
         assert batched.candidates_evaluated == scalar.candidates_evaluated
         assert batched.candidates_invalid == scalar.candidates_invalid
 
-    def test_custom_objective_never_takes_batch_path(self):
+    def test_custom_objective_is_refused(self):
+        """A lookalike would share the real objective's cache key."""
         hw = case_study_hardware()
 
         def energy_objective(report, hw):  # name-collides on purpose
             return report.energy_pj
 
-        mapper = Mapper(
-            hw=hw, profile=SearchProfile.MINIMAL, objective=energy_objective
-        )
-        assert mapper._batch_objective is None
-        result = mapper.search_layer(small_layer())
-        assert result.candidates_evaluated > 0
+        with pytest.raises(ValueError, match="energy_objective or edp_objective"):
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL, objective=energy_objective)
+
+    def test_partial_objective_is_refused(self):
+        """Every ``functools.partial`` is named ``partial``: one cache key."""
+        import functools
+
+        def by(report, hw, field):
+            return getattr(report, field)
+
+        with pytest.raises(ValueError):
+            Mapper(
+                hw=case_study_hardware(),
+                profile=SearchProfile.FAST,
+                objective=functools.partial(by, field="energy_pj"),
+            )
 
     def test_impossible_layer_still_raises(self, monkeypatch):
         monkeypatch.setenv(batch.BATCH_KERNEL_ENV, "1")

@@ -2,18 +2,20 @@
 
 The headline guarantee: a second ``search_model`` over a repeated-shape
 model performs **zero fresh evaluations** -- every lookup is answered from
-the cache, in memory within a run and from the JSON store across runs.
+the cache, in memory within a run and from the JSONL store across runs.
 
 Robustness guarantees: concurrent saves against one directory never lose
-entries (per-digest ``fcntl`` locking), corrupt or version-mismatched files
-are quarantined instead of silently shadowing the store, and stale temp
-files from crashed writers are swept on the next save.
+entries (every save appends, none rewrites), a torn line is skipped and
+counted while the rest of the file loads, and files with a line of another
+format version (or no readable line) are set aside instead of silently
+shadowing the store.
 """
 
 import json
 import multiprocessing
 import os
 
+from repro import obs
 from repro.arch.config import build_hardware, case_study_hardware, simba_like_hardware
 from repro.core.cache import (
     CACHE_FORMAT_VERSION,
@@ -290,39 +292,129 @@ def _concurrent_writer(directory, writer, count, barrier):
         cache.save()
 
 
+def _run_writers(directory, writers, count, timeout):
+    """Race ``writers`` processes of ``count`` saves each into one digest."""
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(writers)
+    workers = [
+        ctx.Process(
+            target=_concurrent_writer,
+            args=(directory, writer, count, barrier),
+        )
+        for writer in range(writers)
+    ]
+    for proc in workers:
+        proc.start()
+    for proc in workers:
+        proc.join(timeout=timeout)
+        assert not proc.is_alive()
+        assert proc.exitcode == 0
+    fresh = MappingCache(directory)
+    return [
+        _fake_key(writer, index)
+        for writer in range(writers)
+        for index in range(count)
+        if not fresh.contains(_fake_key(writer, index))
+    ]
+
+
 class TestConcurrentSave:
     def test_two_processes_never_lose_entries(self, tmp_path):
         """The lost-update regression: read-merge-write races must be gone.
 
-        Without the per-digest lock, two processes read the same base file,
-        each merge their own entry, and the slower ``replace`` silently
-        drops the faster writer's entry.  Fifty iterations per process made
-        that race near-certain before the fix.
+        A saver that read the file, merged its own entry and replaced the
+        file could silently drop a faster writer's entry.  Saves now only
+        append, so every entry of both writers must load.
         """
-        count = 50
-        ctx = multiprocessing.get_context("fork")
-        barrier = ctx.Barrier(2)
-        workers = [
-            ctx.Process(
-                target=_concurrent_writer,
-                args=(tmp_path, writer, count, barrier),
-            )
-            for writer in range(2)
-        ]
-        for proc in workers:
-            proc.start()
-        for proc in workers:
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
-        payload = json.loads(
-            (tmp_path / f"mappings-{DIGEST[:16]}.json").read_text()
+        assert _run_writers(tmp_path, writers=2, count=50, timeout=60) == []
+
+    def test_more_writers_than_cpus_never_lose_entries(self, tmp_path):
+        """Six oversubscribed writers, thirty saves each, one digest file."""
+        assert _run_writers(tmp_path, writers=6, count=30, timeout=120) == []
+
+
+def _entry_line(index):
+    return json.dumps(
+        {
+            "entries": {_fake_key(0, index): {"mapping": {"i": index}}},
+            "version": CACHE_FORMAT_VERSION,
+        },
+        sort_keys=True,
+    )
+
+
+class TestAppendOnlyStore:
+    """Each save appends one line; the loader merges the lines."""
+
+    def _path(self, directory):
+        return directory / f"mappings-{DIGEST[:16]}.json"
+
+    def test_each_save_appends_only_its_new_entries(self, tmp_path):
+        cache = MappingCache(tmp_path)
+        cache.put(_fake_key(0, 0), object(), record={"mapping": {"i": 0}})
+        cache.save()
+        cache.put(_fake_key(0, 1), object(), record={"mapping": {"i": 1}})
+        cache.save()
+        cache.save()  # nothing new: no line
+        lines = self._path(tmp_path).read_text().splitlines()
+        assert lines == [_entry_line(0), _entry_line(1)]
+
+    def test_appends_after_a_torn_tail_all_load(self, tmp_path):
+        """A crash's fragment must not swallow the next save's line."""
+        path = self._path(tmp_path)
+        path.write_text(_entry_line(0) + "\n" + _entry_line(1)[:40])
+        for index in (2, 3):
+            cache = MappingCache(tmp_path)
+            cache.put(_fake_key(0, index), object(), record={"mapping": {"i": index}})
+            cache.save()
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            fresh = MappingCache(tmp_path)
+            loaded = [i for i in range(4) if fresh.contains(_fake_key(0, i))]
+        assert loaded == [0, 2, 3]
+        assert recorder.metrics.counters()["cache.corrupt_lines"] == 1
+        assert fresh.corrupt_files == 0
+
+    def test_torn_line_among_good_ones_is_skipped_and_counted(self, tmp_path):
+        path = self._path(tmp_path)
+        path.write_text(
+            "\n".join([_entry_line(0), '{"entries": {"x', "", _entry_line(1)]) + "\n"
         )
-        expected = {
-            _fake_key(writer, index)
-            for writer in range(2)
-            for index in range(count)
-        }
-        assert set(payload["entries"]) == expected
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            cache = MappingCache(tmp_path)
+            assert cache.contains(_fake_key(0, 0))
+            assert cache.contains(_fake_key(0, 1))
+        counters = recorder.metrics.counters()
+        assert counters["cache.corrupt_lines"] == 1  # the blank line is not
+        assert "cache.corrupt_files" not in counters
+        assert path.exists()
+
+    def test_line_of_another_version_sets_the_file_aside(self, tmp_path):
+        path = self._path(tmp_path)
+        foreign = json.dumps(
+            {"entries": {_fake_key(0, 1): {"m": 1}}, "version": CACHE_FORMAT_VERSION + 1}
+        )
+        path.write_text(_entry_line(0) + "\n" + foreign + "\n")
+        cache = MappingCache(tmp_path)
+        assert not cache.contains(_fake_key(0, 0))  # never misread
+        assert not cache.contains(_fake_key(0, 1))
+        assert cache.corrupt_files == 1
+        assert not path.exists()
+        assert len(list(tmp_path.glob("mappings-*.json.corrupt-*"))) == 1
+
+    def test_single_object_file_is_read_and_extended(self, tmp_path):
+        """A file holding one JSON object and no newline keeps hitting."""
+        path = self._path(tmp_path)
+        path.write_text(_entry_line(0))
+        cache = MappingCache(tmp_path)
+        assert cache.contains(_fake_key(0, 0))
+        cache.put(_fake_key(0, 1), object(), record={"mapping": {"i": 1}})
+        cache.save()
+        assert path.read_text().splitlines() == [_entry_line(0), _entry_line(1)]
+        fresh = MappingCache(tmp_path)
+        assert fresh.contains(_fake_key(0, 0)) and fresh.contains(_fake_key(0, 1))
+        assert fresh.corrupt_files == 0
 
 
 class TestQuarantineAndSweep:
@@ -367,17 +459,6 @@ class TestQuarantineAndSweep:
         )
         assert stale.corrupt_files == 1
         assert list(tmp_path.glob("mappings-*.json.corrupt-*"))
-
-    def test_stale_tmp_files_swept_on_save(self, tmp_path):
-        dead = tmp_path / "mappings-feedfeedfeedfeed.tmp.999999999"
-        dead.write_text("{}")
-        alive = tmp_path / f"mappings-feedfeedfeedfeed.tmp.{os.getpid()}"
-        alive.write_text("{}")
-        cache = MappingCache(tmp_path)
-        cache.put("s|" + DIGEST + "|minimal|o", object(), record={"m": 1})
-        cache.save()
-        assert not dead.exists()  # pid 999999999 cannot be alive
-        assert alive.exists()  # our own (in-progress) temp is untouched
 
     def test_injected_corruption_recovers_next_run(self, tmp_path):
         """corrupt-cache fault -> torn file on disk -> quarantined, not fatal."""

@@ -123,6 +123,30 @@ class TestCheckpointStore:
         assert fresh.load() == {"a": {"x": 1}}
         assert fresh.corrupt_lines == 1
 
+    def test_flushes_after_a_torn_tail_all_load(self, tmp_path):
+        """A flush that returned is never glued to a crash's fragment."""
+        ckpt = SweepCheckpoint(tmp_path, "f" * 64, flush_every=1)
+        ckpt.reset()
+        ckpt.record("p0", {"x": 0})
+        with open(ckpt.path, "a") as handle:
+            handle.write('{"kind": "point", "key": "p1", "rec')  # torn write
+        resumed = SweepCheckpoint(tmp_path, "f" * 64, flush_every=1)
+        resumed.load()
+        resumed.record("p2", {"x": 2})
+        resumed.record("p3", {"x": 3})
+        fresh = SweepCheckpoint(tmp_path, "f" * 64)
+        assert sorted(fresh.load()) == ["p0", "p2", "p3"]
+        assert fresh.corrupt_lines == 1
+
+    def test_first_flush_into_a_missing_file_keeps_its_points(self, tmp_path):
+        """A resume that finds no file writes the header, then the points."""
+        ckpt = SweepCheckpoint(tmp_path, "9" * 64, flush_every=2)
+        assert ckpt.load() == {}
+        ckpt.record("a", {"x": 1})
+        ckpt.record("b", {"x": 2})  # auto-flush: header first
+        loaded = SweepCheckpoint(tmp_path, "9" * 64).load()
+        assert loaded == {"a": {"x": 1}, "b": {"x": 2}}
+
     def test_version_mismatch_set_aside(self, tmp_path):
         ckpt = SweepCheckpoint(tmp_path, "a" * 64)
         ckpt.reset()

@@ -2,6 +2,7 @@
 
 ``atomic_write``/``durable_append`` are the only way bytes reach a
 persistent sink, so these tests pin their rename/append semantics, the
+JSONL appender and parser every store shares, the set-aside rule, the
 deterministic I/O fault hook, and the degrade-once contract that keeps a
 full disk from killing (or spamming) a sweep.
 """
@@ -65,6 +66,58 @@ class TestDurableAppend:
             durable.durable_append(tmp_path / "log", "x\n", sink="s")
         assert exc.value.errno == errno.EIO
         assert not (tmp_path / "log").exists()
+
+    def test_starts_a_new_line_after_a_torn_tail(self, tmp_path):
+        target = tmp_path / "log.jsonl"
+        target.write_text('a\n{"torn')
+        durable.durable_append(target, "b\n")
+        durable.durable_append(target, "c\n")
+        assert target.read_text() == 'a\n{"torn\nb\nc\n'
+
+
+class TestJsonLines:
+    def test_append_lines_creates_the_directory(self, tmp_path):
+        target = tmp_path / "deep" / "er" / "log.jsonl"
+        assert durable.append_lines(target, ['{"a": 1}', '{"b": 2}'], sink="s")
+        assert target.read_text() == '{"a": 1}\n{"b": 2}\n'
+
+    def test_append_lines_degrades_on_a_resource_error(self, tmp_path):
+        install_plan(FaultPlan([FaultSpec(kind="enospc", sink="s")]))
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            assert not durable.append_lines(tmp_path / "log", ["{}"], sink="s")
+        assert not durable.sink_enabled("s")
+        assert recorder.metrics.counters()["degraded.s"] == 1
+
+    def test_append_lines_raises_other_errors(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            durable.append_lines(blocker / "log", ["{}"], sink="s")
+        assert durable.sink_enabled("s")
+
+    def test_parse_lines_skips_blanks_and_counts_the_rest(self):
+        text = '{"a": 1}\n\n  \n[1, 2]\n"text"\n{"b": 2}\n{"torn'
+        assert durable.parse_lines(text) == ([{"a": 1}, {"b": 2}], 3)
+        assert durable.parse_lines("") == ([], 0)
+
+
+class TestSetAside:
+    def test_renames_counts_and_warns(self, tmp_path, caplog):
+        target = tmp_path / "state.json"
+        target.write_text("garbage")
+        recorder = obs.Recorder()
+        with obs.use(recorder), caplog.at_level(logging.WARNING, "repro.durable"):
+            moved = durable.set_aside(target, "state.corrupt_files", "garbled")
+        assert not target.exists()
+        assert moved.name.startswith("state.json.corrupt-")
+        assert moved.read_text() == "garbage"
+        assert recorder.metrics.counters()["state.corrupt_files"] == 1
+        assert len([r for r in caplog.records if "garbled" in r.message]) == 1
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            durable.set_aside(tmp_path / "gone", "state.corrupt_files", "x")
 
 
 class TestFaultDeterminism:

@@ -183,15 +183,3 @@ class TestSearchDeterminism:
         assert stats.points_evaluated >= 1
         assert "explore" in stats.stage_s
         assert stats.cache_misses > 0
-
-    def test_unpicklable_objective_falls_back_to_serial(self):
-        hw = case_study_hardware()
-        layers = alexnet(resolution=224)[:3]
-        mapper = Mapper(
-            hw=hw,
-            profile=SearchProfile.MINIMAL,
-            objective=lambda report, hw: report.energy_pj,
-            cache=MappingCache(),
-        )
-        results = mapper.search_model(layers, jobs=2)
-        assert len(results) == 3
