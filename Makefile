@@ -16,12 +16,12 @@ test-fast:
 # installed so the target never blocks on optional tooling.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples scripts; \
 	elif python -c "import pyflakes" >/dev/null 2>&1; then \
-		python -m pyflakes src/repro tests benchmarks examples; \
+		python -m pyflakes src/repro tests benchmarks examples scripts; \
 	else \
 		echo "ruff/pyflakes not installed; syntax check only"; \
-		python -m compileall -q src tests benchmarks examples; \
+		python -m compileall -q src tests benchmarks examples scripts; \
 	fi
 
 # Cost-model <-> simulator consistency audit: every registered model,

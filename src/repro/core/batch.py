@@ -3,11 +3,11 @@
 The scalar pipeline (:mod:`repro.core.c3p` -> :mod:`repro.core.traffic` ->
 :mod:`repro.core.cost`) walks one ``(layer, hw, mapping)`` triple at a time
 through Python objects.  This module evaluates *every* candidate of one
-``(layer, hw)`` pair in a handful of numpy array operations: the candidate
-mappings are encoded as int64/float64 columns (tile extents, clamped
-loop-nest bounds, spatial primitives, rotation/order codes) and the three
-C3P walks, the traffic assembly and the energy/cycles/EDP scalarization run
-over all rows at once.
+``(layer, hw)`` pair in a handful of numpy array operations: each candidate
+becomes its :func:`~repro.core.space.candidate_row` (spatial primitives,
+order and rotation codes, clamped tile extents), the rows become int64
+columns, and the three C3P walks, the traffic assembly and the
+energy/cycles/EDP scalarization run over all rows at once.
 
 **Bit-identity contract.**  The scalar path is the golden oracle; this
 kernel must agree with it to the last float.  Three rules make that hold:
@@ -45,7 +45,7 @@ from repro import obs
 from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
 from repro.core.mapping import Mapping
-from repro.core.primitives import PartitionDim, RotationKind
+from repro.core.space import CANDIDATE_COLUMNS, candidate_row
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
 
@@ -218,39 +218,6 @@ def _ceil_div(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     return -(-a // b)
 
 
-def _encode(candidates: list[Mapping]) -> dict[str, "np.ndarray"]:
-    """Columnar int64 encoding of the mapping list."""
-    n = len(candidates)
-    names = (
-        "pkg_co_ways", "pkg_rows", "pkg_cols", "pkg_is_channel",
-        "pkg_tile_h", "pkg_tile_w", "pkg_tile_co", "pkg_order_channel",
-        "chp_co_ways", "chp_rows", "chp_cols",
-        "chp_tile_h", "chp_tile_w", "chp_order_channel",
-        "rot_activations", "rot_weights",
-    )
-    cols = {name: np.empty(n, dtype=np.int64) for name in names}
-    for i, m in enumerate(candidates):
-        pkg, pt = m.package_spatial, m.package_temporal
-        chp, ct = m.chiplet_spatial, m.chiplet_temporal
-        cols["pkg_co_ways"][i] = pkg.co_ways
-        cols["pkg_rows"][i] = pkg.grid.rows
-        cols["pkg_cols"][i] = pkg.grid.cols
-        cols["pkg_is_channel"][i] = pkg.dim is PartitionDim.CHANNEL
-        cols["pkg_tile_h"][i] = pt.tile_h
-        cols["pkg_tile_w"][i] = pt.tile_w
-        cols["pkg_tile_co"][i] = pt.tile_co
-        cols["pkg_order_channel"][i] = pt.order.value == "channel"
-        cols["chp_co_ways"][i] = chp.co_ways
-        cols["chp_rows"][i] = chp.grid.rows
-        cols["chp_cols"][i] = chp.grid.cols
-        cols["chp_tile_h"][i] = ct.tile_h
-        cols["chp_tile_w"][i] = ct.tile_w
-        cols["chp_order_channel"][i] = ct.order.value == "channel"
-        cols["rot_activations"][i] = m.rotation is RotationKind.ACTIVATIONS
-        cols["rot_weights"][i] = m.rotation is RotationKind.WEIGHTS
-    return cols
-
-
 def _input_channels_for(layer: ConvLayer, out_channels: "np.ndarray") -> "np.ndarray":
     """Vectorized :meth:`ConvLayer.input_channels_for` (out_channels >= 1)."""
     groups_spanned = np.minimum(
@@ -311,24 +278,27 @@ def evaluate_batch(
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    cols = _encode(candidates)
+    rows = np.fromiter(
+        (candidate_row(layer, m) for m in candidates),
+        dtype=np.dtype((np.int64, len(CANDIDATE_COLUMNS))),
+        count=len(candidates),
+    )
+    cols = dict(zip(CANDIDATE_COLUMNS, rows.T))
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
     data_bits = tech.data_bits
     grouped = layer.groups > 1
 
     # --- loop-nest derivation (LoopNest.__init__, vectorized) ---------------
+    # The rows carry the tile and core extents already clamped.
+    tile_ho, tile_wo, tile_co = cols["tile_ho"], cols["tile_wo"], cols["tile_co"]
+    core_ho, core_wo = cols["core_ho"], cols["core_wo"]
     macro_ho = _ceil_div(np.int64(layer.ho), cols["pkg_rows"])
     macro_wo = _ceil_div(np.int64(layer.wo), cols["pkg_cols"])
     macro_co = _ceil_div(np.int64(layer.co), cols["pkg_co_ways"])
-    tile_ho = np.minimum(cols["pkg_tile_h"], macro_ho)
-    tile_wo = np.minimum(cols["pkg_tile_w"], macro_wo)
-    tile_co = np.minimum(cols["pkg_tile_co"], macro_co)
     share_ho = _ceil_div(tile_ho, cols["chp_rows"])
     share_wo = _ceil_div(tile_wo, cols["chp_cols"])
     share_co = _ceil_div(tile_co, cols["chp_co_ways"])
-    core_ho = np.minimum(cols["chp_tile_h"], share_ho)
-    core_wo = np.minimum(cols["chp_tile_w"], share_wo)
     core_co = np.minimum(np.int64(hw.lanes), share_co)
     c1 = _ceil_div(share_co, core_co)
     w1 = _ceil_div(share_wo, core_wo)
@@ -607,10 +577,10 @@ def search_batch(
     guarantee bit-identity for this call (empty candidate list, or the
     int64 exactness guard tripping) -- callers then run the scalar loop.
 
-    When ``REPRO_BATCH_MAX_BYTES`` caps the working set, the list is
-    evaluated in chunks.  Chunking cannot change any per-candidate value
-    (every output row of :func:`evaluate_batch` is an elementwise function
-    of that row alone), and the cross-chunk winner scan uses the same
+    The list is evaluated in chunks of :func:`batch_chunk_candidates`
+    rows (one chunk when ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking
+    cannot change any per-candidate value (every output row of
+    :func:`evaluate_batch` is an elementwise function of that row alone), and the cross-chunk winner scan uses the same
     strict-``<`` update as the scalar loop, so the first-in-enumeration
     winner -- and therefore the whole sweep output -- is byte-identical at
     every chunk size.
@@ -618,17 +588,7 @@ def search_batch(
     scorer = BATCH_OBJECTIVES[objective]
     if not candidates:
         return None
-    chunk = batch_chunk_candidates()
-    if chunk is None or chunk >= len(candidates):
-        try:
-            result = evaluate_batch(layer, hw, candidates)
-        except BatchOverflowError:
-            return None
-        return BatchSearchOutcome(
-            best_index=result.best_index(scorer),
-            evaluated=result.evaluated,
-            invalid=result.invalid,
-        )
+    chunk = batch_chunk_candidates() or len(candidates)
     best_index: int | None = None
     best_score = float("inf")
     evaluated = invalid = n_chunks = 0
@@ -647,7 +607,8 @@ def search_batch(
         if score < best_score:  # strict <: ties keep the earlier chunk's winner
             best_score = score
             best_index = start + local
-    obs.count("mapper.batch.chunks", n_chunks)
+    if n_chunks > 1:
+        obs.count("mapper.batch.chunks", n_chunks)
     return BatchSearchOutcome(
         best_index=best_index, evaluated=evaluated, invalid=invalid
     )

@@ -217,10 +217,14 @@ class MappingCache:
     def _ensure_loaded(self, digest: str) -> None:
         """Lazily read and merge the lines of one hardware digest's file.
 
-        A torn line is skipped and counted (``cache.corrupt_lines``).  A
-        file holding a line of another format version, or no readable
-        line at all, is set aside (renamed ``<file>.corrupt-<ms>``) so it
-        cannot shadow the store; the load then proceeds as a clean miss.
+        The last line holding a key wins, as in ``SweepCheckpoint.load``:
+        a layer re-searched because its record no longer rebuilds appends
+        the record that replaces it.  Concurrent writers of one key append
+        identical records (the search is deterministic).  A torn line is
+        skipped and counted (``cache.corrupt_lines``).  A file holding a
+        line of another format version, or no readable line at all, is set
+        aside (renamed ``<file>.corrupt-<ms>``) so it cannot shadow the
+        store; the load then proceeds as a clean miss.
         """
         if self.directory is None or digest in self._loaded_digests:
             return
@@ -256,8 +260,7 @@ class MappingCache:
             obs.count("cache.corrupt_lines", torn)
             logger.warning("cache file %s: skipped %d torn line(s)", path, torn)
         for entries in batches:
-            for key, record in entries.items():
-                self._disk.setdefault(key, record)
+            self._disk.update(entries)
         obs.histogram(
             "cache.load_ms", (time.perf_counter() - load_start) * 1e3
         )

@@ -67,6 +67,45 @@ def _dedupe(items: list) -> list:
     return out
 
 
+#: Names of the integers :func:`candidate_row` returns, in row order.
+CANDIDATE_COLUMNS = (
+    "pkg_co_ways", "pkg_rows", "pkg_cols", "pkg_is_channel",
+    "tile_ho", "tile_wo", "tile_co", "pkg_order_channel",
+    "chp_co_ways", "chp_rows", "chp_cols",
+    "core_ho", "core_wo", "chp_order_channel",
+    "rot_activations", "rot_weights",
+)
+
+
+def candidate_row(layer: ConvLayer, mapping: Mapping) -> tuple[int, ...]:
+    """The cost-determining signature of ``mapping`` on ``layer``.
+
+    One integer per :data:`CANDIDATE_COLUMNS` name: the spatial primitives,
+    loop orders and rotation, and the tile extents clamped exactly as
+    :class:`~repro.core.loopnest.LoopNest` clamps them (chiplet tile to the
+    macro partition, core tile to the core's share).  The cost model reads
+    nothing else, so two candidates are *congruent* (identical traffic,
+    energy and cycles) exactly when their rows are equal.  The batch kernel
+    evaluates these rows as its columns.
+    """
+    pkg, pt = mapping.package_spatial, mapping.package_temporal
+    chp, ct = mapping.chiplet_spatial, mapping.chiplet_temporal
+    pkg_grid, chp_grid = pkg.grid, chp.grid
+    tile_ho = min(pt.tile_h, -(-layer.ho // pkg_grid.rows))
+    tile_wo = min(pt.tile_w, -(-layer.wo // pkg_grid.cols))
+    rotation = mapping.rotation
+    return (
+        pkg.co_ways, pkg_grid.rows, pkg_grid.cols, pkg.dim is PartitionDim.CHANNEL,
+        tile_ho, tile_wo, min(pt.tile_co, -(-layer.co // pkg.co_ways)),
+        pt.order is LoopOrder.CHANNEL_PRIORITY,
+        chp.co_ways, chp_grid.rows, chp_grid.cols,
+        min(ct.tile_h, -(-tile_ho // chp_grid.rows)),
+        min(ct.tile_w, -(-tile_wo // chp_grid.cols)),
+        ct.order is LoopOrder.CHANNEL_PRIORITY,
+        rotation is RotationKind.ACTIVATIONS, rotation is RotationKind.WEIGHTS,
+    )
+
+
 @dataclass(frozen=True)
 class MappingSpace:
     """Candidate mappings for one hardware instance.
@@ -212,9 +251,10 @@ class MappingSpace:
         """Side of the largest square tile whose Cc0 fits the A-L1.
 
         Cc0 is one P-channel chunk of the tile's input window (the paper's
-        supplemental critical capacity).  Returns ``None`` when even a 1x1
-        tile overflows, or when the unconstrained largest tile already fits
-        (no separate candidate needed).
+        supplemental critical capacity).  Returns ``None`` only when even a
+        1x1 tile overflows.  The side also stays within ``max_pixels``, so
+        the tile may repeat one :meth:`core_tiles` already lists; its dedup
+        drops the copy.
         """
         chunk = min(self.hw.vector_size, layer.ci)
         bytes_per = self.hw.tech.data_bits / 8.0
@@ -305,39 +345,10 @@ class MappingSpace:
                                             rotation=rotation,
                                         )
 
-    def congruence_key(self, layer: ConvLayer, mapping: Mapping) -> tuple:
-        """The cost-determining signature of ``mapping`` on ``layer``.
-
-        The cost model reads a mapping only through its derived
-        :class:`~repro.core.loopnest.LoopNest` (clamped tile extents and
-        the loop structure they induce) plus the spatial primitives,
-        rotation and loop orders.  Two candidates with equal keys are
-        therefore *congruent*: they produce identical traffic, energy and
-        cycle numbers, and evaluating both is pure waste.  Declared tile
-        sizes that clamp to the same extent (the common case -- several
-        multipliers saturate at the macro-tile bound) land on one key.
-        """
-        from repro.core.loopnest import LoopNest
-
-        nest = LoopNest(layer, self.hw, mapping)
-        return (
-            mapping.package_spatial,
-            mapping.chiplet_spatial,
-            mapping.rotation,
-            mapping.package_temporal.order,
-            mapping.chiplet_temporal.order,
-            nest.tile_ho,
-            nest.tile_wo,
-            nest.tile_co,
-            nest.core_ho,
-            nest.core_wo,
-            nest.core_co,
-        )
-
     def unique_candidates(self, layer: ConvLayer) -> list[Mapping]:
         """Candidates deduplicated up to cost-model congruence.
 
-        Keeps the *first* representative of each congruence class
+        Keeps the *first* representative of each :func:`candidate_row`
         (order-preserving, like :func:`_dedupe`), so the mapper's
         strict-``<`` minimum selects the same winning mapping object it
         always did.  The number of discarded congruent candidates is
@@ -345,16 +356,11 @@ class MappingSpace:
         """
         from repro import obs
 
-        seen: set[tuple] = set()
-        out: list[Mapping] = []
-        dropped = 0
-        for mapping in self.candidates(layer):
-            key = self.congruence_key(layer, mapping)
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            out.append(mapping)
+        first: dict[tuple[int, ...], Mapping] = {}
+        raw = 0
+        for raw, mapping in enumerate(self.candidates(layer), 1):
+            first.setdefault(candidate_row(layer, mapping), mapping)
+        dropped = raw - len(first)
         if dropped:
             obs.count("space.candidates.deduped", dropped)
-        return out
+        return list(first.values())

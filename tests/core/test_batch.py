@@ -48,8 +48,8 @@ def tied_pair():
     On a single-chiplet package the rotating transfer has no hops to pay
     (``sharing_hops = 0``) and broadcast reaches ``n_chiplets = 1`` copies,
     so an activation-rotated mapping and its unrotated twin produce
-    bit-identical traffic -- yet they are distinct candidates (the
-    congruence key includes the rotation).
+    bit-identical traffic -- yet they are distinct candidates (their
+    ``candidate_row`` values differ in the rotation columns).
     """
     layer = ConvLayer("tie", h=8, w=8, ci=8, co=8, kh=1, kw=1, stride=1, padding=0)
     hw = build_hardware(1, 1, 8, 8)

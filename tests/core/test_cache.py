@@ -274,6 +274,18 @@ class TestLegacyRecords:
         assert result.candidates_invalid == fresh.candidates_invalid
         assert result.mapping == fresh.mapping
 
+        # The re-searched record, appended after the legacy one, wins every
+        # later load: the store stays repaired and stops growing.
+        legacy.save()
+        repaired = MappingCache(tmp_path)
+        again = Mapper(
+            hw=hw, profile=SearchProfile.MINIMAL, cache=repaired
+        ).search_layer(layer)
+        repaired.save()
+        assert repaired.disk_hits == 1 and repaired.misses == 0
+        assert again.candidates_evaluated == fresh.candidates_evaluated
+        assert len(path.read_text().splitlines()) == 2
+
 
 DIGEST = "0123456789abcdef" * 4
 

@@ -1,10 +1,15 @@
 """Tests for mapping-space enumeration."""
 
+import pytest
+
+from repro import obs
 from repro.arch.config import build_hardware, case_study_hardware
 from repro.core.loopnest import LoopNest
+from repro.core.mapper import _shape_key
 from repro.core.primitives import PartitionDim, RotationKind
 from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
+from repro.workloads.registry import get_model
 
 
 def common_layer():
@@ -108,3 +113,30 @@ class TestEnumeration:
         assert candidates
         for mapping in candidates:
             assert mapping.chiplet_spatial.ways == 1
+
+
+class TestDedupCounts:
+    """Unique and discarded candidates over a model's unique layer shapes.
+
+    A dedup key that merged or split congruence classes moves these counts
+    even when every winner holds.
+    """
+
+    @pytest.mark.parametrize(
+        "model, profile, unique, deduped",
+        [
+            ("resnet50", SearchProfile.EXHAUSTIVE, 292_032, 98_240),
+            ("resnet50", SearchProfile.FAST, 7_120, 7_504),
+            ("mobilenetv2", SearchProfile.FAST, 10_296, 11_400),
+        ],
+    )
+    def test_case_study_counts(self, model, profile, unique, deduped):
+        shapes = {}
+        for layer in get_model(model):
+            shapes.setdefault(_shape_key(layer), layer)
+        space = MappingSpace(case_study_hardware(), profile)
+        recorder = obs.MetricsRecorder()
+        with obs.use(recorder):
+            total = sum(len(space.unique_candidates(layer)) for layer in shapes.values())
+        assert total == unique
+        assert recorder.metrics.counter("space.candidates.deduped") == deduped

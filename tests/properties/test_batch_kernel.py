@@ -12,6 +12,10 @@ exact ``==``, never ``approx``:
 * the three C3P walk outputs (A_0, reload factor, fill bits),
 * every traffic field, every energy component, cycles, O-L2 sizing, EDP,
 * and the winner index against the scalar strict-``<`` first-minimum scan.
+
+The kernel's input rows (:func:`repro.core.space.candidate_row`) are checked
+against :class:`~repro.core.loopnest.LoopNest`, the scalar derivation of the
+same clamped extents, on every raw candidate.
 """
 
 import math
@@ -29,9 +33,14 @@ from repro.core.c3p import (
 )
 from repro.core.cost import InvalidMappingError, evaluate_mapping
 from repro.core.loopnest import LoopNest
-from repro.core.space import MappingSpace, SearchProfile
+from repro.core.space import (
+    CANDIDATE_COLUMNS,
+    MappingSpace,
+    SearchProfile,
+    candidate_row,
+)
 from repro.core.traffic import weight_group_size
-from repro.workloads.layer import ConvLayer, matmul
+from repro.workloads.layer import ConvLayer, ceil_div, matmul
 from repro.workloads.transformer import AttentionLayer
 
 MAX_EXAMPLES = 25
@@ -115,6 +124,21 @@ def transformer_layer_and_hw(draw):
     )
     profile = draw(st.sampled_from([SearchProfile.MINIMAL, SearchProfile.FAST]))
     return layer, hw, profile
+
+
+class TestCandidateRow:
+    @given(st.one_of(layer_and_hw(), transformer_layer_and_hw()))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_row_extents_match_loop_nest(self, case):
+        """Every raw candidate's row clamps its extents as LoopNest does."""
+        layer, hw, profile = case
+        for mapping in MappingSpace(hw, profile).candidates(layer):
+            row = dict(zip(CANDIDATE_COLUMNS, candidate_row(layer, mapping)))
+            nest = LoopNest(layer, hw, mapping)
+            for name in ("tile_ho", "tile_wo", "tile_co", "core_ho", "core_wo"):
+                assert row[name] == getattr(nest, name), name
+            core_co = min(hw.lanes, ceil_div(row["tile_co"], row["chp_co_ways"]))
+            assert core_co == nest.core_co
 
 
 class TestBatchScalarDifferential:

@@ -7,9 +7,9 @@ Three contracts from the guided-DSE design:
   a candidate whose bound beats the incumbent's actual) can never discard
   the true optimum.
 * **Congruence** -- mapping candidates that share a
-  :meth:`~repro.core.space.MappingSpace.congruence_key` produce identical
-  cost-model output, so symmetry dedup changes candidate counts but never
-  the search result.
+  :func:`~repro.core.space.candidate_row` produce identical cost-model
+  output, so symmetry dedup changes candidate counts but never the search
+  result.
 * **Reproducibility** -- a seeded guided run is a pure function of
   (seed, space, models): replaying it yields byte-identical trials.
 """
@@ -21,7 +21,7 @@ from repro.arch.config import build_hardware
 from repro.core.cost import InvalidMappingError, evaluate_mapping
 from repro.core.dse import DesignSpace, explore
 from repro.core.search import GuidedStrategy, _evaluate_point, edp_lower_bound
-from repro.core.space import MappingSpace, SearchProfile
+from repro.core.space import MappingSpace, SearchProfile, candidate_row
 from repro.workloads.layer import ConvLayer
 
 PROP_SPACE = DesignSpace(
@@ -93,7 +93,7 @@ class TestDedupCongruence:
     def test_congruent_candidates_cost_identically(self, hw, layer):
         """Every congruence class is cost-homogeneous.
 
-        Group the *raw* candidate stream by congruence key and evaluate
+        Group the *raw* candidate stream by candidate row and evaluate
         every member: all members of a class must either all be invalid
         or all produce the same (energy, cycles, utilization) triple --
         which is what makes keep-first dedup result-preserving.
@@ -101,9 +101,7 @@ class TestDedupCongruence:
         space = MappingSpace(hw, SearchProfile.MINIMAL)
         classes: dict[tuple, list] = {}
         for mapping in space.candidates(layer):
-            classes.setdefault(
-                space.congruence_key(layer, mapping), []
-            ).append(mapping)
+            classes.setdefault(candidate_row(layer, mapping), []).append(mapping)
         multi = {k: v for k, v in classes.items() if len(v) > 1}
         for members in multi.values():
             outcomes = []
@@ -123,11 +121,9 @@ class TestDedupCongruence:
     def test_dedup_keeps_one_representative_per_class(self, hw, layer):
         space = MappingSpace(hw, SearchProfile.MINIMAL)
         unique = space.unique_candidates(layer)
-        keys = [space.congruence_key(layer, m) for m in unique]
+        keys = [candidate_row(layer, m) for m in unique]
         assert len(keys) == len(set(keys))
-        all_keys = {
-            space.congruence_key(layer, m) for m in space.candidates(layer)
-        }
+        all_keys = {candidate_row(layer, m) for m in space.candidates(layer)}
         assert set(keys) == all_keys
 
 
