@@ -173,7 +173,7 @@ print(f"map jobs-4 counters equal serial: {len(c1)} counters")' \
 # Guided-vs-exhaustive differential gate (mirrors the CI guided-dse job):
 # sweep the full Fig. 15 space as the oracle, run the seeded guided search
 # on a 1% trial budget, and require the exact same recommended point.
-# The oracle leg is the expensive one (tens of minutes on one core; the
+# The oracle leg is the expensive one (about 1.5 minutes on one core; the
 # study and unit suites above cover the fast paths).  See
 # docs/guided-search.md.
 guided:
@@ -192,14 +192,20 @@ guided:
 		"$$tmp/guided.json" --max-eval-frac 0.01
 
 # Batch-vs-scalar parity gate (mirrors the CI guided-dse parity step):
-# the unit/property suites first, then the full Fig. 15 pre-design sweep
-# with the numpy batch kernel on and off -- the two JSON payloads must be
-# byte-identical (winner, energy, cycles, EDP on every point) -- and the
-# same gate on a transformer sweep, so GEMM-shaped candidate spaces are
-# held to the identical contract.  See docs/modeling.md section 11.
+# the unit/property suites first (the candidate table against the scalar
+# enumeration included), then runs with the numpy path on and off.  With
+# REPRO_BATCH_KERNEL=1 the mapper builds each layer's candidate table as
+# columns and scores it with the batch kernel; with 0 it enumerates one
+# Mapping per candidate, dedups them and scores them one by one.  So every
+# leg checks the table builder as well as the kernel: the full Fig. 15
+# pre-design sweep and an EXHAUSTIVE ResNet-50 map must give byte-identical
+# JSON (winner, energy, cycles, EDP), and so must a transformer sweep, so
+# GEMM-shaped candidate spaces are held to the identical contract.  See
+# docs/modeling.md section 11.
 batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
-		tests/core/test_batch.py tests/properties/test_batch_kernel.py
+		tests/core/test_batch.py tests/core/test_candidate_table.py \
+		tests/properties/test_batch_kernel.py
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
@@ -211,6 +217,14 @@ batch-parity:
 		--stride 1 --jobs 4 --json "$$tmp/scalar.json" >/dev/null && \
 	cmp "$$tmp/batch.json" "$$tmp/scalar.json" && \
 	echo "batch kernel byte-identical to the scalar oracle (full Fig. 15 space)" && \
+	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --json "$$tmp/map-batch.json" >/dev/null && \
+	REPRO_BATCH_KERNEL=0 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --json "$$tmp/map-scalar.json" >/dev/null && \
+	cmp "$$tmp/map-batch.json" "$$tmp/map-scalar.json" && \
+	echo "candidate table + batch kernel byte-identical to the scalar oracle (EXHAUSTIVE ResNet-50 map)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 512 --models bert_base --profile minimal \
@@ -279,7 +293,7 @@ profile:
 		--metrics-out benchmarks/results/profile-metrics.json
 
 # The paper-fidelity run: exhaustive mapping search and the full Figure 15
-# memory sweep (tens of minutes on one core).
+# memory sweep (about 14 minutes on one core, 9 of them in Figure 15).
 bench-full:
 	REPRO_BENCH_PROFILE=exhaustive REPRO_FIG15_STRIDE=1 \
 		pytest benchmarks/ --benchmark-only

@@ -1,12 +1,14 @@
 """Scalar-vs-batch candidate-evaluation throughput (the PR 7 kernel gate).
 
-Times the same candidate list through both cost-model paths -- the scalar
-``evaluate_mapping`` loop (the golden oracle) and the struct-of-arrays
-numpy kernel (:mod:`repro.core.batch`) -- on representative AlexNet layers
-under the selected search profile, and records candidates/second for both.
-The acceptance gate is a >= 5x batch speedup on the fast profile; the two
-paths must also agree on the winner, which is asserted here and proven
-bit-for-bit by ``tests/properties/test_batch_kernel.py``.
+Builds each representative AlexNet layer's candidate table under the
+selected search profile and times both cost-model paths over it: the
+scalar ``evaluate_mapping`` loop (the golden oracle) over the table's
+:class:`~repro.core.mapping.Mapping` objects, and the struct-of-arrays
+numpy kernel (:mod:`repro.core.batch`) over its int64 columns.  Neither
+time includes building the table.  The acceptance gate is a >= 5x batch
+speedup on the fast profile; the two paths must also agree on the winner,
+which is asserted here and proven bit-for-bit by
+``tests/properties/test_batch_kernel.py``.
 """
 
 import time
@@ -58,13 +60,14 @@ def test_batch_kernel_throughput(record_bench):
     rows = []
     total_candidates = scalar_time = batch_time = 0.0
     for layer in layers:
-        candidates = space.unique_candidates(layer)
-        if not candidates:
+        table = space.unique_candidates(layer)
+        if not table:
             continue
-        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, candidates)
-        t_batch, result = _best_of(batch.evaluate_batch, layer, hw, candidates)
+        mappings = list(table)
+        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, mappings)
+        t_batch, result = _best_of(batch.evaluate_batch, layer, hw, table)
         assert result.best_index("energy") == scalar_winner
-        n = len(candidates)
+        n = len(table)
         total_candidates += n
         scalar_time += t_scalar
         batch_time += t_batch

@@ -56,13 +56,14 @@ def test_transformer_gemm_throughput(record_bench):
     rows = []
     total_candidates = scalar_time = batch_time = 0.0
     for layer in layers:
-        candidates = space.unique_candidates(layer)
-        if not candidates:
+        table = space.unique_candidates(layer)
+        if not table:
             continue
-        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, candidates)
-        t_batch, result = _best_of(batch.evaluate_batch, layer, hw, candidates)
+        mappings = list(table)
+        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, mappings)
+        t_batch, result = _best_of(batch.evaluate_batch, layer, hw, table)
         assert result.best_index("energy") == scalar_winner
-        n = len(candidates)
+        n = len(table)
         total_candidates += n
         scalar_time += t_scalar
         batch_time += t_batch

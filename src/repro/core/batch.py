@@ -3,11 +3,14 @@
 The scalar pipeline (:mod:`repro.core.c3p` -> :mod:`repro.core.traffic` ->
 :mod:`repro.core.cost`) walks one ``(layer, hw, mapping)`` triple at a time
 through Python objects.  This module evaluates *every* candidate of one
-``(layer, hw)`` pair in a handful of numpy array operations: each candidate
-becomes its :func:`~repro.core.space.candidate_row` (spatial primitives,
-order and rotation codes, clamped tile extents), the rows become int64
-columns, and the three C3P walks, the traffic assembly and the
-energy/cycles/EDP scalarization run over all rows at once.
+``(layer, hw)`` pair in a handful of numpy array operations.  Its input is
+a :class:`~repro.core.space.CandidateTable`: one int64 column per
+:data:`~repro.core.space.CANDIDATE_COLUMNS` name (spatial primitives, order
+and rotation codes, clamped tile extents), which
+:meth:`~repro.core.space.MappingSpace.unique_candidates` builds directly,
+without a :class:`~repro.core.mapping.Mapping` per candidate.  The three
+C3P walks, the traffic assembly and the energy/cycles/EDP scalarization run
+over all rows at once; the caller builds a ``Mapping`` for the winner only.
 
 **Bit-identity contract.**  The scalar path is the golden oracle; this
 kernel must agree with it to the last float.  Three rules make that hold:
@@ -44,8 +47,7 @@ import numpy as np
 from repro import obs
 from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
-from repro.core.mapping import Mapping
-from repro.core.space import CANDIDATE_COLUMNS, candidate_row
+from repro.core.space import CandidateTable
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
 
@@ -53,7 +55,7 @@ from repro.workloads.layer import ConvLayer
 BATCH_KERNEL_ENV = "REPRO_BATCH_KERNEL"
 
 #: Environment variable capping the kernel's working-set size (bytes).
-#: When set, candidate lists are evaluated in chunks small enough to fit;
+#: When set, candidate tables are evaluated in chunks small enough to fit;
 #: the chunked winner scan is bit-identical to the single-shot one.
 BATCH_MAX_BYTES_ENV = "REPRO_BATCH_MAX_BYTES"
 
@@ -116,7 +118,7 @@ def batch_kernel_enabled() -> bool:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Struct-of-arrays evaluation of one candidate list on one (layer, hw).
+    """Struct-of-arrays evaluation of one candidate table on one (layer, hw).
 
     Every array has one row per candidate, aligned with ``candidates``.
     Candidate-independent terms (output drain, per-cycle PE feeds) are kept
@@ -125,7 +127,7 @@ class BatchResult:
     anyway; only the masked score selects winners.
     """
 
-    candidates: list[Mapping]
+    candidates: CandidateTable
     valid: "np.ndarray"
 
     # C3P walk outputs (bits / factors, float64)
@@ -268,9 +270,9 @@ def _level_slots(
 
 
 def evaluate_batch(
-    layer: ConvLayer, hw: HardwareConfig, candidates: list[Mapping]
+    layer: ConvLayer, hw: HardwareConfig, candidates: CandidateTable
 ) -> BatchResult:
-    """Evaluate every candidate mapping of one (layer, hw) in one pass.
+    """Evaluate every candidate of one (layer, hw) in one pass.
 
     Raises:
         BatchOverflowError: When an int64 product would leave the exact
@@ -278,12 +280,7 @@ def evaluate_batch(
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    rows = np.fromiter(
-        (candidate_row(layer, m) for m in candidates),
-        dtype=np.dtype((np.int64, len(CANDIDATE_COLUMNS))),
-        count=len(candidates),
-    )
-    cols = dict(zip(CANDIDATE_COLUMNS, rows.T))
+    cols = candidates.columns
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
     data_bits = tech.data_bits
@@ -567,20 +564,21 @@ BATCH_OBJECTIVES = {
 def search_batch(
     layer: ConvLayer,
     hw: HardwareConfig,
-    candidates: list[Mapping],
+    candidates: CandidateTable,
     objective: str = "energy_objective",
 ) -> BatchSearchOutcome | None:
     """Batch-evaluate ``candidates`` and pick the scalar-identical winner.
 
     ``objective`` names one of the mapper's two objectives
     (:data:`BATCH_OBJECTIVES`).  Returns ``None`` when the kernel cannot
-    guarantee bit-identity for this call (empty candidate list, or the
+    guarantee bit-identity for this call (empty candidate table, or the
     int64 exactness guard tripping) -- callers then run the scalar loop.
 
-    The list is evaluated in chunks of :func:`batch_chunk_candidates`
+    The table is evaluated in chunks of :func:`batch_chunk_candidates`
     rows (one chunk when ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking
     cannot change any per-candidate value (every output row of
-    :func:`evaluate_batch` is an elementwise function of that row alone), and the cross-chunk winner scan uses the same
+    :func:`evaluate_batch` is an elementwise function of that row alone),
+    and the cross-chunk winner scan uses the same
     strict-``<`` update as the scalar loop, so the first-in-enumeration
     winner -- and therefore the whole sweep output -- is byte-identical at
     every chunk size.

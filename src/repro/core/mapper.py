@@ -205,13 +205,14 @@ class Mapper:
         """The exhaustive candidate scan (cache-oblivious).
 
         The struct-of-arrays batch kernel (:mod:`repro.core.batch`) scores
-        every candidate in one numpy pass when it can guarantee bit-identity
-        with the scalar loop (``REPRO_BATCH_KERNEL`` not opted out, values
-        in the int64-exact range); the winner's full :class:`CostReport`
-        then comes from a single scalar ``evaluate_mapping`` call.
-        Otherwise the scalar strict-``<`` scan below is the path -- it stays
-        the golden oracle either way (see
-        ``tests/properties/test_batch_kernel.py``).
+        the layer's candidate table in one numpy pass when it can guarantee
+        bit-identity with the scalar loop (``REPRO_BATCH_KERNEL`` not opted
+        out, values in the int64-exact range); the winner's
+        :class:`Mapping` is then built from its row and its full
+        :class:`CostReport` comes from a single scalar ``evaluate_mapping``
+        call.  Otherwise the scalar strict-``<`` scan below is the path,
+        over the scalar enumeration and dedup -- it stays the golden oracle
+        either way (see ``tests/properties/test_batch_kernel.py``).
 
         Candidate counters are batched into one pair of ``obs.count`` calls
         after the scan, so the per-candidate hot loop carries no
@@ -223,22 +224,24 @@ class Mapper:
         invalid = 0
         search_start = time.perf_counter()
         with obs.span("mapper.search_fresh", layer=layer.name):
-            candidates = self._space.unique_candidates(layer)
-            outcome = None
+            outcome = table = None
             if batch.batch_kernel_enabled():
+                table = self._space.unique_candidates(layer)
                 outcome = batch.search_batch(
-                    layer, self.hw, candidates, objective=self._objective_name
+                    layer, self.hw, table, objective=self._objective_name
                 )
             if outcome is not None:
                 evaluated = outcome.evaluated
                 invalid = outcome.invalid
                 if outcome.best_index is not None:
-                    best = evaluate_mapping(
-                        layer, self.hw, candidates[outcome.best_index]
-                    )
+                    best = evaluate_mapping(layer, self.hw, table[outcome.best_index])
                 obs.count("mapper.batch.searches")
-                obs.count("mapper.batch.candidates", len(candidates))
+                obs.count("mapper.batch.candidates", len(table))
             else:
+                # An overflowed table has already counted this layer's dedup.
+                candidates = self._space.scalar_unique_candidates(
+                    layer, count=table is None
+                )
                 for mapping in candidates:
                     try:
                         report = evaluate_mapping(layer, self.hw, mapping)

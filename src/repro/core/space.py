@@ -14,13 +14,21 @@ Two profiles bound the enumeration:
   always preferred when data is shared (one DRAM access plus ``N_P - 1``
   ring hops is strictly cheaper than ``N_P`` DRAM accesses under Table I),
   and only the strongest tile shapes survive.
+
+:meth:`MappingSpace.candidates` yields the raw candidates one
+:class:`~repro.core.mapping.Mapping` at a time (the scalar oracle);
+:meth:`MappingSpace.unique_candidates` builds the same space, deduplicated,
+as the int64 columns of a :class:`CandidateTable` in one numpy pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
+
+import numpy as np
 
 from repro.arch.config import HardwareConfig
 from repro.core.mapping import Mapping
@@ -104,6 +112,150 @@ def candidate_row(layer: ConvLayer, mapping: Mapping) -> tuple[int, ...]:
         ct.order is LoopOrder.CHANNEL_PRIORITY,
         rotation is RotationKind.ACTIVATIONS, rotation is RotationKind.WEIGHTS,
     )
+
+
+def first_occurrence_indices(*fields: np.ndarray) -> np.ndarray:
+    """Flat indices of the first occurrence of each distinct row, ascending.
+
+    The fields are non-negative int64 arrays that broadcast to one shape; a
+    row is one position of that shape read across the fields, and indices
+    count positions in C order.  When the fields' bit widths sum to at most
+    63 the rows pack into one int64 key for ``np.unique``; wider rows take a
+    stable lexicographic sort and an adjacent-row compare instead.
+    """
+    shape = np.broadcast_shapes(*(field.shape for field in fields))
+    widths = [int(field.max()).bit_length() for field in fields]
+    if sum(widths) <= 63:
+        key = np.int64(0)
+        shift = sum(widths)
+        for field, width in zip(fields, widths):
+            shift -= width
+            key = key | (field << shift)
+        _, first = np.unique(np.broadcast_to(key, shape).ravel(), return_index=True)
+    else:
+        columns = [np.broadcast_to(field, shape).ravel() for field in fields]
+        order = np.lexsort(columns[::-1])  # stable: equal rows stay in index order
+        starts = np.zeros(order.size, dtype=bool)
+        starts[:1] = True
+        for column in columns:
+            ranked = column[order]
+            starts[1:] |= ranked[1:] != ranked[:-1]
+        first = order[starts]
+    first.sort()
+    return first
+
+
+#: Loop orders by their ``*_order_channel`` code.
+_ORDERS = (LoopOrder.PLANE_PRIORITY, LoopOrder.CHANNEL_PRIORITY)
+
+#: Rotations by their ``(rot_activations, rot_weights)`` codes.
+_ROTATIONS = {
+    (0, 0): RotationKind.NONE,
+    (1, 0): RotationKind.ACTIVATIONS,
+    (0, 1): RotationKind.WEIGHTS,
+}
+
+
+class CandidateTable(Sequence):
+    """One layer's candidate mappings as int64 columns.
+
+    The batch kernel reads the columns; a :class:`Mapping` is built only for
+    a row someone indexes, so the table is also a ``Sequence[Mapping]``
+    (``len``, indexing, slicing, iteration) for every other caller.
+
+    Attributes:
+        rows: ``(16, n)`` -- one array row per :data:`CANDIDATE_COLUMNS`
+            name, each candidate's :func:`candidate_row`.
+        core: ``(3, n)`` -- the declared chiplet-level tile ``(tile_h,
+            tile_w, tile_co)``, which the row's ``core_ho``/``core_wo``
+            clamp; the mapping reports the declared one.
+        pair: ``(n,)`` -- each candidate's index into ``pairs``.
+        pairs: The ``(package, chiplet)`` spatial primitives.
+    """
+
+    __slots__ = ("rows", "core", "pair", "pairs")
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        core: np.ndarray,
+        pair: np.ndarray,
+        pairs: tuple[tuple[SpatialPrimitive, SpatialPrimitive], ...],
+    ) -> None:
+        self.rows = rows
+        self.core = core
+        self.pair = pair
+        self.pairs = pairs
+
+    @classmethod
+    def from_mappings(
+        cls, layer: ConvLayer, mappings: Sequence[Mapping]
+    ) -> "CandidateTable":
+        """Encode hand-built ``mappings`` with :func:`candidate_row`.
+
+        Raises:
+            ValueError: If a mapping's package tile overhangs its macro
+                partition: the row clamps it, so the table could not give
+                the mapping back.
+        """
+        pairs: dict[tuple[SpatialPrimitive, SpatialPrimitive], int] = {}
+        pair = [
+            pairs.setdefault((m.package_spatial, m.chiplet_spatial), len(pairs))
+            for m in mappings
+        ]
+        rows = np.array([candidate_row(layer, m) for m in mappings], dtype=np.int64)
+        core = np.array(
+            [(t.tile_h, t.tile_w, t.tile_co) for t in (m.chiplet_temporal for m in mappings)],
+            dtype=np.int64,
+        )
+        table = cls(
+            rows.reshape(-1, len(CANDIDATE_COLUMNS)).T,
+            core.reshape(-1, 3).T,
+            np.array(pair, dtype=np.int64),
+            tuple(pairs),
+        )
+        if list(table) != list(mappings):
+            raise ValueError("a package tile overhangs its macro partition")
+        return table
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The :data:`CANDIDATE_COLUMNS` by name (views of ``rows``)."""
+        return dict(zip(CANDIDATE_COLUMNS, self.rows))
+
+    def __len__(self) -> int:
+        return len(self.pair)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CandidateTable(
+                self.rows[:, index], self.core[:, index], self.pair[index], self.pairs
+            )
+        row = self.rows[:, index].tolist()
+        return self._mapping(self.pair[index], row, self.core[:, index].tolist())
+
+    def __iter__(self) -> Iterator[Mapping]:
+        for pair, row, core in zip(
+            self.pair.tolist(), self.rows.T.tolist(), self.core.T.tolist()
+        ):
+            yield self._mapping(pair, row, core)
+
+    def _mapping(self, pair: int, row: list[int], core: list[int]) -> Mapping:
+        """The mapping a row, its declared core tile and its pair describe."""
+        package, chiplet = self.pairs[pair]
+        (
+            _, _, _, _, tile_ho, tile_wo, tile_co, pkg_order_channel,
+            _, _, _, _, _, chp_order_channel, rot_activations, rot_weights,
+        ) = row
+        return Mapping(
+            package_spatial=package,
+            package_temporal=TemporalPrimitive(
+                _ORDERS[pkg_order_channel], tile_ho, tile_wo, tile_co
+            ),
+            chiplet_spatial=chiplet,
+            chiplet_temporal=TemporalPrimitive(_ORDERS[chp_order_channel], *core),
+            rotation=_ROTATIONS[rot_activations, rot_weights],
+        )
 
 
 @dataclass(frozen=True)
@@ -345,14 +497,120 @@ class MappingSpace:
                                             rotation=rotation,
                                         )
 
-    def unique_candidates(self, layer: ConvLayer) -> list[Mapping]:
-        """Candidates deduplicated up to cost-model congruence.
+    def unique_candidates(self, layer: ConvLayer) -> CandidateTable:
+        """Candidates deduplicated up to cost-model congruence, as columns.
 
-        Keeps the *first* representative of each :func:`candidate_row`
-        (order-preserving, like :func:`_dedupe`), so the mapper's
-        strict-``<`` minimum selects the same winning mapping object it
-        always did.  The number of discarded congruent candidates is
-        exported as the ``space.candidates.deduped`` obs counter.
+        The same mappings, in the same order, as
+        :meth:`scalar_unique_candidates`, built in one numpy pass: Python
+        loops only over the (package, chiplet) pairs and their core tiles,
+        and numpy broadcasts the tile multipliers, channel multipliers,
+        orders and rotations in :meth:`candidates`' nesting order.  Dedup
+        keeps the *first* candidate of each :func:`candidate_row`, so the
+        mapper's strict-``<`` minimum selects the same winner it always
+        did.  The number of discarded congruent candidates is exported as
+        the ``space.candidates.deduped`` obs counter.
+        """
+        from repro import obs
+
+        pairs: list[tuple[SpatialPrimitive, SpatialPrimitive]] = []
+        signatures: dict[tuple, int] = {}
+        # One entry per (pair, core tile): spatial signature, pair index, the
+        # seven spatial row columns, declared core tile, macro partition
+        # extents, then the activation and weight rotation codes.
+        entries: list[tuple] = []
+        n_rot = 0
+        for package in self.package_spatials(layer):
+            rotations = self.rotations(package)
+            n_rot = n_rot or len(rotations)
+            assert len(rotations) == n_rot, "every package of a layer has one rotation count"
+            rotation_codes = [r is RotationKind.ACTIVATIONS for r in rotations] + [
+                r is RotationKind.WEIGHTS for r in rotations
+            ]
+            macro = (
+                ceil_div(layer.ho, package.grid.rows),
+                ceil_div(layer.wo, package.grid.cols),
+                ceil_div(layer.co, package.co_ways),
+            )
+            for chiplet in self.chiplet_spatials(layer, package):
+                spatial = (
+                    package.co_ways, package.grid.rows, package.grid.cols,
+                    package.dim is PartitionDim.CHANNEL,
+                    chiplet.co_ways, chiplet.grid.rows, chiplet.grid.cols,
+                )
+                # Rows of pairs with equal spatial columns compare equal, so
+                # the dedup key carries the spatial signature, not the pair.
+                head = (signatures.setdefault(spatial, len(signatures)), len(pairs), *spatial)
+                pairs.append((package, chiplet))
+                tiles = self.core_tiles(
+                    layer,
+                    ceil_div(macro[0], chiplet.grid.rows),
+                    ceil_div(macro[1], chiplet.grid.cols),
+                )
+                entries.extend((*head, h, w, *macro, *rotation_codes) for h, w in tiles)
+
+        e = np.array(entries, dtype=np.int64).T
+        signature, _, _, _, _, _, chp_co_ways, chp_rows, chp_cols = e[:9, :, None]
+        core_h, core_w, macro_ho, macro_wo, macro_co = e[9:14, :, None]
+        rot_activations, rot_weights = e[14 : 14 + n_rot].T, e[14 + n_rot :].T
+        tile_mults = np.array(self.tile_multipliers(), dtype=np.int64)
+        channel_mults = np.array(self.channel_multipliers(), dtype=np.int64)
+        orders = np.array(
+            [(p is LoopOrder.CHANNEL_PRIORITY, c is LoopOrder.CHANNEL_PRIORITY)
+             for p, c in self.orders()],
+            dtype=np.int64,
+        ).T
+        # (K, T) and (K, C) extents, as candidates() declares them; the
+        # package tile never overhangs the macro partition, so only the
+        # core tile needs candidate_row's clamp.
+        tile_ho = np.minimum(core_h * chp_rows * tile_mults, macro_ho)
+        tile_wo = np.minimum(core_w * chp_cols * tile_mults, macro_wo)
+        tile_co = np.minimum(chp_co_ways * self.hw.lanes * channel_mults, macro_co)
+        core_ho = np.minimum(core_h, -(-tile_ho // chp_rows))
+        core_wo = np.minimum(core_w, -(-tile_wo // chp_cols))
+
+        # Axes: (pair, core tile) x mult_h x mult_w x mult_c x order x rotation.
+        k, t, c, o = len(entries), len(tile_mults), len(channel_mults), orders.shape[1]
+        shape = (k, t, t, c, o, n_rot)
+        at_h, at_w = (k, t, 1, 1, 1, 1), (k, 1, t, 1, 1, 1)
+        at_o, at_r = (1, 1, 1, 1, o, 1), (k, 1, 1, 1, 1, n_rot)
+        first = first_occurrence_indices(
+            signature.reshape(k, 1, 1, 1, 1, 1),
+            tile_ho.reshape(at_h), core_ho.reshape(at_h),
+            tile_wo.reshape(at_w), core_wo.reshape(at_w),
+            tile_co.reshape(k, 1, 1, c, 1, 1),
+            orders[0].reshape(at_o), orders[1].reshape(at_o),
+            rot_activations.reshape(at_r), rot_weights.reshape(at_r),
+        )
+        ik, ih, iw, ic, io, ir = np.unravel_index(first, shape)
+
+        rows = np.empty((len(CANDIDATE_COLUMNS), len(first)), dtype=np.int64)
+        rows[0:4] = e[2:6, ik]
+        rows[4] = tile_ho[ik, ih]
+        rows[5] = tile_wo[ik, iw]
+        rows[6] = tile_co[ik, ic]
+        rows[7] = orders[0, io]
+        rows[8:11] = e[6:9, ik]
+        rows[11] = core_ho[ik, ih]
+        rows[12] = core_wo[ik, iw]
+        rows[13] = orders[1, io]
+        rows[14] = rot_activations[ik, ir]
+        rows[15] = rot_weights[ik, ir]
+        core = np.empty((3, len(first)), dtype=np.int64)
+        core[0:2] = e[9:11, ik]
+        np.minimum(rows[6], self.hw.lanes, out=core[2])
+
+        dropped = int(np.prod(shape)) - len(first)
+        if dropped:
+            obs.count("space.candidates.deduped", dropped)
+        return CandidateTable(rows, core, e[1, ik], tuple(pairs))
+
+    def scalar_unique_candidates(self, layer: ConvLayer, count: bool = True) -> list[Mapping]:
+        """:meth:`candidates` kept at each :func:`candidate_row`'s first occurrence.
+
+        The scalar oracle of :meth:`unique_candidates`: the same mappings in
+        the same order, one :class:`Mapping` per raw candidate.  Counts
+        ``space.candidates.deduped`` unless ``count`` is false (a caller
+        whose table already counted this layer).
         """
         from repro import obs
 
@@ -361,6 +619,6 @@ class MappingSpace:
         for raw, mapping in enumerate(self.candidates(layer), 1):
             first.setdefault(candidate_row(layer, mapping), mapping)
         dropped = raw - len(first)
-        if dropped:
+        if dropped and count:
             obs.count("space.candidates.deduped", dropped)
         return list(first.values())

@@ -20,7 +20,7 @@ from repro.core.primitives import (
     SpatialPrimitive,
     TemporalPrimitive,
 )
-from repro.core.space import SearchProfile
+from repro.core.space import CandidateTable, SearchProfile
 from repro.workloads.layer import ConvLayer
 
 def small_layer(name="conv"):
@@ -80,14 +80,18 @@ class TestTieBreak:
                     best_score, best, winner = score, report, index
             assert winner == 0  # strict-< keeps the first of an exact tie
 
-            result = batch.evaluate_batch(layer, hw, ordering)
+            result = batch.evaluate_batch(
+                layer, hw, CandidateTable.from_mappings(layer, ordering)
+            )
             assert result.energy_pj[0] == result.energy_pj[1]
             assert result.best_index("energy") == winner
             assert result.best_index("edp") == winner
 
     def test_search_batch_reports_first_winner(self):
         layer, hw, candidates = tied_pair()
-        outcome = batch.search_batch(layer, hw, candidates)
+        outcome = batch.search_batch(
+            layer, hw, CandidateTable.from_mappings(layer, candidates)
+        )
         assert outcome is not None
         assert outcome.best_index == 0
         assert outcome.evaluated == 2 and outcome.invalid == 0
@@ -117,19 +121,23 @@ class TestOverflowGuard:
                 LoopOrder.CHANNEL_PRIORITY, 2**22, 2**22, 8
             ),
         )
+        table = CandidateTable.from_mappings(layer, [mapping])
         with pytest.raises(batch.BatchOverflowError):
-            batch.evaluate_batch(layer, hw, [mapping])
-        assert batch.search_batch(layer, hw, [mapping]) is None
+            batch.evaluate_batch(layer, hw, table)
+        assert batch.search_batch(layer, hw, table) is None
 
 
 class TestSearchBatchGuards:
     def test_empty_candidates_fall_back(self):
         layer, hw, _ = tied_pair()
-        assert batch.search_batch(layer, hw, []) is None
+        empty = CandidateTable.from_mappings(layer, [])
+        assert batch.search_batch(layer, hw, empty) is None
 
     def test_scores_reject_unknown_column(self):
         layer, hw, candidates = tied_pair()
-        result = batch.evaluate_batch(layer, hw, candidates)
+        result = batch.evaluate_batch(
+            layer, hw, CandidateTable.from_mappings(layer, candidates)
+        )
         with pytest.raises(ValueError):
             result.scores("latency")
 
@@ -234,6 +242,7 @@ class TestChunkedBatch:
 
     def test_single_candidate_chunks(self, monkeypatch):
         layer, hw, candidates = tied_pair()
+        candidates = CandidateTable.from_mappings(layer, candidates)
         monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
         whole = batch.search_batch(layer, hw, candidates)
         monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1")
@@ -243,7 +252,9 @@ class TestChunkedBatch:
         """A chunk boundary between exact ties must not flip the winner."""
         layer, hw, candidates = tied_pair()
         monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1024")  # 1 per chunk
-        outcome = batch.search_batch(layer, hw, candidates)
+        outcome = batch.search_batch(
+            layer, hw, CandidateTable.from_mappings(layer, candidates)
+        )
         assert outcome is not None and outcome.best_index == 0
 
     def test_overflow_mid_chunk_falls_back(self, monkeypatch):
@@ -262,7 +273,8 @@ class TestChunkedBatch:
             ),
         )
         monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1024")
-        assert batch.search_batch(layer, hw, [mapping, mapping]) is None
+        table = CandidateTable.from_mappings(layer, [mapping, mapping])
+        assert batch.search_batch(layer, hw, table) is None
 
     def test_mapper_end_to_end_parity(self, monkeypatch):
         hw = case_study_hardware()

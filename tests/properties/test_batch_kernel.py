@@ -15,7 +15,10 @@ exact ``==``, never ``approx``:
 
 The kernel's input rows (:func:`repro.core.space.candidate_row`) are checked
 against :class:`~repro.core.loopnest.LoopNest`, the scalar derivation of the
-same clamped extents, on every raw candidate.
+same clamped extents, on every raw candidate; and the candidate table the
+kernel reads (:meth:`~repro.core.space.MappingSpace.unique_candidates`) is
+checked against the scalar enumeration and dedup, mapping for mapping and
+row for row, on every profile and package topology.
 """
 
 import math
@@ -23,6 +26,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.arch.config import build_hardware
 from repro.arch.topology import Topology
 from repro.core import batch
@@ -126,6 +130,37 @@ def transformer_layer_and_hw(draw):
     return layer, hw, profile
 
 
+@st.composite
+def table_case(draw):
+    """A random conv or GEMM layer under any profile and package topology."""
+    layer, hw, _ = draw(st.one_of(layer_and_hw(), transformer_layer_and_hw()))
+    hw = build_hardware(
+        hw.n_chiplets,
+        hw.n_cores,
+        hw.lanes,
+        hw.vector_size,
+        topology=draw(st.sampled_from(list(Topology))),
+    )
+    return layer, hw, draw(st.sampled_from(list(SearchProfile)))
+
+
+class TestCandidateTable:
+    @given(table_case())
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_table_matches_scalar_enumeration(self, case):
+        """The table is the scalar first-occurrence dedup, built as columns."""
+        layer, hw, profile = case
+        space = MappingSpace(hw, profile)
+        table_counts, oracle_counts = obs.MetricsRecorder(), obs.MetricsRecorder()
+        with obs.use(table_counts):
+            table = space.unique_candidates(layer)
+        with obs.use(oracle_counts):
+            oracle = space.scalar_unique_candidates(layer)
+        assert list(table) == oracle
+        assert table.rows.T.tolist() == [list(candidate_row(layer, m)) for m in oracle]
+        assert table_counts.metrics.counters() == oracle_counts.metrics.counters()
+
+
 class TestCandidateRow:
     @given(st.one_of(layer_and_hw(), transformer_layer_and_hw()))
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
@@ -155,13 +190,13 @@ class TestBatchScalarDifferential:
         self._assert_bit_identical(*case)
 
     def _assert_bit_identical(self, layer, hw, profile):
-        candidates = MappingSpace(hw, profile).unique_candidates(layer)
-        if not candidates:
+        table = MappingSpace(hw, profile).unique_candidates(layer)
+        if not table:
             return
-        result = batch.evaluate_batch(layer, hw, candidates)
-        assert len(result) == len(candidates)
+        result = batch.evaluate_batch(layer, hw, table)
+        assert len(result) == len(table)
 
-        for i, mapping in enumerate(candidates):
+        for i, mapping in enumerate(table):
             try:
                 report = evaluate_mapping(layer, hw, mapping)
             except InvalidMappingError:
@@ -226,10 +261,11 @@ class TestBatchScalarDifferential:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_winner_matches_scalar_strict_less_scan(self, case):
         layer, hw, profile = case
-        candidates = MappingSpace(hw, profile).unique_candidates(layer)
-        if not candidates:
+        table = MappingSpace(hw, profile).unique_candidates(layer)
+        if not table:
             return
-        result = batch.evaluate_batch(layer, hw, candidates)
+        result = batch.evaluate_batch(layer, hw, table)
+        candidates = list(table)
         for objective, score_of in (
             ("energy", lambda r: r.energy_pj),
             ("edp", lambda r: r.edp(hw)),
