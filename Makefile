@@ -193,19 +193,24 @@ guided:
 
 # Batch-vs-scalar parity gate (mirrors the CI guided-dse parity step):
 # the unit/property suites first (the candidate table against the scalar
-# enumeration included), then runs with the numpy path on and off.  With
-# REPRO_BATCH_KERNEL=1 the mapper builds each layer's candidate table as
-# columns and scores it with the batch kernel; with 0 it enumerates one
-# Mapping per candidate, dedups them and scores them one by one.  So every
-# leg checks the table builder as well as the kernel: the full Fig. 15
-# pre-design sweep and an EXHAUSTIVE ResNet-50 map must give byte-identical
-# JSON (winner, energy, cycles, EDP), and so must a transformer sweep, so
-# GEMM-shaped candidate spaces are held to the identical contract.  See
-# docs/modeling.md section 11.
+# enumeration, and packs against one-layer calls, included), then runs with
+# the numpy path on and off.  With REPRO_BATCH_KERNEL=1 the mapper builds
+# each layer's candidate table as columns, scores a model's small tables in
+# packs (one kernel call per pack) and shares tables between sweep points
+# with one candidate set; with 0 it enumerates one Mapping per candidate,
+# dedups them and scores them one by one.  So every leg checks the table
+# builder, the packs and the kernel: the full Fig. 15 pre-design sweep (at
+# --jobs 4, one shape per worker task), the serial MINIMAL Fig. 15 trio at
+# stride 16 (several points per candidate set, MINIMAL packs), an
+# EXHAUSTIVE ResNet-50 map and a FAST MobileNetV2 map (dense and depthwise
+# packs) must give byte-identical JSON (winner, energy, cycles, EDP), and
+# so must a transformer sweep, so GEMM-shaped candidate spaces are held to
+# the identical contract.  See docs/modeling.md section 11.
 batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/core/test_batch.py tests/core/test_candidate_table.py \
-		tests/properties/test_batch_kernel.py
+		tests/core/test_packs.py tests/properties/test_batch_kernel.py \
+		tests/properties/test_packs.py
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
@@ -225,6 +230,24 @@ batch-parity:
 		--profile exhaustive --json "$$tmp/map-scalar.json" >/dev/null && \
 	cmp "$$tmp/map-batch.json" "$$tmp/map-scalar.json" && \
 	echo "candidate table + batch kernel byte-identical to the scalar oracle (EXHAUSTIVE ResNet-50 map)" && \
+	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
+		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
+		--profile minimal --stride 16 --jobs 1 --json "$$tmp/trio-batch.json" >/dev/null && \
+	REPRO_BATCH_KERNEL=0 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
+		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
+		--profile minimal --stride 16 --jobs 1 --json "$$tmp/trio-scalar.json" >/dev/null && \
+	cmp "$$tmp/trio-batch.json" "$$tmp/trio-scalar.json" && \
+	echo "packs + shared tables byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
+	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map mobilenetv2 \
+		--profile fast --json "$$tmp/mbv2-batch.json" >/dev/null && \
+	REPRO_BATCH_KERNEL=0 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map mobilenetv2 \
+		--profile fast --json "$$tmp/mbv2-scalar.json" >/dev/null && \
+	cmp "$$tmp/mbv2-batch.json" "$$tmp/mbv2-scalar.json" && \
+	echo "dense and depthwise packs byte-identical to the scalar oracle (FAST MobileNetV2 map)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 512 --models bert_base --profile minimal \

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.arch.config import HardwareConfig, case_study_hardware
 from repro.arch.memory import LinearFit, MemoryLibrary
 from repro.arch.technology import TABLE_I, OperationEnergy
-from repro.core.cost import CostReport, InvalidMappingError, evaluate_mapping
+from repro.core import batch
+from repro.core.cost import CostReport, evaluate_mapping
 from repro.core.dse import (
     DesignPoint,
     DesignSpace,
@@ -22,7 +25,6 @@ from repro.core.dse import (
     explore,
     granularity_study,
 )
-from repro.core.loopnest import LoopNest
 from repro.core.mapper import Mapper
 from repro.core.partition import (
     PlanarGrid,
@@ -30,7 +32,7 @@ from repro.core.partition import (
     halo_redundancy_ratio,
     max_conflict_degree,
 )
-from repro.core.space import MappingSpace, SearchProfile
+from repro.core.space import CandidateTable, MappingSpace, SearchProfile
 from repro.simba import SimbaReport, evaluate_simba, evaluate_simba_model
 from repro.workloads.extraction import LayerKind, representative_layers
 from repro.workloads.layer import ConvLayer
@@ -180,23 +182,47 @@ def best_by_combo(
     Combinations whose channel splits leave cores under-filled (the paper
     removes (C, C) for small-output-channel layers "due to the mismatch with
     their small output channels") or that have no legal candidate are
-    omitted from the result.
+    omitted from the result.  Combinations appear in the order of their
+    first legal candidate.
+
+    The layer's candidate table is scored once by the batch kernel, with
+    the combinations as segments; only each combination's winner is
+    re-evaluated with the scalar cost model.
+
+    Raises:
+        BatchOverflowError: When the kernel cannot score the table exactly.
     """
-    space = MappingSpace(hw=hw, profile=profile)
-    best: dict[tuple[str, str], CostReport] = {}
-    for mapping in space.unique_candidates(layer):
-        combo = mapping.spatial_combo
-        nest = LoopNest(layer=layer, hw=hw, mapping=mapping)
-        if nest.share_co < min(hw.lanes, layer.co):
-            continue  # channel-split mismatch: cores cannot fill their lanes
-        try:
-            report = evaluate_mapping(layer, hw, mapping)
-        except InvalidMappingError:
-            continue
-        current = best.get(combo)
-        if current is None or report.energy_pj < current.energy_pj:
-            best[combo] = report
-    return best
+    table = MappingSpace(hw=hw, profile=profile).unique_candidates(layer)
+    combos: dict[tuple[str, str], int] = {}
+    pair_combo = np.array(
+        [combos.setdefault((p.dim.value, c.dim.value), len(combos)) for p, c in table.pairs],
+        dtype=np.int64,
+    )
+    cols = table.columns
+    share_co = -(-cols["tile_co"] // cols["chp_co_ways"])
+    # A channel-split mismatch leaves cores unable to fill their lanes.
+    kept = np.flatnonzero(share_co >= min(hw.lanes, layer.co))
+    order = kept[np.argsort(pair_combo[table.pair[kept]], kind="stable")]
+    if not len(order):
+        return {}
+    by_combo = CandidateTable(
+        table.rows[:, order], table.core[:, order], table.pair[order], table.pairs,
+        pair_combo[table.pair[order]],
+    )
+    result = batch.evaluate_batch([layer] * len(combos), hw, by_combo)
+    valid = result.valid
+    combo_ids, winners = batch.segment_minima(
+        np.where(valid, result.energy_pj, np.inf), by_combo.segment
+    )
+    winner = dict(zip(combo_ids.tolist(), winners.tolist()))
+    # Each combination's first legal row sets its place in the result.
+    legal, first = np.unique(by_combo.segment[valid], return_index=True)
+    place = dict(zip(legal.tolist(), order[valid][first].tolist()))
+    names = list(combos)
+    return {
+        names[combo]: evaluate_mapping(layer, hw, by_combo[winner[combo]])
+        for combo in sorted(place, key=place.get)
+    }
 
 
 def fig11_data(

@@ -12,6 +12,13 @@ without a :class:`~repro.core.mapping.Mapping` per candidate.  The three
 C3P walks, the traffic assembly and the energy/cycles/EDP scalarization run
 over all rows at once; the caller builds a ``Mapping`` for the winner only.
 
+A *pack* (:meth:`~repro.core.space.CandidateTable.pack`) scores several
+layers' tables on one machine in one call: the layer quantities (extents,
+kernel, stride, groups, MACs, output bits, RF and MAC energies) become
+columns gathered by each row's segment, and :func:`search_batch` picks one
+winner per segment.  A pack holds dense or grouped layers, never both, so
+each call runs one A-L1/A-L2 recurrence.
+
 **Bit-identity contract.**  The scalar path is the golden oracle; this
 kernel must agree with it to the last float.  Three rules make that hold:
 
@@ -29,18 +36,21 @@ kernel must agree with it to the last float.  Three rules make that hold:
   spaces sit many orders of magnitude below this bound.
 
 The winner selection mirrors the mapper's strict-``<`` scan: invalid lanes
-are masked to ``+inf`` and ``np.argmin`` returns the *first* index of the
-minimum, which is exactly the first-in-enumeration winner the scalar loop
+are masked to ``+inf`` and the *first* row of each segment's minimum wins
+(``np.argmin`` on one layer's table; a stable sort by segment then score on
+a pack), which is exactly the first-in-enumeration winner the scalar loop
 keeps on ties.
 
 ``REPRO_BATCH_KERNEL=0`` (or ``false``/``off``/``no``) opts out and forces
-the scalar path everywhere; the kernel is the default otherwise.
+the mapper onto the scalar path; the kernel is the default otherwise.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -122,8 +132,9 @@ class BatchResult:
 
     Every array has one row per candidate, aligned with ``candidates``.
     Candidate-independent terms (output drain, per-cycle PE feeds) are kept
-    as Python scalars, exactly as the scalar traffic assembly produces them.
-    Rows where ``valid`` is ``False`` carry the arithmetic the walks produced
+    as Python scalars, exactly as the scalar traffic assembly produces them;
+    on a pack they are per-row columns of each row's layer's scalar.  Rows
+    where ``valid`` is ``False`` carry the arithmetic the walks produced
     anyway; only the masked score selects winners.
     """
 
@@ -208,11 +219,32 @@ class BatchResult:
 
 @dataclass(frozen=True)
 class BatchSearchOutcome:
-    """What the mapper needs from a batch search."""
+    """What the mapper needs from a batch search, per segment.
 
-    best_index: int | None
-    evaluated: int
-    invalid: int
+    A layer's own table is one segment.  ``winners[s]`` is the table row
+    of segment ``s``'s winner (``None`` when none of its candidates is
+    valid); ``segment_evaluated`` and ``segment_invalid`` count its valid
+    and invalid candidates.
+    """
+
+    winners: tuple[int | None, ...]
+    segment_evaluated: tuple[int, ...]
+    segment_invalid: tuple[int, ...]
+
+    @property
+    def best_index(self) -> int | None:
+        """The winner of a one-layer table (its only segment)."""
+        return self.winners[0]
+
+    @property
+    def evaluated(self) -> int:
+        """Valid candidates over every segment."""
+        return sum(self.segment_evaluated)
+
+    @property
+    def invalid(self) -> int:
+        """Invalid candidates over every segment."""
+        return sum(self.segment_invalid)
 
 
 def _ceil_div(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
@@ -220,33 +252,76 @@ def _ceil_div(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     return -(-a // b)
 
 
-def _input_channels_for(layer: ConvLayer, out_channels: "np.ndarray") -> "np.ndarray":
-    """Vectorized :meth:`ConvLayer.input_channels_for` (out_channels >= 1)."""
-    groups_spanned = np.minimum(
-        _ceil_div(out_channels, layer.co_per_group), layer.groups
+def _layer_terms(
+    layers: Sequence[ConvLayer],
+    segment: "np.ndarray | None",
+    hw: HardwareConfig,
+    model: EnergyModel,
+) -> SimpleNamespace:
+    """The layer quantities the kernel reads, broadcastable against the rows.
+
+    Each quantity is computed per layer with the scalar path's own
+    expression.  For one layer's table (``segment`` is ``None``) they stay
+    Python scalars; for a pack each becomes a column holding every row's
+    segment's value, so a pack row meets exactly the operands a one-layer
+    call would give it.
+    """
+    tech = hw.tech
+
+    def terms(layer: ConvLayer) -> dict:
+        rf_rmw_bits = layer.macs / hw.vector_size * tech.psum_bits
+        rf_drain_bits = layer.output_elements * tech.psum_bits
+        return {
+            "ho": layer.ho, "wo": layer.wo, "co": layer.co, "ci": layer.ci,
+            "kh": layer.kh, "kw": layer.kw,
+            "row_step": min(layer.stride, layer.kh),
+            "col_step": min(layer.stride, layer.kw),
+            "groups": layer.groups,
+            "co_per_group": layer.co_per_group,
+            "ci_per_group": layer.ci_per_group,
+            "a_l1_chunk": min(hw.vector_size, layer.ci),
+            "kernel_sweep": float(layer.kh * layer.kw),
+            "output_bits": layer.output_elements * tech.data_bits,
+            "a_l1_read_bits": layer.macs / hw.lanes * tech.data_bits,
+            "rf_rmw_bits": rf_rmw_bits,
+            "rf_drain_bits": rf_drain_bits,
+            "rf_pj": (rf_rmw_bits + rf_drain_bits) * model.rf_rmw_pj_per_bit,
+            "mac_pj": model.mac_energy_pj(layer.macs),
+        }
+
+    if segment is None:
+        return SimpleNamespace(**terms(layers[0]))
+    per_layer = [terms(layer) for layer in layers]
+    return SimpleNamespace(
+        **{name: np.array([t[name] for t in per_layer])[segment] for name in per_layer[0]}
     )
-    return np.minimum(groups_spanned * layer.ci_per_group, layer.ci)
 
 
-def _input_rows_for(layer: ConvLayer, out_rows: "np.ndarray") -> "np.ndarray":
+def _input_channels_for(q: SimpleNamespace, out_channels: "np.ndarray") -> "np.ndarray":
+    """Vectorized :meth:`ConvLayer.input_channels_for` (out_channels >= 1)."""
+    groups_spanned = np.minimum(_ceil_div(out_channels, q.co_per_group), q.groups)
+    return np.minimum(groups_spanned * q.ci_per_group, q.ci)
+
+
+def _input_rows_for(q: SimpleNamespace, out_rows: "np.ndarray") -> "np.ndarray":
     """Vectorized :meth:`ConvLayer.input_rows_for` (out_rows >= 1)."""
-    return (out_rows - 1) * min(layer.stride, layer.kh) + layer.kh
+    return (out_rows - 1) * q.row_step + q.kh
 
 
-def _input_cols_for(layer: ConvLayer, out_cols: "np.ndarray") -> "np.ndarray":
+def _input_cols_for(q: SimpleNamespace, out_cols: "np.ndarray") -> "np.ndarray":
     """Vectorized :meth:`ConvLayer.input_cols_for` (out_cols >= 1)."""
-    return (out_cols - 1) * min(layer.stride, layer.kw) + layer.kw
+    return (out_cols - 1) * q.col_step + q.kw
 
 
 def _window_bytes(
-    layer: ConvLayer,
+    q: SimpleNamespace,
     data_bytes: float,
     out_rows: "np.ndarray",
     out_cols: "np.ndarray",
     channels: "np.ndarray",
 ) -> "np.ndarray":
     """Vectorized ``c3p._window_bytes``: int64 element count, one conversion."""
-    elements = _input_rows_for(layer, out_rows) * _input_cols_for(layer, out_cols) * channels
+    elements = _input_rows_for(q, out_rows) * _input_cols_for(q, out_cols) * channels
     return elements * data_bytes
 
 
@@ -270,29 +345,42 @@ def _level_slots(
 
 
 def evaluate_batch(
-    layer: ConvLayer, hw: HardwareConfig, candidates: CandidateTable
+    layers: ConvLayer | Sequence[ConvLayer],
+    hw: HardwareConfig,
+    candidates: CandidateTable,
 ) -> BatchResult:
-    """Evaluate every candidate of one (layer, hw) in one pass.
+    """Evaluate every candidate of one machine's table in one pass.
+
+    ``layers`` is the table's layer, or -- for a pack -- one layer per
+    segment, all dense or all grouped.
 
     Raises:
         BatchOverflowError: When an int64 product would leave the exact
             range (callers fall back to the scalar oracle).
+        ValueError: On an empty table, or a pack mixing dense and grouped
+            layers.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
+    members = [layers] if candidates.segment is None else list(layers)
+    kinds = {member.groups > 1 for member in members}
+    if len(kinds) > 1:
+        raise ValueError("a pack holds dense or grouped layers, not both")
+    (grouped,) = kinds
+    model = EnergyModel(hw)
+    q = _layer_terms(members, candidates.segment, hw, model)
     cols = candidates.columns
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
     data_bits = tech.data_bits
-    grouped = layer.groups > 1
 
     # --- loop-nest derivation (LoopNest.__init__, vectorized) ---------------
     # The rows carry the tile and core extents already clamped.
     tile_ho, tile_wo, tile_co = cols["tile_ho"], cols["tile_wo"], cols["tile_co"]
     core_ho, core_wo = cols["core_ho"], cols["core_wo"]
-    macro_ho = _ceil_div(np.int64(layer.ho), cols["pkg_rows"])
-    macro_wo = _ceil_div(np.int64(layer.wo), cols["pkg_cols"])
-    macro_co = _ceil_div(np.int64(layer.co), cols["pkg_co_ways"])
+    macro_ho = _ceil_div(np.int64(q.ho), cols["pkg_rows"])
+    macro_wo = _ceil_div(np.int64(q.wo), cols["pkg_cols"])
+    macro_co = _ceil_div(np.int64(q.co), cols["pkg_co_ways"])
     share_ho = _ceil_div(tile_ho, cols["chp_rows"])
     share_wo = _ceil_div(tile_wo, cols["chp_cols"])
     share_co = _ceil_div(tile_co, cols["chp_co_ways"])
@@ -317,22 +405,20 @@ def evaluate_batch(
 
     # --- validity (LoopNest.validity_errors, vectorized) --------------------
     o_l1_required = _ceil_div(core_ho * core_wo * core_co * tech.psum_bits, np.int64(8))
-    min_a_l1 = (
-        _input_cols_for(layer, core_wo) * min(hw.vector_size, layer.ci) * data_bits // 8
-    )
+    min_a_l1 = _input_cols_for(q, core_wo) * q.a_l1_chunk * data_bits // 8
     pkg_channel = cols["pkg_is_channel"].astype(bool)
     invalid = pkg_ways > hw.n_chiplets
     invalid |= chp_ways > hw.n_cores
     invalid |= o_l1_required > hw.memory.o_l1_bytes
     invalid |= min_a_l1 > hw.memory.a_l1_bytes
-    invalid |= pkg_channel & (cols["pkg_co_ways"] > layer.co)
+    invalid |= pkg_channel & (cols["pkg_co_ways"] > q.co)
     invalid |= cols["chp_co_ways"] > macro_co
-    invalid |= (cols["pkg_rows"] > layer.ho) | (cols["pkg_cols"] > layer.wo)
+    invalid |= (cols["pkg_rows"] > q.ho) | (cols["pkg_cols"] > q.wo)
     invalid |= (cols["chp_rows"] > tile_ho) | (cols["chp_cols"] > tile_wo)
     valid = ~invalid
 
     # --- weight-buffer C3P walk (analyze_weight_buffer) ---------------------
-    weight_elements = layer.kh * layer.kw * layer.ci_per_group * core_co
+    weight_elements = q.kh * q.kw * q.ci_per_group * core_co
     block_bytes = weight_elements * data_bytes
     weight_buffer = (hw.memory.w_l1_bytes * chp_grid_ways).astype(np.float64)
     working_set = block_bytes.copy()
@@ -347,15 +433,14 @@ def evaluate_batch(
     weight_fill_bits = weight_a0_bits * weight_reload
 
     # --- A-L1 C3P walk (analyze_activation_l1) ------------------------------
-    block_channels = _input_channels_for(layer, core_co)
+    block_channels = _input_channels_for(q, core_co)
     chunk_channels = np.minimum(np.int64(hw.vector_size), block_channels)
-    cc0 = _window_bytes(layer, data_bytes, core_ho, core_wo, chunk_channels)
+    cc0 = _window_bytes(q, data_bytes, core_ho, core_wo, chunk_channels)
     a_l1_budget = float(hw.memory.a_l1_bytes)
-    kernel_sweep = float(layer.kh * layer.kw)
-    a_l1_reload = np.where(a_l1_budget >= cc0, 1.0, kernel_sweep)
+    a_l1_reload = np.where(a_l1_budget >= cc0, 1.0, q.kernel_sweep)
     out_rows, out_cols = core_ho.copy(), core_wo.copy()
     channel_multiplicity = np.ones(len(candidates), dtype=np.int64)
-    ci_col = np.full(len(candidates), layer.ci, dtype=np.int64)
+    ci_col = np.full(len(candidates), q.ci, dtype=np.int64)
     for kind, count in slots:
         is_c = kind == _KIND_C
         if grouped:
@@ -363,25 +448,25 @@ def evaluate_batch(
                 is_c, channel_multiplicity * count, channel_multiplicity
             )
         else:
-            ws = _window_bytes(layer, data_bytes, out_rows, out_cols, ci_col)
+            ws = _window_bytes(q, data_bytes, out_rows, out_cols, ci_col)
             penalized = is_c & (a_l1_budget < ws)
             a_l1_reload = np.where(penalized, a_l1_reload * count, a_l1_reload)
         out_cols = np.where(kind == _KIND_W, out_cols * count, out_cols)
         out_rows = np.where(kind == _KIND_H, out_rows * count, out_rows)
     planar_iterations = w1 * h1 * w2 * h2
     if grouped:
-        a0_channels = np.minimum(block_channels * channel_multiplicity, layer.ci)
+        a0_channels = np.minimum(block_channels * channel_multiplicity, q.ci)
     else:
         a0_channels = ci_col
     a_l1_a0_bits = (
-        _window_bytes(layer, data_bytes, core_ho, core_wo, a0_channels)
+        _window_bytes(q, data_bytes, core_ho, core_wo, a0_channels)
         * 8.0
         * planar_iterations
     )
     a_l1_fill_bits = a_l1_a0_bits * a_l1_reload
 
     # --- A-L2 C3P walk (analyze_activation_l2: level-2 loops only) ----------
-    tile_channels = _input_channels_for(layer, tile_co)
+    tile_channels = _input_channels_for(q, tile_co)
     a_l2_budget = float(hw.memory.a_l2_bytes)
     a_l2_reload = np.ones(len(candidates), dtype=np.float64)
     out_rows, out_cols = tile_ho.copy(), tile_wo.copy()
@@ -393,17 +478,17 @@ def evaluate_batch(
                 is_c, channel_multiplicity2 * count, channel_multiplicity2
             )
         else:
-            ws = _window_bytes(layer, data_bytes, out_rows, out_cols, ci_col)
+            ws = _window_bytes(q, data_bytes, out_rows, out_cols, ci_col)
             penalized = is_c & (a_l2_budget < ws)
             a_l2_reload = np.where(penalized, a_l2_reload * count, a_l2_reload)
         out_cols = np.where(kind == _KIND_W, out_cols * count, out_cols)
         out_rows = np.where(kind == _KIND_H, out_rows * count, out_rows)
     if grouped:
-        a0_channels2 = np.minimum(tile_channels * channel_multiplicity2, layer.ci)
+        a0_channels2 = np.minimum(tile_channels * channel_multiplicity2, q.ci)
     else:
         a0_channels2 = ci_col
     a_l2_a0_bits = (
-        _window_bytes(layer, data_bytes, tile_ho, tile_wo, a0_channels2) * 8.0 * w2 * h2
+        _window_bytes(q, data_bytes, tile_ho, tile_wo, a0_channels2) * 8.0 * w2 * h2
     )
     a_l2_fill_bits = a_l2_a0_bits * a_l2_reload
 
@@ -438,12 +523,10 @@ def evaluate_batch(
     a_l2_write_bits = a_l2_fill_bits * n_chiplets
     a_l1_write_bits = a_l1_fill_bits * n_cores * n_chiplets
     a_l2_read_bits = a_l1_fill_bits * chp_grid_ways * n_chiplets
-    a_l1_read_bits = layer.macs / hw.lanes * data_bits
+    a_l1_read_bits = q.a_l1_read_bits
     d2d_bit_hops = act_d2d + weight_d2d
 
-    output_bits = layer.output_elements * data_bits
-    psum_rmw_bits = layer.macs / hw.vector_size * tech.psum_bits
-    rf_drain_bits = layer.output_elements * tech.psum_bits
+    output_bits = q.output_bits
 
     # --- int64 exactness guard ----------------------------------------------
     blocks_f = (
@@ -456,15 +539,15 @@ def evaluate_batch(
     )
     read_estimate = block_weight_bits.astype(np.float64) * blocks_f * n_cores * n_chiplets
     block_cycles_f = (
-        core_ho.astype(np.float64) * core_wo * layer.kh * layer.kw
+        core_ho.astype(np.float64) * core_wo * q.kh * q.kw
     )  # chunk factor bounded below by 1, added next
-    chunks = _ceil_div(np.maximum(_input_channels_for(layer, core_co), 1),
+    chunks = _ceil_div(np.maximum(_input_channels_for(q, core_co), 1),
                        np.int64(hw.vector_size))
     cycles_estimate = blocks_f * block_cycles_f * chunks
     window_estimate = (
-        _input_rows_for(layer, out_rows).astype(np.float64)
-        * _input_cols_for(layer, out_cols)
-        * layer.ci
+        _input_rows_for(q, out_rows).astype(np.float64)
+        * _input_cols_for(q, out_cols)
+        * q.ci
     )
     guard = max(
         float(read_estimate.max()),
@@ -477,7 +560,6 @@ def evaluate_batch(
         )
 
     # --- energy (energy_from_traffic) ---------------------------------------
-    model = EnergyModel(hw)
     dram_bits = dram_input_bits + dram_weight_bits + output_bits
     dram_pj = dram_bits * model.dram_pj_per_bit
     d2d_pj = d2d_bit_hops * model.d2d_pj_per_bit
@@ -500,8 +582,8 @@ def evaluate_batch(
     o_l2_pj = (output_bits + output_bits) * o_l2_pj_bit
     a_l1_pj = (a_l1_write_bits + a_l1_read_bits) * model.a_l1_pj_per_bit
     w_l1_pj = (w_l1_write_bits + w_l1_read_bits) * model.w_l1_pj_per_bit
-    rf_pj = (psum_rmw_bits + rf_drain_bits) * model.rf_rmw_pj_per_bit
-    mac_pj = model.mac_energy_pj(layer.macs)
+    rf_pj = q.rf_pj
+    mac_pj = q.mac_pj
     # EnergyBreakdown.total_pj association order, component by component.
     energy_pj = (
         ((((((dram_pj + d2d_pj) + a_l2_pj) + o_l2_pj) + a_l1_pj) + w_l1_pj) + rf_pj)
@@ -509,7 +591,7 @@ def evaluate_batch(
     )
 
     # --- cycles and EDP (LoopNest.total_cycles / CostReport.edp) ------------
-    block_cycles = core_ho * core_wo * layer.kh * layer.kw * chunks
+    block_cycles = core_ho * core_wo * q.kh * q.kw * chunks
     cycles = core_blocks * block_cycles
     runtime_s = cycles * tech.cycle_time_ns() * 1e-9
     edp = energy_pj * 1e-12 * runtime_s
@@ -537,8 +619,8 @@ def evaluate_batch(
         a_l1_read_bits=a_l1_read_bits,
         w_l1_write_bits=w_l1_write_bits,
         w_l1_read_bits=w_l1_read_bits,
-        rf_rmw_bits=psum_rmw_bits,
-        rf_drain_bits=rf_drain_bits,
+        rf_rmw_bits=q.rf_rmw_bits,
+        rf_drain_bits=q.rf_drain_bits,
         dram_pj=dram_pj,
         d2d_pj=d2d_pj,
         a_l2_pj=a_l2_pj,
@@ -561,52 +643,81 @@ BATCH_OBJECTIVES = {
 }
 
 
+def segment_minima(
+    scores: "np.ndarray", segment: "np.ndarray"
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Each segment's first row of minimum score, as ``(segments, rows)``.
+
+    The rows are the first per segment of a stable sort by (segment,
+    score), so exact ties keep the earliest row, as the scalar strict-``<``
+    scan does.  Segments appear in ascending order.
+    """
+    order = np.lexsort((scores, segment))
+    ranked = segment[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    return ranked[starts], order[starts]
+
+
 def search_batch(
-    layer: ConvLayer,
+    layers: ConvLayer | Sequence[ConvLayer],
     hw: HardwareConfig,
     candidates: CandidateTable,
     objective: str = "energy_objective",
 ) -> BatchSearchOutcome | None:
-    """Batch-evaluate ``candidates`` and pick the scalar-identical winner.
+    """Batch-evaluate ``candidates`` and pick each segment's scalar-identical winner.
 
+    ``layers`` is the table's layer, or one layer per segment of a pack.
     ``objective`` names one of the mapper's two objectives
     (:data:`BATCH_OBJECTIVES`).  Returns ``None`` when the kernel cannot
     guarantee bit-identity for this call (empty candidate table, or the
-    int64 exactness guard tripping) -- callers then run the scalar loop.
+    int64 exactness guard tripping on any row) -- callers then run the
+    scalar loop, for a pack one segment at a time.
 
-    The table is evaluated in chunks of :func:`batch_chunk_candidates`
-    rows (one chunk when ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking
-    cannot change any per-candidate value (every output row of
-    :func:`evaluate_batch` is an elementwise function of that row alone),
-    and the cross-chunk winner scan uses the same
-    strict-``<`` update as the scalar loop, so the first-in-enumeration
-    winner -- and therefore the whole sweep output -- is byte-identical at
-    every chunk size.
+    A segment's winner is its first row of minimum masked score: the first
+    row per segment of a stable sort by (segment, score), or ``np.argmin``
+    on one layer's table.  The table is evaluated in chunks of
+    :func:`batch_chunk_candidates` rows (one chunk when
+    ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking cannot change any
+    per-candidate value (every output row of :func:`evaluate_batch` is an
+    elementwise function of that row alone), and the cross-chunk winner
+    scan uses the same strict-``<`` update as the scalar loop, so the
+    first-in-enumeration winner -- and therefore the whole sweep output --
+    is byte-identical at every chunk size.
     """
     scorer = BATCH_OBJECTIVES[objective]
     if not candidates:
         return None
+    segments = 1 if candidates.segment is None else len(layers)
+    winners = np.full(segments, -1, dtype=np.int64)
+    best = np.full(segments, np.inf)
+    evaluated = np.zeros(segments, dtype=np.int64)
+    rows = np.zeros(segments, dtype=np.int64)
     chunk = batch_chunk_candidates() or len(candidates)
-    best_index: int | None = None
-    best_score = float("inf")
-    evaluated = invalid = n_chunks = 0
+    n_chunks = 0
     for start in range(0, len(candidates), chunk):
+        part = candidates[start : start + chunk]
         try:
-            result = evaluate_batch(layer, hw, candidates[start : start + chunk])
+            result = evaluate_batch(layers, hw, part)
         except BatchOverflowError:
             return None
         n_chunks += 1
-        evaluated += result.evaluated
-        invalid += result.invalid
-        local = result.best_index(scorer)
-        if local is None:
-            continue
-        score = float(result.scores(scorer)[local])
-        if score < best_score:  # strict <: ties keep the earlier chunk's winner
-            best_score = score
-            best_index = start + local
+        masked = np.where(result.valid, result.scores(scorer), np.inf)
+        if part.segment is None:
+            segment = np.zeros(len(part), dtype=np.int64)
+            heads, firsts = segment[:1], np.array([np.argmin(masked)])
+        else:
+            segment = part.segment
+            heads, firsts = segment_minima(masked, segment)
+        score = masked[firsts]
+        better = score < best[heads]  # strict <: ties keep the earlier chunk's winner
+        best[heads[better]] = score[better]
+        winners[heads[better]] = start + firsts[better]
+        evaluated += np.bincount(segment[result.valid], minlength=segments)
+        rows += np.bincount(segment, minlength=segments)
     if n_chunks > 1:
         obs.count("mapper.batch.chunks", n_chunks)
     return BatchSearchOutcome(
-        best_index=best_index, evaluated=evaluated, invalid=invalid
+        winners=tuple(None if w < 0 else w for w in winners.tolist()),
+        segment_evaluated=tuple(evaluated.tolist()),
+        segment_invalid=tuple((rows - evaluated).tolist()),
     )

@@ -34,7 +34,7 @@ from repro.arch.technology import DEFAULT_TECHNOLOGY, TechnologyParams
 from repro.arch.topology import Topology
 from repro.arch.validate import validation_errors
 from repro.core.checkpoint import SweepCheckpoint, sweep_digest
-from repro.core.mapper import Mapper
+from repro.core.mapper import Mapper, SharedTables
 from repro.core.parallel import TaskPolicy, is_picklable, resolve_jobs, run_tasks
 from repro.core.search import (
     STRATEGY_NAMES,
@@ -155,7 +155,7 @@ def granularity_study(
     """
     space = space or DesignSpace()
     jobs = resolve_jobs(jobs)
-    context = (models, profile)
+    context = (models, profile, SharedTables())
     if jobs > 1 and not is_picklable(context):
         jobs = 1
     points = []

@@ -12,6 +12,12 @@ backed by :class:`repro.core.cache.MappingCache`, which callers can inject
 to reuse results across ``Mapper`` instances and (with a disk store) across
 runs; unique shapes can also fan out over worker processes
 (:mod:`repro.core.parallel`) via ``search_model(jobs=N)``.
+
+Serially, a model's uncached shapes are scored in *packs*: consecutive small
+candidate tables concatenated up to :data:`PACK_ROWS` rows and scored by one
+batch-kernel call.  A sweep can also hand its mappers one
+:class:`SharedTables`, so consecutive machines with one candidate set build
+each layer's table once.
 """
 
 from __future__ import annotations
@@ -34,8 +40,16 @@ from repro.core.parallel import (
     worker_context,
 )
 from repro.core.serialize import hardware_digest, mapping_to_dict
-from repro.core.space import MappingSpace, SearchProfile
+from repro.core.space import CandidateTable, MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
+
+#: Rows a pack of small candidate tables grows to before the kernel scores
+#: it.  A kernel call costs about 0.9 ms at 36 rows, 1.6 ms at 512 and
+#: 4.7 ms at 2,332 (about 950 B of traced peak memory per row), so packing
+#: 15 MINIMAL tables per call removes most of the per-call cost, while
+#: larger packs gain little time and raise peak memory.  A table of this
+#: many rows or more is scored alone, as soon as it is built.
+PACK_ROWS = 512
 
 #: Objective functions the mapper can minimize.
 Objective = Callable[[CostReport, HardwareConfig], float]
@@ -81,11 +95,63 @@ def _shape_key(layer: ConvLayer) -> tuple:
     )
 
 
-def _search_layer_task(layer: ConvLayer) -> LayerMappingResult:
+@dataclass(frozen=True)
+class _Search:
+    """One layer's fresh search, counted when :meth:`Mapper._lookup` uses it.
+
+    Attributes:
+        best: The winner's report, or ``None`` when no candidate is legal.
+        evaluated: Legal candidates.
+        invalid: Illegal candidates.
+        rows: Table rows the batch kernel scored (``None`` on the scalar path).
+        deduped: Congruent candidates the layer's table dropped (0 when the
+            scalar enumeration counted its own dedup).
+        ms: The layer's search time: its table build and winner
+            re-evaluation, plus its row share of the kernel call.
+    """
+
+    best: CostReport | None
+    evaluated: int
+    invalid: int
+    rows: int | None
+    deduped: int
+    ms: float
+
+
+class SharedTables:
+    """Candidate tables shared by consecutive machines with one candidate set.
+
+    A layer's table depends only on what
+    :attr:`~repro.core.space.MappingSpace.candidate_set_key` names, and a
+    sweep scans W-L1 and A-L2 innermost, so consecutive exhaustive points
+    usually share it.  Holds the tables of the most recent key only, by
+    layer shape, and none of :data:`PACK_ROWS` rows or more, so a sweep of
+    large tables builds and drops them as a map does.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._tables: dict[tuple, CandidateTable] = {}
+
+    def table(self, space: MappingSpace, layer: ConvLayer) -> CandidateTable:
+        """``layer``'s table on ``space``, built unless the last key holds it."""
+        key = space.candidate_set_key
+        if key != self._key:
+            self._key, self._tables = key, {}
+        shape = _shape_key(layer)
+        table = self._tables.get(shape)
+        if table is None:
+            table = space.unique_candidates(layer, count=False)
+            if len(table) < PACK_ROWS:
+                self._tables[shape] = table
+        return table
+
+
+def _search_layer_task(layer: ConvLayer) -> _Search:
     """Worker: search one layer with the context's (hw, profile, objective).
 
     Runs in a pool process and bypasses the cache entirely: the parent's
-    serial pass does the lookups (and counts them) and stores the result.
+    serial pass does the lookups, stores the result and counts the search.
     """
     hw, profile, objective = worker_context()
     mapper = Mapper(hw=hw, profile=profile, objective=objective, cache=MappingCache())
@@ -106,6 +172,8 @@ class Mapper:
             the default honours ``REPRO_CACHE_DIR`` for an on-disk store.
         jobs: Default worker count for :meth:`search_model` (``None`` defers
             to ``REPRO_JOBS``, then serial).
+        tables: Candidate tables shared with other mappers of a sweep
+            (``None``: build each table and drop it once scored).
     """
 
     hw: HardwareConfig
@@ -113,6 +181,7 @@ class Mapper:
     objective: Objective = field(default=energy_objective)
     cache: MappingCache | None = None
     jobs: int | None = None
+    tables: SharedTables | None = None
 
     def __post_init__(self) -> None:
         # Identity, not name: a lookalike callable would share the real
@@ -175,21 +244,39 @@ class Mapper:
             InvalidMappingError: If no candidate is legal (a structurally
                 impossible layer/hardware pair).
         """
-        return self._lookup(layer, {})
+        return self._lookup(layer, self._key(layer), {})
 
     def _lookup(
-        self, layer: ConvLayer, searched: dict[str, LayerMappingResult]
+        self, layer: ConvLayer, key: str, searched: dict[str, _Search]
     ) -> LayerMappingResult:
-        """Look ``layer`` up; on a miss, take its result from ``searched``
-        (the parallel prefetch's results, by cache key) or search afresh."""
-        key = self._key(layer)
+        """Look ``layer`` up under ``key``; on a miss, take its search from
+        ``searched`` (by cache key) or search afresh, and count it."""
         cached = self.cache.get(key, rebuild=lambda rec: self._rebuild(rec, layer))
         if cached is not None:
             return self._relabel(cached, layer)
 
-        result = searched.get(key)
-        if result is None:
-            result = self._search_fresh(layer)
+        found = searched.get(key)
+        if found is None:
+            found = self._search_fresh(layer)
+        obs.count("mapper.candidates.evaluated", found.evaluated)
+        obs.count("mapper.candidates.invalid", found.invalid)
+        obs.count("mapper.searches.fresh")
+        obs.histogram("mapper.search_ms", found.ms)
+        if found.rows is not None:
+            obs.count("mapper.batch.searches")
+            obs.count("mapper.batch.candidates", found.rows)
+        if found.deduped:
+            obs.count("space.candidates.deduped", found.deduped)
+        if found.best is None:
+            raise InvalidMappingError(
+                f"no legal mapping for layer {layer.name!r} on {self.hw.label()}"
+            )
+        result = LayerMappingResult(
+            layer=layer,
+            best=found.best,
+            candidates_evaluated=found.evaluated,
+            candidates_invalid=found.invalid,
+        )
         self.cache.put(
             key,
             result,
@@ -201,92 +288,150 @@ class Mapper:
         )
         return result
 
-    def _search_fresh(self, layer: ConvLayer) -> LayerMappingResult:
-        """The exhaustive candidate scan (cache-oblivious).
+    def _search_fresh(self, layer: ConvLayer) -> _Search:
+        """The exhaustive candidate scan of one layer (cache-oblivious)."""
+        return self._search([layer])[0]
+
+    def _search(self, layers: list[ConvLayer]) -> list[_Search]:
+        """Fresh searches of distinct layer shapes, in order (cache-oblivious).
 
         The struct-of-arrays batch kernel (:mod:`repro.core.batch`) scores
-        the layer's candidate table in one numpy pass when it can guarantee
-        bit-identity with the scalar loop (``REPRO_BATCH_KERNEL`` not opted
-        out, values in the int64-exact range); the winner's
-        :class:`Mapping` is then built from its row and its full
-        :class:`CostReport` comes from a single scalar ``evaluate_mapping``
-        call.  Otherwise the scalar strict-``<`` scan below is the path,
-        over the scalar enumeration and dedup -- it stays the golden oracle
+        the layers' candidate tables when it can guarantee bit-identity
+        with the scalar loop (``REPRO_BATCH_KERNEL`` not opted out, values
+        in the int64-exact range).  Tables below :data:`PACK_ROWS` rows
+        (or the ``REPRO_BATCH_MAX_BYTES`` chunk, if smaller) are packed in
+        order, dense and grouped layers apart, and each pack is scored by
+        one kernel call; a larger table is scored alone before the next is
+        built.  Each winner's :class:`Mapping` is then built from its row
+        and its full :class:`CostReport` comes from a single scalar
+        ``evaluate_mapping`` call.  Otherwise the scalar strict-``<`` scan
+        of :meth:`_scalar_search` is the path -- it stays the golden oracle
         either way (see ``tests/properties/test_batch_kernel.py``).
 
-        Candidate counters are batched into one pair of ``obs.count`` calls
-        after the scan, so the per-candidate hot loop carries no
-        instrumentation at all.
+        The searches are counted when :meth:`_lookup` uses them (only the
+        kernel's ``mapper.batch.chunks`` and, with the kernel off, the
+        scalar enumeration's dedup are counted here), so a model whose
+        layer has no legal mapping counts what a layer-by-layer search
+        would have before it raises.
         """
+        if not layers:
+            return []
+        found: dict[int, _Search] = {}
+        with obs.span("mapper.search_fresh", layers=len(layers)):
+            if not batch.batch_kernel_enabled():
+                return [self._scalar_search(layer, None, 0.0) for layer in layers]
+            budget = min(PACK_ROWS, batch.batch_chunk_candidates() or PACK_ROWS)
+            packs: dict[bool, list] = {False: [], True: []}  # dense, grouped
+            for index, layer in enumerate(layers):
+                start = time.perf_counter()
+                if self.tables is not None:
+                    table = self.tables.table(self._space, layer)
+                else:
+                    table = self._space.unique_candidates(layer, count=False)
+                member = (index, layer, table, (time.perf_counter() - start) * 1e3)
+                if len(table) >= budget:
+                    self._score([member], found)
+                    continue
+                pack = packs[layer.groups > 1]
+                if sum(len(member[2]) for member in pack) + len(table) > budget:
+                    self._score(pack, found)
+                    pack.clear()
+                pack.append(member)
+            for pack in packs.values():
+                if pack:
+                    self._score(pack, found)
+        return [found[index] for index in range(len(layers))]
+
+    def _score(self, members: list, found: dict[int, _Search]) -> None:
+        """Score ``(index, layer, table, table_ms)`` members in one kernel
+        call and file each layer's search in ``found`` under its index.
+
+        A pack the int64 guard refuses is re-scored one member at a time,
+        and a member it still refuses takes the scalar oracle.
+        """
+        start = time.perf_counter()
+        _, layers, tables, _ = zip(*members)
+        if len(members) == 1:
+            scored, table = layers[0], tables[0]
+        else:
+            scored, table = layers, CandidateTable.pack(tables)
+        outcome = batch.search_batch(scored, self.hw, table, objective=self._objective_name)
+        if outcome is None and len(members) > 1:
+            for member in members:
+                self._score([member], found)
+            return
+        kernel_ms = (time.perf_counter() - start) * 1e3
+        for segment, (index, layer, own, table_ms) in enumerate(members):
+            if outcome is None:
+                found[index] = self._scalar_search(layer, own, table_ms + kernel_ms)
+                continue
+            start = time.perf_counter()
+            winner = outcome.winners[segment]
+            best = None if winner is None else evaluate_mapping(layer, self.hw, table[winner])
+            share_ms = kernel_ms * len(own) / len(table)
+            found[index] = _Search(
+                best=best,
+                evaluated=outcome.segment_evaluated[segment],
+                invalid=outcome.segment_invalid[segment],
+                rows=len(own),
+                deduped=own.deduped,
+                ms=table_ms + share_ms + (time.perf_counter() - start) * 1e3,
+            )
+
+    def _scalar_search(
+        self, layer: ConvLayer, table: CandidateTable | None, spent_ms: float
+    ) -> _Search:
+        """The scalar strict-``<`` scan over the scalar enumeration and dedup.
+
+        ``table`` is the layer's table the kernel refused (its build
+        measured the dedup, which the enumeration then leaves uncounted),
+        or ``None`` with the kernel off.  ``spent_ms`` is the time already
+        spent on the layer.
+        """
+        start = time.perf_counter()
         best: CostReport | None = None
         best_score = float("inf")
-        evaluated = 0
-        invalid = 0
-        search_start = time.perf_counter()
-        with obs.span("mapper.search_fresh", layer=layer.name):
-            outcome = table = None
-            if batch.batch_kernel_enabled():
-                table = self._space.unique_candidates(layer)
-                outcome = batch.search_batch(
-                    layer, self.hw, table, objective=self._objective_name
-                )
-            if outcome is not None:
-                evaluated = outcome.evaluated
-                invalid = outcome.invalid
-                if outcome.best_index is not None:
-                    best = evaluate_mapping(layer, self.hw, table[outcome.best_index])
-                obs.count("mapper.batch.searches")
-                obs.count("mapper.batch.candidates", len(table))
-            else:
-                # An overflowed table has already counted this layer's dedup.
-                candidates = self._space.scalar_unique_candidates(
-                    layer, count=table is None
-                )
-                for mapping in candidates:
-                    try:
-                        report = evaluate_mapping(layer, self.hw, mapping)
-                    except InvalidMappingError:
-                        invalid += 1
-                        continue
-                    evaluated += 1
-                    score = self.objective(report, self.hw)
-                    if score < best_score:
-                        best_score = score
-                        best = report
-        obs.count("mapper.candidates.evaluated", evaluated)
-        obs.count("mapper.candidates.invalid", invalid)
-        obs.count("mapper.searches.fresh")
-        obs.histogram(
-            "mapper.search_ms", (time.perf_counter() - search_start) * 1e3
-        )
-        if best is None:
-            raise InvalidMappingError(
-                f"no legal mapping for layer {layer.name!r} on {self.hw.label()}"
-            )
-        return LayerMappingResult(
-            layer=layer,
+        evaluated = invalid = 0
+        candidates = self._space.scalar_unique_candidates(layer, count=table is None)
+        for mapping in candidates:
+            try:
+                report = evaluate_mapping(layer, self.hw, mapping)
+            except InvalidMappingError:
+                invalid += 1
+                continue
+            evaluated += 1
+            score = self.objective(report, self.hw)
+            if score < best_score:
+                best_score = score
+                best = report
+        return _Search(
             best=best,
-            candidates_evaluated=evaluated,
-            candidates_invalid=invalid,
+            evaluated=evaluated,
+            invalid=invalid,
+            rows=None,
+            deduped=0 if table is None else table.deduped,
+            ms=spent_ms + (time.perf_counter() - start) * 1e3,
         )
 
+    def _pending(self, layers: list[ConvLayer], keys: list[str]) -> dict[str, ConvLayer]:
+        """The first layer of each uncached key, in lookup order (no counting)."""
+        first: dict[str, ConvLayer] = {}
+        for layer, key in zip(layers, keys):
+            first.setdefault(key, layer)
+        return {key: layer for key, layer in first.items() if not self.cache.contains(key)}
+
     def _prefetch(
-        self, layers: list[ConvLayer], jobs: int, policy: TaskPolicy | None = None
-    ) -> dict[str, LayerMappingResult]:
-        """Search uncached unique shapes in parallel, keyed by cache key.
+        self, pending: dict[str, ConvLayer], jobs: int, policy: TaskPolicy | None = None
+    ) -> dict[str, _Search]:
+        """Search the pending shapes in parallel, keyed by cache key.
 
         The workers search without a cache; the serial per-layer pass then
         looks every layer up exactly as at ``jobs=1`` and takes a miss's
-        result from here, so the cache counters are jobs-invariant.
-        Returns nothing to reuse (the serial pass searches in-process) when
-        fewer than two shapes are pending; a shape whose task failed under
+        search from here, so the counters are jobs-invariant.  Returns
+        nothing to reuse (the serial pass searches in-process) when fewer
+        than two shapes are pending; a shape whose task failed under
         ``policy.on_error="skip"`` is left out the same way.
         """
-        pending: dict[str, ConvLayer] = {}
-        for layer in layers:
-            key = self._key(layer)
-            if key not in pending and not self.cache.contains(key):
-                pending[key] = layer
         if len(pending) < 2:
             return {}
         results = run_tasks(
@@ -310,6 +455,11 @@ class Mapper:
     ) -> list[LayerMappingResult]:
         """Optimal mapping for every layer of a model.
 
+        The uncached unique shapes are found first and searched before the
+        lookups: in packs at ``jobs=1`` (with the kernel on), or fanned out
+        over worker processes.  The lookups then take each miss's search
+        and count it.
+
         Args:
             layers: The model's layers (non-empty).
             jobs: Worker count for the unique-shape fan-out; ``None`` defers
@@ -321,9 +471,18 @@ class Mapper:
         if not layers:
             raise ValueError("layers must be non-empty")
         effective = resolve_jobs(jobs if jobs is not None else self.jobs)
+        keys = [self._key(layer) for layer in layers]
         with obs.span("mapper.search_model", layers=len(layers), jobs=effective):
-            searched = self._prefetch(layers, effective, policy) if effective > 1 else {}
-            results = [self._lookup(layer, searched) for layer in layers]
+            pending = self._pending(layers, keys)
+            if effective > 1:
+                searched = self._prefetch(pending, effective, policy)
+            elif batch.batch_kernel_enabled():
+                searched = dict(zip(pending, self._search(list(pending.values()))))
+            else:
+                searched = {}  # each miss runs the scalar oracle as it is looked up
+            results = [
+                self._lookup(layer, key, searched) for layer, key in zip(layers, keys)
+            ]
         obs.count("mapper.layers.searched", len(layers))
         self.cache.save()
         return results

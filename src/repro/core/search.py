@@ -57,7 +57,7 @@ from repro.core.cost import (
     intrinsic_compute_energy_pj,
     model_cost,
 )
-from repro.core.mapper import Mapper
+from repro.core.mapper import Mapper, SharedTables
 from repro import durable
 from repro.errors import ConfigError, StateCorruptionError
 from repro.core.parallel import (
@@ -202,6 +202,7 @@ def _evaluate_point(
     hw: HardwareConfig,
     models: dict[str, list[ConvLayer]],
     profile: SearchProfile,
+    tables: SharedTables | None = None,
 ) -> tuple[dict[str, float], dict[str, int], tuple[int, int]]:
     """Optimal-mapping energy and cycles of every model on ``hw``.
 
@@ -209,10 +210,11 @@ def _evaluate_point(
     (hits, misses) counters of the point's search.  The layer search runs
     serially (``jobs=1``): sweep-level parallelism fans out across design
     points, and nesting pools inside pool workers is never a win.
+    ``tables`` shares candidate tables with the sweep's other points.
     """
     energy: dict[str, float] = {}
     cycles: dict[str, int] = {}
-    mapper = Mapper(hw=hw, profile=profile)
+    mapper = Mapper(hw=hw, profile=profile, tables=tables)
     for name, layers in models.items():
         results = mapper.search_model(layers, jobs=1)
         breakdown, total_cycles, _ = model_cost([r.best for r in results], hw)
@@ -224,15 +226,17 @@ def _evaluate_point(
 def _evaluate_task(hw: HardwareConfig) -> dict[str, Any]:
     """Worker: map every model onto one structurally valid design point.
 
-    Context: ``(models, profile)``.  Returns the point's evaluation record,
-    the JSON-safe dict a store persists and :func:`_apply_record` reads
-    back.  A point no mapping fits comes back ``valid=False`` with the
-    mapper's message: that is an answer, not a task failure.
+    Context: ``(models, profile, tables)``, ``tables`` being the run's
+    :class:`~repro.core.mapper.SharedTables` (each pool worker gets its own
+    copy).  Returns the point's evaluation record, the JSON-safe dict a
+    store persists and :func:`_apply_record` reads back.  A point no
+    mapping fits comes back ``valid=False`` with the mapper's message: that
+    is an answer, not a task failure.
     """
-    models, profile = worker_context()
+    models, profile, tables = worker_context()
     start = time.perf_counter()
     try:
-        energy, cycles, (hits, misses) = _evaluate_point(hw, models, profile)
+        energy, cycles, (hits, misses) = _evaluate_point(hw, models, profile, tables)
         valid, errors = True, []
     except InvalidMappingError as exc:
         energy, cycles, hits, misses = {}, {}, 0, 0
@@ -893,7 +897,7 @@ def run_search(
             told, with the running ``pruned``/``deduped`` counts.
     """
     jobs = resolve_jobs(jobs)
-    context = (models, profile)
+    context = (models, profile, SharedTables())
     if jobs > 1 and not is_picklable(context):
         jobs = 1
     stream = strategy.batch_size is None

@@ -163,6 +163,10 @@ class CandidateTable(Sequence):
     a row someone indexes, so the table is also a ``Sequence[Mapping]``
     (``len``, indexing, slicing, iteration) for every other caller.
 
+    A *pack* (:meth:`pack`) concatenates several layers' tables so that one
+    kernel call scores them all; its ``segment`` column numbers each row's
+    layer.
+
     Attributes:
         rows: ``(16, n)`` -- one array row per :data:`CANDIDATE_COLUMNS`
             name, each candidate's :func:`candidate_row`.
@@ -171,9 +175,13 @@ class CandidateTable(Sequence):
             clamp; the mapping reports the declared one.
         pair: ``(n,)`` -- each candidate's index into ``pairs``.
         pairs: The ``(package, chiplet)`` spatial primitives.
+        segment: ``(n,)`` -- each row's segment (its layer's position in
+            the pack), ascending; ``None`` for one layer's table.
+        deduped: Congruent raw candidates the build dropped (0 for a
+            table it did not build).
     """
 
-    __slots__ = ("rows", "core", "pair", "pairs")
+    __slots__ = ("rows", "core", "pair", "pairs", "segment", "deduped")
 
     def __init__(
         self,
@@ -181,11 +189,27 @@ class CandidateTable(Sequence):
         core: np.ndarray,
         pair: np.ndarray,
         pairs: tuple[tuple[SpatialPrimitive, SpatialPrimitive], ...],
+        segment: np.ndarray | None = None,
+        deduped: int = 0,
     ) -> None:
         self.rows = rows
         self.core = core
         self.pair = pair
         self.pairs = pairs
+        self.segment = segment
+        self.deduped = deduped
+
+    @classmethod
+    def pack(cls, tables: Sequence["CandidateTable"]) -> "CandidateTable":
+        """One table of ``tables``' rows in order; segment ``s`` is ``tables[s]``."""
+        offsets = np.cumsum([0] + [len(table.pairs) for table in tables[:-1]])
+        return cls(
+            np.concatenate([table.rows for table in tables], axis=1),
+            np.concatenate([table.core for table in tables], axis=1),
+            np.concatenate([table.pair + offset for table, offset in zip(tables, offsets)]),
+            tuple(pair for table in tables for pair in table.pairs),
+            np.repeat(np.arange(len(tables)), [len(table) for table in tables]),
+        )
 
     @classmethod
     def from_mappings(
@@ -229,7 +253,8 @@ class CandidateTable(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return CandidateTable(
-                self.rows[:, index], self.core[:, index], self.pair[index], self.pairs
+                self.rows[:, index], self.core[:, index], self.pair[index], self.pairs,
+                None if self.segment is None else self.segment[index],
             )
         row = self.rows[:, index].tolist()
         return self._mapping(self.pair[index], row, self.core[:, index].tolist())
@@ -269,6 +294,24 @@ class MappingSpace:
 
     hw: HardwareConfig
     profile: SearchProfile = SearchProfile.EXHAUSTIVE
+
+    @property
+    def candidate_set_key(self) -> tuple:
+        """Every input the enumeration reads: equal keys, equal candidates.
+
+        The computation config, the O-L1 (the core tiles' psum budget), the
+        A-L1 (the Cc0 tile), the data and psum widths, and the profile.
+        W-L1 and A-L2 are left out on purpose: they only move the C3P
+        critical-capacity thresholds (Section IV-B, Eq. 1-2), which the
+        kernel tests per machine, so machines that differ only there share
+        each layer's table.
+        """
+        hw = self.hw
+        return (
+            hw.n_chiplets, hw.n_cores, hw.lanes, hw.vector_size,
+            hw.memory.o_l1_bytes, hw.memory.a_l1_bytes,
+            hw.tech.data_bits, hw.tech.psum_bits, self.profile,
+        )
 
     # --- spatial candidates ------------------------------------------------------
 
@@ -350,8 +393,47 @@ class MappingSpace:
 
     def core_tiles(self, layer: ConvLayer, share_ho: int, share_wo: int) -> list[tuple[int, int]]:
         """Core-workload planar tiles respecting the O-L1 psum capacity."""
+        max_pixels = self._max_pixels()
+        return self._core_tiles(
+            share_ho, share_wo, max_pixels, self._cc0_square_tile(layer, max_pixels)
+        )
+
+    def pair_tiles(
+        self, layer: ConvLayer
+    ) -> list[tuple[SpatialPrimitive, SpatialPrimitive, list[tuple[int, int]]]]:
+        """Each (package, chiplet) pair in :meth:`candidates` order, with the
+        :meth:`core_tiles` of its core share.
+
+        The O-L1 pixel budget and the Cc0 tile are computed once per layer,
+        and a tile list once per distinct share.
+        """
+        max_pixels = self._max_pixels()
+        cc0_tile = self._cc0_square_tile(layer, max_pixels)
+        by_share: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        out = []
+        for package in self.package_spatials(layer):
+            macro_ho = ceil_div(layer.ho, package.grid.rows)
+            macro_wo = ceil_div(layer.wo, package.grid.cols)
+            for chiplet in self.chiplet_spatials(layer, package):
+                share = (
+                    ceil_div(macro_ho, chiplet.grid.rows),
+                    ceil_div(macro_wo, chiplet.grid.cols),
+                )
+                tiles = by_share.get(share)
+                if tiles is None:
+                    tiles = by_share[share] = self._core_tiles(*share, max_pixels, cc0_tile)
+                out.append((package, chiplet, tiles))
+        return out
+
+    def _max_pixels(self) -> int:
+        """Output pixels one core's O-L1 holds as psums across its lanes."""
         psum_bytes = self.hw.tech.psum_bits / 8.0
-        max_pixels = max(int(self.hw.memory.o_l1_bytes / (psum_bytes * self.hw.lanes)), 1)
+        return max(int(self.hw.memory.o_l1_bytes / (psum_bytes * self.hw.lanes)), 1)
+
+    def _core_tiles(
+        self, share_ho: int, share_wo: int, max_pixels: int, cc0_tile: int | None
+    ) -> list[tuple[int, int]]:
+        """:meth:`core_tiles` given the layer's pixel budget and Cc0 tile."""
         tiles: list[tuple[int, int]] = []
         side = 1
         while side * side <= max_pixels:
@@ -369,7 +451,6 @@ class MappingSpace:
         # The largest square tile whose Cc0 (one P-channel input window) fits
         # the A-L1 -- the C3P-guided choice that dodges the kernel-sweep
         # reload penalty on large-kernel layers.
-        cc0_tile = self._cc0_square_tile(layer, max_pixels)
         if cc0_tile is not None:
             tiles.append((min(cc0_tile, share_ho), min(cc0_tile, share_wo)))
         tiles = _dedupe([(h, w) for h, w in tiles if 1 <= h and 1 <= w])
@@ -497,18 +578,20 @@ class MappingSpace:
                                             rotation=rotation,
                                         )
 
-    def unique_candidates(self, layer: ConvLayer) -> CandidateTable:
+    def unique_candidates(self, layer: ConvLayer, count: bool = True) -> CandidateTable:
         """Candidates deduplicated up to cost-model congruence, as columns.
 
         The same mappings, in the same order, as
         :meth:`scalar_unique_candidates`, built in one numpy pass: Python
-        loops only over the (package, chiplet) pairs and their core tiles,
-        and numpy broadcasts the tile multipliers, channel multipliers,
-        orders and rotations in :meth:`candidates`' nesting order.  Dedup
-        keeps the *first* candidate of each :func:`candidate_row`, so the
-        mapper's strict-``<`` minimum selects the same winner it always
-        did.  The number of discarded congruent candidates is exported as
-        the ``space.candidates.deduped`` obs counter.
+        loops only over the (package, chiplet) pairs and their core tiles
+        (:meth:`pair_tiles`), and numpy broadcasts the tile multipliers,
+        channel multipliers, orders and rotations in :meth:`candidates`'
+        nesting order.  Dedup keeps the *first* candidate of each
+        :func:`candidate_row`, so the mapper's strict-``<`` minimum selects
+        the same winner it always did.  The number of discarded congruent
+        candidates is the table's ``deduped``, and is exported as the
+        ``space.candidates.deduped`` obs counter unless ``count`` is false
+        (the mapper counts it when it uses the table's winner).
         """
         from repro import obs
 
@@ -519,7 +602,7 @@ class MappingSpace:
         # extents, then the activation and weight rotation codes.
         entries: list[tuple] = []
         n_rot = 0
-        for package in self.package_spatials(layer):
+        for package, chiplet, tiles in self.pair_tiles(layer):
             rotations = self.rotations(package)
             n_rot = n_rot or len(rotations)
             assert len(rotations) == n_rot, "every package of a layer has one rotation count"
@@ -531,22 +614,16 @@ class MappingSpace:
                 ceil_div(layer.wo, package.grid.cols),
                 ceil_div(layer.co, package.co_ways),
             )
-            for chiplet in self.chiplet_spatials(layer, package):
-                spatial = (
-                    package.co_ways, package.grid.rows, package.grid.cols,
-                    package.dim is PartitionDim.CHANNEL,
-                    chiplet.co_ways, chiplet.grid.rows, chiplet.grid.cols,
-                )
-                # Rows of pairs with equal spatial columns compare equal, so
-                # the dedup key carries the spatial signature, not the pair.
-                head = (signatures.setdefault(spatial, len(signatures)), len(pairs), *spatial)
-                pairs.append((package, chiplet))
-                tiles = self.core_tiles(
-                    layer,
-                    ceil_div(macro[0], chiplet.grid.rows),
-                    ceil_div(macro[1], chiplet.grid.cols),
-                )
-                entries.extend((*head, h, w, *macro, *rotation_codes) for h, w in tiles)
+            spatial = (
+                package.co_ways, package.grid.rows, package.grid.cols,
+                package.dim is PartitionDim.CHANNEL,
+                chiplet.co_ways, chiplet.grid.rows, chiplet.grid.cols,
+            )
+            # Rows of pairs with equal spatial columns compare equal, so the
+            # dedup key carries the spatial signature, not the pair.
+            head = (signatures.setdefault(spatial, len(signatures)), len(pairs), *spatial)
+            pairs.append((package, chiplet))
+            entries.extend((*head, h, w, *macro, *rotation_codes) for h, w in tiles)
 
         e = np.array(entries, dtype=np.int64).T
         signature, _, _, _, _, _, chp_co_ways, chp_rows, chp_cols = e[:9, :, None]
@@ -600,9 +677,9 @@ class MappingSpace:
         np.minimum(rows[6], self.hw.lanes, out=core[2])
 
         dropped = int(np.prod(shape)) - len(first)
-        if dropped:
+        if dropped and count:
             obs.count("space.candidates.deduped", dropped)
-        return CandidateTable(rows, core, e[1, ik], tuple(pairs))
+        return CandidateTable(rows, core, e[1, ik], tuple(pairs), deduped=dropped)
 
     def scalar_unique_candidates(self, layer: ConvLayer, count: bool = True) -> list[Mapping]:
         """:meth:`candidates` kept at each :func:`candidate_row`'s first occurrence.

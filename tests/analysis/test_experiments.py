@@ -12,8 +12,10 @@ from repro.analysis.experiments import (
     table1_rows,
     table2_data,
 )
-from repro.arch.config import case_study_hardware
-from repro.core.space import SearchProfile
+from repro.arch.config import case_study_hardware, simba_like_hardware
+from repro.core.cost import InvalidMappingError, evaluate_mapping
+from repro.core.loopnest import LoopNest
+from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.extraction import LayerKind, representative_layers
 
 
@@ -105,6 +107,44 @@ class TestFig11:
         layer = representative_layers()[LayerKind.ACTIVATION_INTENSIVE]
         results = best_by_combo(layer, case_study_hardware(), SearchProfile.FAST)
         assert ("C", "C") not in results
+
+    @pytest.mark.parametrize(
+        "machine,profile",
+        [
+            (case_study_hardware, SearchProfile.EXHAUSTIVE),  # the figure's setting
+            (simba_like_hardware, SearchProfile.FAST),
+            (simba_like_hardware, SearchProfile.MINIMAL),
+        ],
+    )
+    def test_segmented_winners_equal_the_scalar_loop(self, machine, profile):
+        """best_by_combo scores the table once with the combos as segments;
+        the per-candidate scalar loop it replaced is the oracle, down to
+        the result's key order."""
+        hw = machine()
+        for layer in representative_layers().values():
+            oracle = scalar_best_by_combo(layer, hw, profile)
+            results = best_by_combo(layer, hw, profile)
+            assert list(results) == list(oracle), layer.name
+            for combo, report in oracle.items():
+                assert results[combo].mapping == report.mapping
+                assert results[combo].energy_pj == report.energy_pj
+                assert results[combo].cycles == report.cycles
+
+
+def scalar_best_by_combo(layer, hw, profile):
+    """The scalar Fig. 11 loop: evaluate every unique candidate."""
+    best = {}
+    for mapping in MappingSpace(hw=hw, profile=profile).unique_candidates(layer):
+        combo = mapping.spatial_combo
+        if LoopNest(layer=layer, hw=hw, mapping=mapping).share_co < min(hw.lanes, layer.co):
+            continue
+        try:
+            report = evaluate_mapping(layer, hw, mapping)
+        except InvalidMappingError:
+            continue
+        if combo not in best or report.energy_pj < best[combo].energy_pj:
+            best[combo] = report
+    return best
 
 
 class TestFig12:

@@ -27,7 +27,7 @@ from repro.core.space import (
     candidate_row,
     first_occurrence_indices,
 )
-from repro.workloads.layer import ConvLayer
+from repro.workloads.layer import ConvLayer, ceil_div
 from repro.workloads.registry import get_model, list_models
 
 
@@ -59,6 +59,27 @@ class TestRegisteredModels:
         space = MappingSpace(case_study_hardware(), SearchProfile.EXHAUSTIVE)
         for layer in unique_shapes("resnet50"):
             assert_matches_oracle(space, layer)
+
+
+class TestPairTiles:
+    @pytest.mark.parametrize("profile", list(SearchProfile))
+    def test_build_tiles_equal_core_tiles(self, profile):
+        """The table build computes a layer's tiles once per distinct core
+        share; every spatial pair gets what core_tiles gives it."""
+        for machine in (case_study_hardware, simba_like_hardware):
+            space = MappingSpace(machine(), profile)
+            for model in list_models():
+                for layer in unique_shapes(model):
+                    pairs = space.pair_tiles(layer)
+                    assert [(p, c) for p, c, _ in pairs] == [
+                        (p, c)
+                        for p in space.package_spatials(layer)
+                        for c in space.chiplet_spatials(layer, p)
+                    ]
+                    for package, chiplet, tiles in pairs:
+                        share_ho = ceil_div(ceil_div(layer.ho, package.grid.rows), chiplet.grid.rows)
+                        share_wo = ceil_div(ceil_div(layer.wo, package.grid.cols), chiplet.grid.cols)
+                        assert tiles == space.core_tiles(layer, share_ho, share_wo), layer.name
 
 
 def python_first_occurrences(rows):

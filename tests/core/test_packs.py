@@ -1,0 +1,183 @@
+"""The mapper's packed search and the sweep's shared candidate tables.
+
+``Mapper.search_model`` scores a model's uncached shapes in packs and
+counts each layer's search when its lookup uses it; sweeps hand their
+mappers one :class:`~repro.core.mapper.SharedTables`.  These tests hold
+both to what layer-by-layer searches on fresh tables give: the same
+winners, the same counters, and the same ``InvalidMappingError`` after the
+same counts.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro import obs
+from repro.arch.config import KB, build_hardware, case_study_hardware
+from repro.core import batch
+from repro.core.cost import InvalidMappingError
+from repro.core.mapper import PACK_ROWS, Mapper, SharedTables
+from repro.core.space import MappingSpace, SearchProfile
+from repro.workloads.layer import ConvLayer
+from repro.workloads.registry import get_model
+
+#: Counters a search_model run and its layer-by-layer twin must share.
+SEARCH_COUNTERS = (
+    "mapper.candidates.evaluated",
+    "mapper.candidates.invalid",
+    "mapper.searches.fresh",
+    "mapper.batch.searches",
+    "mapper.batch.candidates",
+    "space.candidates.deduped",
+    "cache.hits",
+    "cache.misses",
+    "cache.puts",
+)
+
+
+def run(fn):
+    """``fn()``'s value (or the error it raised) and the metrics it recorded."""
+    recorder = obs.MetricsRecorder()
+    with obs.use(recorder):
+        try:
+            value = fn()
+        except InvalidMappingError as exc:
+            value = exc
+    return value, recorder.metrics
+
+
+def counters(metrics):
+    values = metrics.counters()
+    return {name: values.get(name, 0) for name in SEARCH_COUNTERS}
+
+
+def layer_by_layer(hw, profile, layers, tables=None):
+    mapper = Mapper(hw=hw, profile=profile, tables=tables)
+    return [mapper.search_layer(layer) for layer in layers]
+
+
+def summary(results):
+    return [
+        (r.layer.name, r.mapping, r.best.energy_pj, r.best.cycles,
+         r.candidates_evaluated, r.candidates_invalid)
+        for r in results
+    ]
+
+
+class TestPackedSearch:
+    @pytest.mark.parametrize(
+        "model,profile",
+        [("mobilenetv2", SearchProfile.FAST), ("resnet50", SearchProfile.MINIMAL),
+         ("bertbase", SearchProfile.MINIMAL)],
+    )
+    def test_search_model_equals_layer_by_layer(self, model, profile):
+        """Dense and depthwise packs, big tables scored alone: the packed
+        search gives every layer its own search's answer and counts."""
+        layers = get_model(model)
+        hw = case_study_hardware()
+        packed, packed_metrics = run(
+            lambda: Mapper(hw=hw, profile=profile).search_model(layers, jobs=1)
+        )
+        single, single_metrics = run(lambda: layer_by_layer(hw, profile, layers))
+        assert summary(packed) == summary(single)
+        assert counters(packed_metrics) == counters(single_metrics)
+        histogram = packed_metrics.histogram_stats("mapper.search_ms")
+        assert histogram["count"] == counters(packed_metrics)["mapper.searches.fresh"]
+
+    def test_packs_take_fewer_kernel_calls(self, monkeypatch):
+        calls = []
+        original = batch.search_batch
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "search_batch", counting)
+        layers = get_model("resnet50")
+        Mapper(hw=case_study_hardware(), profile=SearchProfile.MINIMAL).search_model(
+            layers, jobs=1
+        )
+        shapes = len({(l.h, l.w, l.ci, l.co, l.kh, l.kw, l.stride, l.padding) for l in layers})
+        assert len(calls) < shapes / 4
+        assert max(calls) <= PACK_ROWS
+
+    def test_invalid_layer_raises_after_the_same_counts(self):
+        """A layer with no legal mapping raises after counting what a
+        layer-by-layer search counts before it raises -- nothing of the
+        layers looked up after it, although their tables were scored."""
+        # A 1024-wide kernel row cannot fit the 800 B A-L1 at any tiling.
+        hw = build_hardware(2, 4, 8, 8)
+        impossible = ConvLayer(
+            "impossible", h=1, w=1024, ci=8, co=8, kh=1, kw=1024, stride=1, padding=0
+        )
+        fine = [ConvLayer(f"ok{i}", h=14, w=14, ci=8 * i, co=16, kh=3, kw=3, padding=1)
+                for i in (1, 2, 3)]
+        layers = [fine[0], impossible, fine[1], fine[2]]
+        packed, packed_metrics = run(
+            lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers, jobs=1)
+        )
+
+        def until_failure():
+            mapper = Mapper(hw=hw, profile=SearchProfile.FAST)
+            for layer in layers:
+                mapper.search_layer(layer)
+
+        single, single_metrics = run(until_failure)
+        assert isinstance(packed, InvalidMappingError)
+        assert str(packed) == str(single)
+        assert counters(packed_metrics) == counters(single_metrics)
+        assert counters(packed_metrics)["mapper.searches.fresh"] == 2
+        assert counters(packed_metrics)["space.candidates.deduped"] > 0
+
+
+def sweep_machines():
+    """Three machines: the last differs from the first two in A-L1 only."""
+    base = build_hardware(2, 4, 8, 8)
+    variant = replace(base.memory, w_l1_bytes=base.memory.w_l1_bytes * 4, a_l2_bytes=256 * KB)
+    other = replace(base.memory, a_l1_bytes=base.memory.a_l1_bytes * 2)
+    return [base, build_hardware(2, 4, 8, 8, memory=variant), build_hardware(2, 4, 8, 8, memory=other)]
+
+
+class TestSharedTables:
+    def test_sweep_shares_tables_and_counts_like_fresh_ones(self, monkeypatch):
+        builds = []
+        original = MappingSpace.unique_candidates
+
+        def counting(space, layer, count=True):
+            builds.append(space.hw.memory.a_l1_bytes)
+            return original(space, layer, count)
+
+        monkeypatch.setattr(MappingSpace, "unique_candidates", counting)
+        layers = get_model("alexnet")
+        machines = sweep_machines()
+        tables = SharedTables()
+        shared, shared_metrics = run(lambda: [
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers, jobs=1)
+            for hw in machines
+        ])
+        per_machine = len(builds) // 2
+        assert builds == [machines[0].memory.a_l1_bytes] * per_machine + [
+            machines[2].memory.a_l1_bytes
+        ] * per_machine
+        builds.clear()
+        fresh, fresh_metrics = run(lambda: [
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
+            for hw in machines
+        ])
+        assert len(builds) == 3 * per_machine
+        assert [summary(r) for r in shared] == [summary(r) for r in fresh]
+        assert counters(shared_metrics) == counters(fresh_metrics)
+
+    def test_holds_only_the_last_key_and_small_tables(self):
+        layer = ConvLayer("c", h=56, w=56, ci=64, co=256, kh=3, kw=3, padding=1)
+        hw = case_study_hardware()
+        tables = SharedTables()
+        small = MappingSpace(hw, SearchProfile.MINIMAL)
+        big = MappingSpace(hw, SearchProfile.EXHAUSTIVE)
+        first = tables.table(small, layer)
+        assert len(first) < PACK_ROWS
+        assert tables.table(small, layer) is first
+        table = tables.table(big, layer)
+        assert len(table) >= PACK_ROWS
+        assert tables.table(big, layer) is not table  # too big to hold
+        assert tables.table(small, layer) is not first  # the key changed

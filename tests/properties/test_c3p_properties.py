@@ -1,6 +1,8 @@
 """Property-based tests for the C3P methodology's invariants."""
 
-from hypothesis import given, settings
+from dataclasses import fields, replace
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import KB, MemoryConfig, build_hardware
@@ -13,6 +15,7 @@ from repro.core.loopnest import LoopNest
 from repro.core.mapping import Mapping
 from repro.core.partition import PlanarGrid
 from repro.core.primitives import LoopOrder, SpatialPrimitive, TemporalPrimitive
+from repro.core.traffic import compute_traffic
 from repro.workloads.layer import ConvLayer
 
 
@@ -130,3 +133,38 @@ class TestC3PInvariants:
         # the core's true share.
         block_bits = nest.layer.weights_for(nest.core_co) * 8
         assert analysis.a0_bits == block_bits * nest.c1 * nest.c2
+
+
+#: Growing sizes of the three buffers whose thresholds Eq. 2 tests.
+GROWTH = {
+    "w_l1_bytes": [2 * KB, 8 * KB, 18 * KB, 72 * KB, 256 * KB, 10**8],
+    "a_l1_bytes": [2 * KB, 4 * KB, 16 * KB, 128 * KB, 10**8],
+    "a_l2_bytes": [2 * KB, 32 * KB, 128 * KB, 256 * KB, 10**8],
+}
+
+
+class TestBufferGrowth:
+    """Eq. 2: a buffer's size only decides which critical capacities it
+    satisfies, so for a fixed legal mapping growing W-L1, A-L1 or A-L2 can
+    only remove reload penalties.  This is why a sweep may share one
+    candidate table between machines that differ only in W-L1 and A-L2."""
+
+    @given(nests(), st.sampled_from(sorted(GROWTH)))
+    @settings(max_examples=80, deadline=None)
+    def test_reloads_and_traffic_never_grow(self, nest, buffer):
+        assume(nest.is_valid())
+        previous = None
+        for size in GROWTH[buffer]:
+            if size < getattr(nest.hw.memory, buffer):
+                continue
+            hw = replace(nest.hw, memory=replace(nest.hw.memory, **{buffer: size}))
+            grown = LoopNest(nest.layer, hw, nest.mapping)
+            assert grown.is_valid()
+            traffic, inputs = compute_traffic(grown)
+            reloads = [inputs.weight.reload_factor, inputs.a_l1.reload_factor,
+                       inputs.a_l2.reload_factor]
+            bits = [getattr(traffic, f.name) for f in fields(traffic)]
+            if previous is not None:
+                assert all(r <= p for r, p in zip(reloads, previous[0])), (buffer, size)
+                assert all(b <= p for b, p in zip(bits, previous[1])), (buffer, size)
+            previous = (reloads, bits)

@@ -1,0 +1,261 @@
+"""Packs and shared candidate sets against one-layer searches.
+
+A sweep scores a point's layers in *packs* (several layers' candidate
+tables concatenated, one kernel call, one winner per segment) and shares
+each layer's table between machines with one
+:attr:`~repro.core.space.MappingSpace.candidate_set_key`.  Both are only
+sound if they change nothing:
+
+* machines with equal keys build equal tables -- rows, declared tiles,
+  spatial pairs and dedup count -- however their W-L1, A-L2, O-L2,
+  topology and energy parameters differ, so this fails as soon as the
+  enumeration reads a field the key leaves out;
+* a pack gives every segment the winner, ``evaluated`` and ``invalid`` of
+  its layer's own call, with exact ties, an overflowing segment and a
+  small ``REPRO_BATCH_MAX_BYTES`` included.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch.config import KB, MemoryConfig, build_hardware
+from repro.arch.technology import DEFAULT_TECHNOLOGY
+from repro.arch.topology import Topology
+from repro.core import batch
+from repro.core.mapping import Mapping
+from repro.core.primitives import LoopOrder, RotationKind, SpatialPrimitive, TemporalPrimitive
+from repro.core.space import CandidateTable, MappingSpace, SearchProfile
+from repro.workloads.layer import ConvLayer, matmul
+
+MAX_EXAMPLES = 25
+
+
+@st.composite
+def conv_layers(draw, grouped=None):
+    """A random conv layer; ``grouped`` forces dense (False) or grouped (True)."""
+    if grouped is None:
+        grouped = draw(st.booleans())
+    groups = draw(st.sampled_from([2, 4, 16])) if grouped else 1
+    kernel = draw(st.sampled_from([1, 3, 5]))
+    return ConvLayer(
+        name="prop",
+        h=draw(st.sampled_from([7, 14, 28, 56])),
+        w=draw(st.sampled_from([7, 14, 28])),
+        ci=groups * draw(st.sampled_from([1, 2, 4, 16])),
+        co=groups * draw(st.sampled_from([1, 2, 8, 16])),
+        kh=kernel,
+        kw=kernel,
+        stride=draw(st.sampled_from([1, 2])),
+        padding=kernel // 2,
+        groups=groups,
+    )
+
+
+@st.composite
+def gemm_layers(draw):
+    """A random (possibly batched) GEMM layer."""
+    return matmul(
+        "prop_mm",
+        m=draw(st.sampled_from([1, 8, 32, 128])),
+        k=draw(st.sampled_from([16, 64, 256])),
+        n=draw(st.sampled_from([16, 64, 256])),
+        batch=draw(st.sampled_from([1, 1, 4])),
+    )
+
+
+COMPUTE = st.tuples(
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([4, 8]),
+    st.sampled_from([4, 8]),
+)
+
+
+@st.composite
+def twin_machines(draw):
+    """Two machines with one candidate-set key and everything else drawn apart."""
+    comp = draw(COMPUTE)
+    o_l1 = draw(st.sampled_from([48, 96, 144])) * comp[2]
+    a_l1 = draw(st.sampled_from([1, 2, 8, 32])) * KB
+
+    def machine():
+        memory = MemoryConfig(
+            a_l1_bytes=a_l1,
+            w_l1_bytes=draw(st.sampled_from([2, 18, 144])) * KB,
+            o_l1_bytes=o_l1,
+            a_l2_bytes=draw(st.sampled_from([32, 128, 256])) * KB,
+            o_l2_bytes=draw(st.sampled_from([0, 16 * KB])),
+        )
+        tech = replace(
+            DEFAULT_TECHNOLOGY,
+            frequency_mhz=draw(st.sampled_from([250.0, 500.0])),
+            mac_energy_pj=draw(st.sampled_from([0.024, 0.1])),
+            dram_energy_pj_per_bit=draw(st.sampled_from([8.75, 20.0])),
+            d2d_energy_pj_per_bit=draw(st.sampled_from([1.17, 3.0])),
+            l2_anchor_pj_per_bit=draw(st.sampled_from([0.81, 1.5])),
+            sram_area_mm2_per_kb=draw(st.sampled_from([4.0e-3, 8.0e-3])),
+        )
+        return build_hardware(
+            *comp, memory=memory, tech=tech, topology=draw(st.sampled_from(list(Topology)))
+        )
+
+    return machine(), machine()
+
+
+def assert_same_table(a: CandidateTable, b: CandidateTable) -> None:
+    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.core, b.core)
+    assert np.array_equal(a.pair, b.pair)
+    assert a.pairs == b.pairs
+    assert a.deduped == b.deduped
+
+
+class TestCandidateSetKey:
+    @given(
+        twin_machines(),
+        st.one_of(conv_layers(), gemm_layers()),
+        st.sampled_from(list(SearchProfile)),
+    )
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_equal_keys_build_equal_tables(self, machines, layer, profile):
+        first, second = (MappingSpace(hw, profile) for hw in machines)
+        assert first.candidate_set_key == second.candidate_set_key
+        assert_same_table(
+            first.unique_candidates(layer, count=False),
+            second.unique_candidates(layer, count=False),
+        )
+
+    def test_key_names_the_enumeration_inputs(self):
+        base = build_hardware(2, 4, 8, 8)
+        key = MappingSpace(base, SearchProfile.FAST).candidate_set_key
+        for other in (
+            build_hardware(2, 4, 8, 4),
+            build_hardware(2, 4, 8, 8, memory=replace(base.memory, o_l1_bytes=768)),
+            build_hardware(2, 4, 8, 8, memory=replace(base.memory, a_l1_bytes=4 * KB)),
+            build_hardware(2, 4, 8, 8, tech=replace(DEFAULT_TECHNOLOGY, psum_bits=32)),
+        ):
+            assert MappingSpace(other, SearchProfile.FAST).candidate_set_key != key
+        assert MappingSpace(base, SearchProfile.MINIMAL).candidate_set_key != key
+
+
+def separate_and_packed(layers, hw, profile):
+    """Each layer's own outcome, the pack's outcome, the tables and the pack."""
+    space = MappingSpace(hw, profile)
+    tables = [space.unique_candidates(layer, count=False) for layer in layers]
+    pack = CandidateTable.pack(tables)
+    own = [batch.search_batch(layer, hw, table) for layer, table in zip(layers, tables)]
+    return own, batch.search_batch(layers, hw, pack), tables, pack
+
+
+def assert_pack_matches(own, packed, tables, pack):
+    assert packed is not None
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]]).tolist()
+    for segment, (outcome, table, offset) in enumerate(zip(own, tables, offsets)):
+        assert outcome is not None
+        assert packed.segment_evaluated[segment] == outcome.evaluated
+        assert packed.segment_invalid[segment] == outcome.invalid
+        if outcome.best_index is None:
+            assert packed.winners[segment] is None
+        else:
+            assert packed.winners[segment] == offset + outcome.best_index
+            assert pack[packed.winners[segment]] == table[outcome.best_index]
+
+
+@st.composite
+def pack_case(draw):
+    """2-6 dense (conv or GEMM) or grouped layers on one machine."""
+    if draw(st.booleans()):
+        layer = st.one_of(conv_layers(grouped=False), gemm_layers())
+    else:
+        layer = conv_layers(grouped=True)
+    layers = draw(st.lists(layer, min_size=2, max_size=6))
+    hw = build_hardware(*draw(COMPUTE), topology=draw(st.sampled_from(list(Topology))))
+    return layers, hw, draw(st.sampled_from([SearchProfile.MINIMAL, SearchProfile.FAST]))
+
+
+class TestPacks:
+    @given(pack_case())
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_pack_equals_separate_calls(self, case):
+        own, packed, tables, pack = separate_and_packed(*case)
+        assert_pack_matches(own, packed, tables, pack)
+
+    @given(pack_case(), st.sampled_from([1024, 7 * 1024, 40 * 1024]))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_chunked_pack_equals_separate_calls(self, case, max_bytes):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(batch.BATCH_MAX_BYTES_ENV, str(max_bytes))
+            own, packed, tables, pack = separate_and_packed(*case)
+        assert_pack_matches(own, packed, tables, pack)
+
+    def test_mixed_dense_and_grouped_pack_is_refused(self):
+        hw = build_hardware(2, 2, 8, 8)
+        dense = ConvLayer("dense", h=14, w=14, ci=16, co=16, kh=3, kw=3, padding=1)
+        depthwise = ConvLayer("dw", h=14, w=14, ci=16, co=16, kh=3, kw=3, padding=1, groups=16)
+        space = MappingSpace(hw, SearchProfile.MINIMAL)
+        pack = CandidateTable.pack([space.unique_candidates(dense), space.unique_candidates(depthwise)])
+        with pytest.raises(ValueError, match="dense or grouped"):
+            batch.search_batch([dense, depthwise], hw, pack)
+
+    @pytest.mark.parametrize("max_bytes", [None, "1024"])
+    def test_exact_ties_keep_each_segments_first_row(self, monkeypatch, max_bytes):
+        """Segments whose two rows tie exactly pick their first row, also
+        with a chunk boundary between the tied rows."""
+        if max_bytes is None:
+            monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
+        else:
+            monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, max_bytes)
+        hw = build_hardware(1, 1, 8, 8)
+        layers = [
+            ConvLayer(f"tie{side}", h=side, w=side, ci=8, co=8, kh=1, kw=1)
+            for side in (8, 4, 8)
+        ]
+        tables = []
+        for layer in layers:
+            side = layer.ho
+            base = Mapping(
+                package_spatial=SpatialPrimitive.channel(1),
+                package_temporal=TemporalPrimitive(LoopOrder.CHANNEL_PRIORITY, side, side, 8),
+                chiplet_spatial=SpatialPrimitive.channel(1),
+                chiplet_temporal=TemporalPrimitive(LoopOrder.CHANNEL_PRIORITY, side, side, 8),
+            )
+            tied = [base.with_rotation(RotationKind.ACTIVATIONS), base]
+            tables.append(CandidateTable.from_mappings(layer, tied))
+        packed = batch.search_batch(layers, hw, CandidateTable.pack(tables))
+        assert packed.winners == (0, 2, 4)
+        assert packed.segment_evaluated == (2, 2, 2)
+
+    def test_overflowing_segment_refuses_the_pack_only(self):
+        """The int64 guard refuses a pack with one overflowing segment; the
+        other segments alone still score, and the mapper's packed search
+        gives every layer what its own search gives."""
+        from repro import obs
+        from repro.core.mapper import Mapper
+
+        hw = build_hardware(1, 4, 8, 8)
+        huge = ConvLayer("huge", h=2**22, w=2**22, ci=2**20, co=8, kh=1, kw=1)
+        small = ConvLayer("small", h=14, w=14, ci=8, co=16, kh=3, kw=3, padding=1)
+        space = MappingSpace(hw, SearchProfile.FAST)
+        tables = [space.unique_candidates(layer) for layer in (small, huge)]
+        assert batch.search_batch(huge, hw, tables[1]) is None
+        assert batch.search_batch(small, hw, tables[0]) is not None
+        assert batch.search_batch([small, huge], hw, CandidateTable.pack(tables)) is None
+
+        runs = []
+        for layers in ([small, huge], [small], [huge]):
+            recorder = obs.MetricsRecorder()
+            with obs.use(recorder):
+                results = Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers, jobs=1)
+            runs.append((results, recorder.metrics.counters()))
+        (both, both_counts), (alone_small, small_counts), (alone_huge, huge_counts) = runs
+        assert [r.mapping for r in both] == [alone_small[0].mapping, alone_huge[0].mapping]
+        assert [r.best.energy_pj for r in both] == [
+            alone_small[0].best.energy_pj, alone_huge[0].best.energy_pj
+        ]
+        for name in ("mapper.candidates.evaluated", "mapper.candidates.invalid",
+                     "space.candidates.deduped", "mapper.batch.searches"):
+            assert both_counts.get(name, 0) == small_counts.get(name, 0) + huge_counts.get(name, 0)
