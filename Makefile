@@ -193,24 +193,31 @@ guided:
 
 # Batch-vs-scalar parity gate (mirrors the CI guided-dse parity step):
 # the unit/property suites first (the candidate table against the scalar
-# enumeration, and packs against one-layer calls, included), then runs with
-# the numpy path on and off.  With REPRO_BATCH_KERNEL=1 the mapper builds
-# each layer's candidate table as columns, scores a model's small tables in
-# packs (one kernel call per pack) and shares tables between sweep points
-# with one candidate set; with 0 it enumerates one Mapping per candidate,
-# dedups them and scores them one by one.  So every leg checks the table
-# builder, the packs and the kernel: the full Fig. 15 pre-design sweep (at
-# --jobs 4, one shape per worker task), the serial MINIMAL Fig. 15 trio at
-# stride 16 (several points per candidate set, MINIMAL packs), an
+# enumeration, packs against one-layer calls, and the kernel-built winner
+# reports against evaluate_mapping by repr, included), then runs with the
+# numpy path on and off.  With REPRO_BATCH_KERNEL=1 the mapper builds each
+# layer's candidate table as columns, scores a model's small tables in
+# packs (one kernel call per pack, which also builds each winner's report
+# from the kernel's columns) and shares each layer's table between the
+# sweep points that give it one candidate-set key; with 0 it enumerates
+# one Mapping per candidate, dedups them and scores them one by one with
+# evaluate_mapping.  So every leg checks the table builder, the packs and
+# the kernel: the full Fig. 15 pre-design sweep (at --jobs 4, one shape
+# per worker task), the serial MINIMAL Fig. 15 trio at stride 16 (tables
+# shared across W-L1, A-L2 and A-L1 changes, MINIMAL packs, and the
+# kernel-built reports through the sweep's energy and cycle totals), an
 # EXHAUSTIVE ResNet-50 map and a FAST MobileNetV2 map (dense and depthwise
 # packs) must give byte-identical JSON (winner, energy, cycles, EDP), and
 # so must a transformer sweep, so GEMM-shaped candidate spaces are held to
-# the identical contract.  See docs/modeling.md section 11.
+# the identical contract.  The map legs compare the kernel-built reports
+# only through the model totals, because `repro map --json` rebuilds its
+# per-layer records from the winning mapping; the property suite covers the
+# per-layer fields.  See docs/modeling.md section 11.
 batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/core/test_batch.py tests/core/test_candidate_table.py \
 		tests/core/test_packs.py tests/properties/test_batch_kernel.py \
-		tests/properties/test_packs.py
+		tests/properties/test_packs.py tests/properties/test_winner_reports.py
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
@@ -239,7 +246,7 @@ batch-parity:
 		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
 		--profile minimal --stride 16 --jobs 1 --json "$$tmp/trio-scalar.json" >/dev/null && \
 	cmp "$$tmp/trio-batch.json" "$$tmp/trio-scalar.json" && \
-	echo "packs + shared tables byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
+	echo "packs, shared tables and kernel-built reports byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map mobilenetv2 \
 		--profile fast --json "$$tmp/mbv2-batch.json" >/dev/null && \

@@ -17,7 +17,7 @@ from repro.arch.config import HardwareConfig, case_study_hardware
 from repro.arch.memory import LinearFit, MemoryLibrary
 from repro.arch.technology import TABLE_I, OperationEnergy
 from repro.core import batch
-from repro.core.cost import CostReport, evaluate_mapping
+from repro.core.cost import CostReport
 from repro.core.dse import (
     DesignPoint,
     DesignSpace,
@@ -186,8 +186,8 @@ def best_by_combo(
     first legal candidate.
 
     The layer's candidate table is scored once by the batch kernel, with
-    the combinations as segments; only each combination's winner is
-    re-evaluated with the scalar cost model.
+    the combinations as segments, and each combination's winner report is
+    read off the kernel's columns (:meth:`~repro.core.batch.BatchResult.report`).
 
     Raises:
         BatchOverflowError: When the kernel cannot score the table exactly.
@@ -220,7 +220,7 @@ def best_by_combo(
     place = dict(zip(legal.tolist(), order[valid][first].tolist()))
     names = list(combos)
     return {
-        names[combo]: evaluate_mapping(layer, hw, by_combo[winner[combo]])
+        names[combo]: result.report(winner[combo], layer, hw)
         for combo in sorted(place, key=place.get)
     }
 

@@ -10,7 +10,9 @@ and rotation codes, clamped tile extents), which
 :meth:`~repro.core.space.MappingSpace.unique_candidates` builds directly,
 without a :class:`~repro.core.mapping.Mapping` per candidate.  The three
 C3P walks, the traffic assembly and the energy/cycles/EDP scalarization run
-over all rows at once; the caller builds a ``Mapping`` for the winner only.
+over all rows at once; only each winner gets a ``Mapping``, and its full
+:class:`~repro.core.cost.CostReport` is read off the same columns
+(:meth:`BatchResult.report`), with no second scalar pass.
 
 A *pack* (:meth:`~repro.core.space.CandidateTable.pack`) scores several
 layers' tables on one machine in one call: the layer quantities (extents,
@@ -48,16 +50,18 @@ the mapper onto the scalar path; the kernel is the default otherwise.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
+from repro.core.cost import CostReport, EnergyBreakdown
+from repro.core.loopnest import mac_utilization
 from repro.core.space import CandidateTable
+from repro.core.traffic import TrafficReport
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
 
@@ -136,6 +140,11 @@ class BatchResult:
     on a pack they are per-row columns of each row's layer's scalar.  Rows
     where ``valid`` is ``False`` carry the arithmetic the walks produced
     anyway; only the masked score selects winners.
+
+    The dtypes follow the scalar path's int/float split, which
+    :meth:`report` relies on: ``w_l1_read_bits``, ``dram_output_bits``,
+    ``rf_drain_bits``, ``cycles`` and ``o_l2_bytes`` are integers (int64
+    columns, or Python ints), every other quantity a float.
     """
 
     candidates: CandidateTable
@@ -216,20 +225,74 @@ class BatchResult:
         masked = np.where(self.valid, self.scores(objective), np.inf)
         return int(np.argmin(masked))
 
+    def report(self, row: int, layer: ConvLayer, hw: HardwareConfig) -> CostReport:
+        """Row ``row``'s :class:`CostReport`, built from the kernel's columns.
+
+        ``layer`` is the row's layer (its segment's, on a pack).  The report
+        has the same ``repr`` as :func:`~repro.core.cost.evaluate_mapping`'s:
+        the columns already follow the scalar path's int/float split, and
+        ``.item(row)`` turns each value into the Python ``int`` or ``float``
+        the scalar path holds (a one-layer table's layer terms already are).
+        """
+
+        def at(value):
+            return value.item(row) if isinstance(value, np.ndarray) else value
+
+        output_bits = at(self.dram_output_bits)
+        cycles = at(self.cycles)
+        return CostReport(
+            layer=layer,
+            mapping=self.candidates[row],
+            energy=EnergyBreakdown(
+                dram_pj=at(self.dram_pj),
+                d2d_pj=at(self.d2d_pj),
+                a_l2_pj=at(self.a_l2_pj),
+                o_l2_pj=at(self.o_l2_pj),
+                a_l1_pj=at(self.a_l1_pj),
+                w_l1_pj=at(self.w_l1_pj),
+                rf_pj=at(self.rf_pj),
+                mac_pj=at(self.mac_pj),
+            ),
+            traffic=TrafficReport(
+                dram_input_bits=at(self.dram_input_bits),
+                dram_weight_bits=at(self.dram_weight_bits),
+                dram_output_bits=output_bits,
+                d2d_bit_hops=at(self.d2d_bit_hops),
+                a_l2_write_bits=at(self.a_l2_write_bits),
+                a_l2_read_bits=at(self.a_l2_read_bits),
+                o_l2_write_bits=output_bits,
+                o_l2_read_bits=output_bits,
+                a_l1_write_bits=at(self.a_l1_write_bits),
+                a_l1_read_bits=at(self.a_l1_read_bits),
+                w_l1_write_bits=at(self.w_l1_write_bits),
+                w_l1_read_bits=at(self.w_l1_read_bits),
+                rf_rmw_bits=at(self.rf_rmw_bits),
+                rf_drain_bits=at(self.rf_drain_bits),
+            ),
+            cycles=cycles,
+            utilization=mac_utilization(layer, hw, cycles),
+            o_l2_bytes=at(self.o_l2_bytes),
+        )
+
 
 @dataclass(frozen=True)
 class BatchSearchOutcome:
     """What the mapper needs from a batch search, per segment.
 
     A layer's own table is one segment.  ``winners[s]`` is the table row
-    of segment ``s``'s winner (``None`` when none of its candidates is
-    valid); ``segment_evaluated`` and ``segment_invalid`` count its valid
-    and invalid candidates.
+    of segment ``s``'s winner and ``reports[s]`` its :class:`CostReport`
+    (both ``None`` when none of its candidates is valid);
+    ``segment_evaluated`` and ``segment_invalid`` count its valid and
+    invalid candidates.  ``chunks`` is the number of kernel passes the
+    table took; it is left out of ``==``, since chunking changes nothing
+    else.
     """
 
     winners: tuple[int | None, ...]
     segment_evaluated: tuple[int, ...]
     segment_invalid: tuple[int, ...]
+    reports: tuple[CostReport | None, ...]
+    chunks: int = field(default=1, compare=False)
 
     @property
     def best_index(self) -> int | None:
@@ -675,8 +738,9 @@ def search_batch(
 
     A segment's winner is its first row of minimum masked score: the first
     row per segment of a stable sort by (segment, score), or ``np.argmin``
-    on one layer's table.  The table is evaluated in chunks of
-    :func:`batch_chunk_candidates` rows (one chunk when
+    on one layer's table.  Its report is built (:meth:`BatchResult.report`)
+    from the result of the chunk that holds it.  The table is evaluated in
+    chunks of :func:`batch_chunk_candidates` rows (one chunk when
     ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking cannot change any
     per-candidate value (every output row of :func:`evaluate_batch` is an
     elementwise function of that row alone), and the cross-chunk winner
@@ -687,11 +751,13 @@ def search_batch(
     scorer = BATCH_OBJECTIVES[objective]
     if not candidates:
         return None
-    segments = 1 if candidates.segment is None else len(layers)
-    winners = np.full(segments, -1, dtype=np.int64)
+    members = [layers] if candidates.segment is None else list(layers)
+    segments = len(members)
     best = np.full(segments, np.inf)
     evaluated = np.zeros(segments, dtype=np.int64)
     rows = np.zeros(segments, dtype=np.int64)
+    # Each segment's current winner: (table row, its chunk's result, row in the chunk).
+    winners: list[tuple[int, BatchResult, int] | None] = [None] * segments
     chunk = batch_chunk_candidates() or len(candidates)
     n_chunks = 0
     for start in range(0, len(candidates), chunk):
@@ -711,13 +777,17 @@ def search_batch(
         score = masked[firsts]
         better = score < best[heads]  # strict <: ties keep the earlier chunk's winner
         best[heads[better]] = score[better]
-        winners[heads[better]] = start + firsts[better]
+        for head, first in zip(heads[better].tolist(), firsts[better].tolist()):
+            winners[head] = (start + first, result, first)
         evaluated += np.bincount(segment[result.valid], minlength=segments)
         rows += np.bincount(segment, minlength=segments)
-    if n_chunks > 1:
-        obs.count("mapper.batch.chunks", n_chunks)
     return BatchSearchOutcome(
-        winners=tuple(None if w < 0 else w for w in winners.tolist()),
+        winners=tuple(None if w is None else w[0] for w in winners),
         segment_evaluated=tuple(evaluated.tolist()),
         segment_invalid=tuple((rows - evaluated).tolist()),
+        reports=tuple(
+            None if w is None else w[1].report(w[2], layer, hw)
+            for w, layer in zip(winners, members)
+        ),
+        chunks=n_chunks,
     )

@@ -60,6 +60,14 @@ class Loop:
         return f"{self.kind}{self.level}:{self.count}"
 
 
+def mac_utilization(layer: ConvLayer, hw: HardwareConfig, cycles: int) -> float:
+    """MAC-array utilization of ``layer`` run in ``cycles``: ideal cycles
+    over modeled cycles (shared by :meth:`LoopNest.utilization` and the
+    batch kernel's winner reports)."""
+    ideal = layer.macs / hw.total_macs
+    return min(ideal / cycles, 1.0)
+
+
 def _level_loops(order: LoopOrder, c: int, w: int, h: int, level: int) -> list[Loop]:
     """Loops of one temporal level, inner to outer, per the loop priority."""
     if order is LoopOrder.CHANNEL_PRIORITY:
@@ -194,8 +202,7 @@ class LoopNest:
 
     def utilization(self) -> float:
         """MAC-array utilization: ideal cycles over modeled cycles."""
-        ideal = self.layer.macs / self.hw.total_macs
-        return min(ideal / self.total_cycles(), 1.0)
+        return mac_utilization(self.layer, self.hw, self.total_cycles())
 
     def describe(self) -> str:
         """Loop-nest summary, inner to outer."""

@@ -15,9 +15,9 @@ runs; unique shapes can also fan out over worker processes
 
 Serially, a model's uncached shapes are scored in *packs*: consecutive small
 candidate tables concatenated up to :data:`PACK_ROWS` rows and scored by one
-batch-kernel call.  A sweep can also hand its mappers one
-:class:`SharedTables`, so consecutive machines with one candidate set build
-each layer's table once.
+batch-kernel call, which also returns each winner's full report.  A sweep can
+also hand its mappers one :class:`SharedTables`, so the machines that give a
+layer one candidate set build its table once.
 """
 
 from __future__ import annotations
@@ -106,8 +106,11 @@ class _Search:
         rows: Table rows the batch kernel scored (``None`` on the scalar path).
         deduped: Congruent candidates the layer's table dropped (0 when the
             scalar enumeration counted its own dedup).
-        ms: The layer's search time: its table build and winner
-            re-evaluation, plus its row share of the kernel call.
+        chunks: Kernel passes of the call that scored the layer (a pack
+            never exceeds one chunk; 0 on the scalar path).
+        ms: The layer's search time: its table build plus its row share of
+            the kernel call, which includes building the winner's report
+            (or the whole scalar scan).
     """
 
     best: CostReport | None
@@ -115,35 +118,41 @@ class _Search:
     invalid: int
     rows: int | None
     deduped: int
+    chunks: int
     ms: float
 
 
 class SharedTables:
-    """Candidate tables shared by consecutive machines with one candidate set.
+    """Candidate tables shared by the machines of a sweep, one per layer shape.
 
     A layer's table depends only on what
-    :attr:`~repro.core.space.MappingSpace.candidate_set_key` names, and a
-    sweep scans W-L1 and A-L2 innermost, so consecutive exhaustive points
-    usually share it.  Holds the tables of the most recent key only, by
-    layer shape, and none of :data:`PACK_ROWS` rows or more, so a sweep of
-    large tables builds and drops them as a map does.
+    :meth:`~repro.core.space.MappingSpace.candidate_set_key` names for it;
+    A-L1 enters only through the layer's Cc0 tile, and W-L1 and A-L2 not
+    at all.  Each shape holds the table of the key it was last built for:
+    a lookup under another key rebuilds it and replaces it.  An exhaustive
+    sweep scans A-L1 in ascending order within each (computation config,
+    O-L1) group, and the Cc0 tile never shrinks as A-L1 grows, so each
+    distinct table is built once.  No table of :data:`PACK_ROWS` rows or
+    more is held, so a sweep of large tables builds and drops them as a
+    map does.
     """
 
     def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._tables: dict[tuple, CandidateTable] = {}
+        self._tables: dict[tuple, tuple[tuple, CandidateTable]] = {}
 
     def table(self, space: MappingSpace, layer: ConvLayer) -> CandidateTable:
-        """``layer``'s table on ``space``, built unless the last key holds it."""
-        key = space.candidate_set_key
-        if key != self._key:
-            self._key, self._tables = key, {}
+        """``layer``'s table on ``space``, built unless its shape holds it
+        under the same key."""
         shape = _shape_key(layer)
-        table = self._tables.get(shape)
-        if table is None:
-            table = space.unique_candidates(layer, count=False)
-            if len(table) < PACK_ROWS:
-                self._tables[shape] = table
+        key = space.candidate_set_key(layer)
+        held = self._tables.get(shape)
+        if held is not None and held[0] == key:
+            return held[1]
+        table = space.unique_candidates(layer, count=False)
+        if len(table) < PACK_ROWS:
+            self._tables[shape] = (key, table)
+        else:
+            self._tables.pop(shape, None)
         return table
 
 
@@ -265,6 +274,8 @@ class Mapper:
         if found.rows is not None:
             obs.count("mapper.batch.searches")
             obs.count("mapper.batch.candidates", found.rows)
+        if found.chunks > 1:
+            obs.count("mapper.batch.chunks", found.chunks)
         if found.deduped:
             obs.count("space.candidates.deduped", found.deduped)
         if found.best is None:
@@ -302,17 +313,17 @@ class Mapper:
         (or the ``REPRO_BATCH_MAX_BYTES`` chunk, if smaller) are packed in
         order, dense and grouped layers apart, and each pack is scored by
         one kernel call; a larger table is scored alone before the next is
-        built.  Each winner's :class:`Mapping` is then built from its row
-        and its full :class:`CostReport` comes from a single scalar
-        ``evaluate_mapping`` call.  Otherwise the scalar strict-``<`` scan
-        of :meth:`_scalar_search` is the path -- it stays the golden oracle
-        either way (see ``tests/properties/test_batch_kernel.py``).
+        built.  The kernel call also returns each winner's full
+        :class:`CostReport`, built from its columns.  Otherwise the scalar
+        strict-``<`` scan of :meth:`_scalar_search` is the path -- it stays
+        the golden oracle either way (see
+        ``tests/properties/test_batch_kernel.py`` and
+        ``tests/properties/test_winner_reports.py``).
 
         The searches are counted when :meth:`_lookup` uses them (only the
-        kernel's ``mapper.batch.chunks`` and, with the kernel off, the
-        scalar enumeration's dedup are counted here), so a model whose
-        layer has no legal mapping counts what a layer-by-layer search
-        would have before it raises.
+        scalar enumeration's dedup, with the kernel off, is counted here),
+        so a model whose layer has no legal mapping counts what a
+        layer-by-layer search would have before it raises.
         """
         if not layers:
             return []
@@ -365,17 +376,14 @@ class Mapper:
             if outcome is None:
                 found[index] = self._scalar_search(layer, own, table_ms + kernel_ms)
                 continue
-            start = time.perf_counter()
-            winner = outcome.winners[segment]
-            best = None if winner is None else evaluate_mapping(layer, self.hw, table[winner])
-            share_ms = kernel_ms * len(own) / len(table)
             found[index] = _Search(
-                best=best,
+                best=outcome.reports[segment],
                 evaluated=outcome.segment_evaluated[segment],
                 invalid=outcome.segment_invalid[segment],
                 rows=len(own),
                 deduped=own.deduped,
-                ms=table_ms + share_ms + (time.perf_counter() - start) * 1e3,
+                chunks=outcome.chunks,
+                ms=table_ms + kernel_ms * len(own) / len(table),
             )
 
     def _scalar_search(
@@ -410,6 +418,7 @@ class Mapper:
             invalid=invalid,
             rows=None,
             deduped=0 if table is None else table.deduped,
+            chunks=0,
             ms=spent_ms + (time.perf_counter() - start) * 1e3,
         )
 

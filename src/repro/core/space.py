@@ -295,22 +295,25 @@ class MappingSpace:
     hw: HardwareConfig
     profile: SearchProfile = SearchProfile.EXHAUSTIVE
 
-    @property
-    def candidate_set_key(self) -> tuple:
-        """Every input the enumeration reads: equal keys, equal candidates.
+    def candidate_set_key(self, layer: ConvLayer) -> tuple:
+        """Every input :meth:`unique_candidates` reads for ``layer`` besides
+        its shape: equal keys, equal tables.
 
-        The computation config, the O-L1 (the core tiles' psum budget), the
-        A-L1 (the Cc0 tile), the data and psum widths, and the profile.
-        W-L1 and A-L2 are left out on purpose: they only move the C3P
-        critical-capacity thresholds (Section IV-B, Eq. 1-2), which the
-        kernel tests per machine, so machines that differ only there share
-        each layer's table.
+        The chiplet, core and lane counts, the O-L1 pixel budget
+        (:meth:`_max_pixels`), the layer's Cc0 tile
+        (:meth:`_cc0_square_tile`) and the profile, which fixes the
+        multipliers, orders and rotations.  A-L1, the vector size and the
+        data width enter the build only through the Cc0 tile, so machines
+        that give the layer one Cc0 tile share its table.  W-L1 and A-L2
+        are left out altogether: they only move the C3P critical-capacity
+        thresholds (Section IV-B, Eq. 1-2), which the kernel tests per
+        machine.
         """
         hw = self.hw
+        max_pixels = self._max_pixels()
         return (
-            hw.n_chiplets, hw.n_cores, hw.lanes, hw.vector_size,
-            hw.memory.o_l1_bytes, hw.memory.a_l1_bytes,
-            hw.tech.data_bits, hw.tech.psum_bits, self.profile,
+            hw.n_chiplets, hw.n_cores, hw.lanes, max_pixels,
+            self._cc0_square_tile(layer, max_pixels), self.profile,
         )
 
     # --- spatial candidates ------------------------------------------------------

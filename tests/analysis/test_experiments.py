@@ -117,18 +117,17 @@ class TestFig11:
         ],
     )
     def test_segmented_winners_equal_the_scalar_loop(self, machine, profile):
-        """best_by_combo scores the table once with the combos as segments;
-        the per-candidate scalar loop it replaced is the oracle, down to
-        the result's key order."""
+        """best_by_combo scores the table once with the combos as segments
+        and reads each winner's report off the kernel's columns; the
+        per-candidate scalar loop it replaced is the oracle, down to the
+        result's key order and each report's repr."""
         hw = machine()
         for layer in representative_layers().values():
             oracle = scalar_best_by_combo(layer, hw, profile)
             results = best_by_combo(layer, hw, profile)
             assert list(results) == list(oracle), layer.name
             for combo, report in oracle.items():
-                assert results[combo].mapping == report.mapping
-                assert results[combo].energy_pj == report.energy_pj
-                assert results[combo].cycles == report.cycles
+                assert repr(results[combo]) == repr(report), (layer.name, combo)
 
 
 def scalar_best_by_combo(layer, hw, profile):

@@ -28,6 +28,7 @@ SEARCH_COUNTERS = (
     "mapper.searches.fresh",
     "mapper.batch.searches",
     "mapper.batch.candidates",
+    "mapper.batch.chunks",
     "space.candidates.deduped",
     "cache.hits",
     "cache.misses",
@@ -105,6 +106,17 @@ class TestPackedSearch:
         """A layer with no legal mapping raises after counting what a
         layer-by-layer search counts before it raises -- nothing of the
         layers looked up after it, although their tables were scored."""
+        self.check_invalid_layer_counts()
+
+    def test_invalid_layer_raises_after_the_same_counts_in_chunks(self, monkeypatch):
+        """The same with every table scored in chunks of 8 rows: the chunks
+        of the layers after the failing one are not counted either."""
+        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "8192")
+        counts = self.check_invalid_layer_counts()
+        assert counts["mapper.batch.chunks"] > 0
+
+    @staticmethod
+    def check_invalid_layer_counts():
         # A 1024-wide kernel row cannot fit the 800 B A-L1 at any tiling.
         hw = build_hardware(2, 4, 8, 8)
         impossible = ConvLayer(
@@ -128,6 +140,7 @@ class TestPackedSearch:
         assert counters(packed_metrics) == counters(single_metrics)
         assert counters(packed_metrics)["mapper.searches.fresh"] == 2
         assert counters(packed_metrics)["space.candidates.deduped"] > 0
+        return counters(packed_metrics)
 
 
 def sweep_machines():
@@ -138,13 +151,20 @@ def sweep_machines():
     return [base, build_hardware(2, 4, 8, 8, memory=variant), build_hardware(2, 4, 8, 8, memory=other)]
 
 
+def cc0_tile(space, layer):
+    return space._cc0_square_tile(layer, space._max_pixels())
+
+
 class TestSharedTables:
     def test_sweep_shares_tables_and_counts_like_fresh_ones(self, monkeypatch):
+        """A W-L1 and A-L2 change rebuilds no table; an A-L1 change rebuilds
+        exactly the layers whose Cc0 tile it moves.  Results and counters
+        equal fresh mappers'."""
         builds = []
         original = MappingSpace.unique_candidates
 
         def counting(space, layer, count=True):
-            builds.append(space.hw.memory.a_l1_bytes)
+            builds.append((space.hw.memory.a_l1_bytes, layer.name))
             return original(space, layer, count)
 
         monkeypatch.setattr(MappingSpace, "unique_candidates", counting)
@@ -155,29 +175,36 @@ class TestSharedTables:
             Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers, jobs=1)
             for hw in machines
         ])
-        per_machine = len(builds) // 2
-        assert builds == [machines[0].memory.a_l1_bytes] * per_machine + [
-            machines[2].memory.a_l1_bytes
-        ] * per_machine
+        first, _, last = (MappingSpace(hw, SearchProfile.MINIMAL) for hw in machines)
+        moved = [layer.name for layer in layers if cc0_tile(first, layer) != cc0_tile(last, layer)]
+        assert moved == ["conv1", "conv2"]
+        assert builds == [(machines[0].memory.a_l1_bytes, layer.name) for layer in layers] + [
+            (machines[2].memory.a_l1_bytes, name) for name in moved
+        ]
         builds.clear()
         fresh, fresh_metrics = run(lambda: [
             Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
             for hw in machines
         ])
-        assert len(builds) == 3 * per_machine
+        assert len(builds) == 3 * len(layers)
         assert [summary(r) for r in shared] == [summary(r) for r in fresh]
         assert counters(shared_metrics) == counters(fresh_metrics)
 
     def test_holds_only_the_last_key_and_small_tables(self):
+        """Each shape holds the small table of its last key; another
+        shape's key change leaves it alone."""
         layer = ConvLayer("c", h=56, w=56, ci=64, co=256, kh=3, kw=3, padding=1)
+        other = ConvLayer("d", h=28, w=28, ci=64, co=64, kh=1, kw=1)
         hw = case_study_hardware()
         tables = SharedTables()
         small = MappingSpace(hw, SearchProfile.MINIMAL)
         big = MappingSpace(hw, SearchProfile.EXHAUSTIVE)
         first = tables.table(small, layer)
+        kept = tables.table(small, other)
         assert len(first) < PACK_ROWS
         assert tables.table(small, layer) is first
         table = tables.table(big, layer)
         assert len(table) >= PACK_ROWS
         assert tables.table(big, layer) is not table  # too big to hold
         assert tables.table(small, layer) is not first  # the key changed
+        assert tables.table(small, other) is kept

@@ -2,14 +2,15 @@
 
 A sweep scores a point's layers in *packs* (several layers' candidate
 tables concatenated, one kernel call, one winner per segment) and shares
-each layer's table between machines with one
-:attr:`~repro.core.space.MappingSpace.candidate_set_key`.  Both are only
+each layer's table between machines that give it one
+:meth:`~repro.core.space.MappingSpace.candidate_set_key`.  Both are only
 sound if they change nothing:
 
-* machines with equal keys build equal tables -- rows, declared tiles,
-  spatial pairs and dedup count -- however their W-L1, A-L2, O-L2,
-  topology and energy parameters differ, so this fails as soon as the
-  enumeration reads a field the key leaves out;
+* machines with equal keys for a layer build equal tables for it -- rows,
+  declared tiles, spatial pairs and dedup count -- however their A-L1,
+  vector size, W-L1, A-L2, O-L2, topology and energy parameters differ,
+  so this fails as soon as the enumeration reads a field the key leaves
+  out (A-L1 and the vector size may enter only through the Cc0 tile);
 * a pack gives every segment the winner, ``evaluated`` and ``invalid`` of
   its layer's own call, with exact ties, an overflowing segment and a
   small ``REPRO_BATCH_MAX_BYTES`` included.
@@ -75,14 +76,20 @@ COMPUTE = st.tuples(
 )
 
 
-@st.composite
-def twin_machines(draw):
-    """Two machines with one candidate-set key and everything else drawn apart."""
-    comp = draw(COMPUTE)
-    o_l1 = draw(st.sampled_from([48, 96, 144])) * comp[2]
-    a_l1 = draw(st.sampled_from([1, 2, 8, 32])) * KB
+#: A-L1 sizes the twin machines draw from; across them the Cc0 tile of
+#: most layers moves, but not at every step.
+A_L1_SIZES = [400, 1 * KB, 2 * KB, 8 * KB, 32 * KB]
 
-    def machine():
+
+@st.composite
+def twin_machines(draw, layer, profile):
+    """Two machines that give ``layer`` one candidate-set key under
+    ``profile``, with A-L1, the vector size and everything the key leaves
+    out drawn apart."""
+    chiplets, cores, lanes, vector = draw(COMPUTE)
+    o_l1 = draw(st.sampled_from([48, 96, 144])) * lanes
+
+    def machine(a_l1, vector_size):
         memory = MemoryConfig(
             a_l1_bytes=a_l1,
             w_l1_bytes=draw(st.sampled_from([2, 18, 144])) * KB,
@@ -100,10 +107,25 @@ def twin_machines(draw):
             sram_area_mm2_per_kb=draw(st.sampled_from([4.0e-3, 8.0e-3])),
         )
         return build_hardware(
-            *comp, memory=memory, tech=tech, topology=draw(st.sampled_from(list(Topology)))
+            chiplets, cores, lanes, vector_size, memory=memory, tech=tech,
+            topology=draw(st.sampled_from(list(Topology))),
         )
 
-    return machine(), machine()
+    def key(a_l1, vector_size):
+        hw = build_hardware(
+            chiplets, cores, lanes, vector_size,
+            memory=MemoryConfig(a_l1_bytes=a_l1, w_l1_bytes=0, o_l1_bytes=o_l1, a_l2_bytes=0),
+        )
+        return MappingSpace(hw, profile).candidate_set_key(layer)
+
+    first = (draw(st.sampled_from(A_L1_SIZES)), vector)
+    second = draw(st.sampled_from([
+        (a_l1, vector_size)
+        for a_l1 in A_L1_SIZES
+        for vector_size in (4, 8)
+        if key(a_l1, vector_size) == key(*first)
+    ]))
+    return machine(*first), machine(*second)
 
 
 def assert_same_table(a: CandidateTable, b: CandidateTable) -> None:
@@ -116,30 +138,58 @@ def assert_same_table(a: CandidateTable, b: CandidateTable) -> None:
 
 class TestCandidateSetKey:
     @given(
-        twin_machines(),
         st.one_of(conv_layers(), gemm_layers()),
         st.sampled_from(list(SearchProfile)),
+        st.data(),
     )
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_equal_keys_build_equal_tables(self, machines, layer, profile):
+    def test_equal_keys_build_equal_tables(self, layer, profile, data):
+        machines = data.draw(twin_machines(layer, profile))
         first, second = (MappingSpace(hw, profile) for hw in machines)
-        assert first.candidate_set_key == second.candidate_set_key
+        assert first.candidate_set_key(layer) == second.candidate_set_key(layer)
         assert_same_table(
             first.unique_candidates(layer, count=False),
             second.unique_candidates(layer, count=False),
         )
 
     def test_key_names_the_enumeration_inputs(self):
-        base = build_hardware(2, 4, 8, 8)
-        key = MappingSpace(base, SearchProfile.FAST).candidate_set_key
+        """The key moves with every input the build reads, and with A-L1,
+        the vector size and the data width only where they move the Cc0
+        tile."""
+        layer = ConvLayer("c", h=56, w=56, ci=64, co=64, kh=3, kw=3, padding=1)
+        base = build_hardware(2, 4, 8, 8)  # 800 B A-L1: Cc0 tile 8, the pixel cap
+        small = replace(base.memory, a_l1_bytes=400)  # Cc0 tile 4 at P = 8
+
+        def key(hw, profile=SearchProfile.FAST):
+            return MappingSpace(hw, profile).candidate_set_key(layer)
+
         for other in (
-            build_hardware(2, 4, 8, 4),
+            build_hardware(4, 4, 8, 8, memory=base.memory),
+            build_hardware(2, 2, 8, 8, memory=base.memory),
+            build_hardware(2, 4, 16, 8, memory=base.memory),
             build_hardware(2, 4, 8, 8, memory=replace(base.memory, o_l1_bytes=768)),
-            build_hardware(2, 4, 8, 8, memory=replace(base.memory, a_l1_bytes=4 * KB)),
+            build_hardware(2, 4, 8, 8, memory=small),
             build_hardware(2, 4, 8, 8, tech=replace(DEFAULT_TECHNOLOGY, psum_bits=32)),
+            build_hardware(2, 4, 8, 8, tech=replace(DEFAULT_TECHNOLOGY, data_bits=16)),
         ):
-            assert MappingSpace(other, SearchProfile.FAST).candidate_set_key != key
-        assert MappingSpace(base, SearchProfile.MINIMAL).candidate_set_key != key
+            assert key(other) != key(base), other
+        assert key(base, SearchProfile.MINIMAL) != key(base)
+        assert key(build_hardware(2, 4, 8, 4, memory=small)) != key(
+            build_hardware(2, 4, 8, 8, memory=small)
+        )
+        for same in (
+            build_hardware(2, 4, 8, 4, memory=base.memory),
+            build_hardware(2, 4, 8, 8, memory=replace(base.memory, a_l1_bytes=2 * KB)),
+            build_hardware(2, 4, 8, 8, memory=replace(
+                base.memory, w_l1_bytes=144 * KB, a_l2_bytes=256 * KB, o_l2_bytes=16 * KB
+            )),
+            build_hardware(2, 4, 8, 8, topology=Topology.MESH),
+        ):
+            assert key(same) == key(base), same
+            assert_same_table(
+                MappingSpace(same, SearchProfile.FAST).unique_candidates(layer, count=False),
+                MappingSpace(base, SearchProfile.FAST).unique_candidates(layer, count=False),
+            )
 
 
 def separate_and_packed(layers, hw, profile):
