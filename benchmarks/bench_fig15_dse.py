@@ -5,8 +5,8 @@ ResNet-50@512, DarkNet-19@224) over the Table II space under a 3 mm^2
 chiplet area constraint, and reports the per-benchmark optimum's computation
 and memory allocation.
 
-The full memory sweep (5,678 valid points) takes about 8 minutes on one
-core of a 2-vCPU container; the default run subsamples it with
+The full memory sweep (5,678 valid points) takes about a minute (64 s)
+on one core of a 2-vCPU container; the default run subsamples it with
 REPRO_FIG15_STRIDE=4 (the structural sweep size is reported either way).
 """
 

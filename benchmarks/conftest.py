@@ -9,14 +9,14 @@ Environment knobs:
 * ``REPRO_BENCH_PROFILE`` -- mapping-search profile for the heavy benches
   (``exhaustive`` / ``fast`` / ``minimal``; default ``fast``).
 * ``REPRO_FIG15_STRIDE`` -- memory-sweep subsampling for the Figure 15 DSE
-  (default 4; 1 reproduces the full sweep, about 8 minutes on one core).
+  (default 4; 1 reproduces the full sweep, about a minute on one core).
 * ``REPRO_JOBS`` -- worker processes for the DSE sweeps (default serial;
   ``0`` uses every core).  Sweep results are bit-identical at every count.
 * ``REPRO_CACHE_DIR`` -- persist the mapping cache across runs.
 * ``REPRO_BENCH_RECORD_DIR`` -- set by the ``repro bench`` CLI: the
   ``record_bench`` fixture appends one structured JSON fragment per test
-  there (wall time, reproduced values, obs counters) for cross-run
-  regression tracking.  See ``docs/observability.md``.
+  there (reproduced values, obs counters) for the cross-run fidelity and
+  counter gates.  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -69,42 +69,16 @@ def run_ledger() -> Iterator[obs.Recorder]:
 
 
 @pytest.fixture
-def record(request):
-    """Print a reproduced table/figure and persist it under results/."""
-
-    def _record(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        print(f"\n{text}\n")
-
-    return _record
-
-
-@pytest.fixture
-def record_json(request):
-    """Persist a JSON artifact under results/ (e.g. the audit report)."""
-    import json
-
-    def _record(name: str, payload) -> Path:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        target = RESULTS_DIR / f"{name}.json"
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
-
-    return _record
-
-
-@pytest.fixture
 def record_bench(request):
-    """The structured successor of ``record``: ``.txt`` plus a bench record.
+    """Print a reproduced table/figure and persist it under results/.
 
-    Calling the fixture writes the legacy ``.txt`` artifact byte-identically
-    to ``record`` (and echoes it); ``record_bench.values(r_squared=...)``
-    attaches scalar reproduced numbers, and ``record_bench.json(name, ...)``
-    mirrors ``record_json``.  Under ``repro bench`` (REPRO_BENCH_RECORD_DIR
-    set) the test body additionally runs under a live obs recorder and its
-    wall time, values and counters are appended as one JSON fragment for
-    the CLI to fold into ``BENCH_<gitsha>.json``.
+    Calling the fixture writes the ``.txt`` artifact (and echoes it);
+    ``record_bench.values(r_squared=...)`` attaches scalar reproduced
+    numbers, and ``record_bench.json(name, ...)`` writes a JSON artifact.
+    Under ``repro bench`` (REPRO_BENCH_RECORD_DIR set) the test body
+    additionally runs under a live obs recorder and its values and
+    counters are appended as one JSON fragment for the CLI to fold into
+    ``BENCH_<gitsha>.json``.
     """
     capture = BenchCapture(
         node_id=request.node.nodeid,

@@ -622,8 +622,9 @@ def _repo_root() -> Path:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: repeat the benchmark suite, emit a structured record."""
+    """``repro bench``: run the benchmark suite once, emit a structured record."""
     import shutil
+    import subprocess
     import tempfile
 
     from repro.obs import bench as bench_mod
@@ -633,10 +634,6 @@ def _run_bench(args: argparse.Namespace) -> int:
     bench_dir = Path(args.benchmarks_dir) if args.benchmarks_dir else root / "benchmarks"
     if not bench_dir.is_dir():
         _fail(f"benchmark directory not found: {bench_dir}")
-    if args.repeats < 1:
-        _fail(f"--repeats must be >= 1, got {args.repeats}")
-    if args.warmup < 0:
-        _fail(f"--warmup must be >= 0, got {args.warmup}")
 
     env = dict(os.environ)
     src_dir = Path(__file__).resolve().parents[1]
@@ -648,65 +645,52 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         env["REPRO_JOBS"] = str(args.jobs)
 
-    import subprocess
-
     staging = Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    total = args.warmup + args.repeats
-    fragment_runs = []
+    env[bench_mod.RECORD_DIR_ENV] = str(staging)
+    cmd = [
+        sys.executable,
+        "-m",
+        "pytest",
+        str(bench_dir),
+        "-q",
+        "--benchmark-disable",
+        "-p",
+        "no:cacheprovider",
+    ]
+    if args.select:
+        cmd += ["-k", args.select]
     try:
-        for index in range(total):
-            run_dir = staging / f"run{index}"
-            env[bench_mod.RECORD_DIR_ENV] = str(run_dir)
-            cmd = [
-                sys.executable,
-                "-m",
-                "pytest",
-                str(bench_dir),
-                "-q",
-                "--benchmark-disable",
-                "-p",
-                "no:cacheprovider",
-            ]
-            if args.select:
-                cmd += ["-k", args.select]
-            kind = "warmup" if index < args.warmup else "repeat"
-            print(f"bench run {index + 1}/{total} ({kind}) ...", flush=True)
-            proc = subprocess.run(
-                cmd, cwd=root, env=env, capture_output=True, text=True
+        print("bench run ...", flush=True)
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+        tail = proc.stdout.strip().splitlines()
+        if tail:
+            print(f"  {tail[-1]}")
+        if proc.returncode != 0:
+            print(proc.stdout, file=sys.stderr)
+            print(proc.stderr, file=sys.stderr)
+            print(
+                f"repro: error: benchmark run exited {proc.returncode}",
+                file=sys.stderr,
             )
-            tail = proc.stdout.strip().splitlines()
-            if tail:
-                print(f"  {tail[-1]}")
-            if proc.returncode != 0:
-                print(proc.stdout, file=sys.stderr)
-                print(proc.stderr, file=sys.stderr)
-                print(
-                    f"repro: error: benchmark run exited {proc.returncode}",
-                    file=sys.stderr,
-                )
-                return 1
-            fragments = bench_mod.load_fragments(run_dir)
-            if not fragments:
-                print(
-                    "repro: error: benchmark run produced no structured "
-                    "records (is the record_bench fixture wired up?)",
-                    file=sys.stderr,
-                )
-                return 1
-            fragment_runs.append(fragments)
+            return 1
+        fragments = bench_mod.load_fragments(staging)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    if not fragments:
+        print(
+            "repro: error: benchmark run produced no structured "
+            "records (is the record_bench fixture wired up?)",
+            file=sys.stderr,
+        )
+        return 1
 
-    kept = fragment_runs[args.warmup :]
-    fidelity = fidelity_block(tol=args.fidelity_tol)
+    fidelity = fidelity_block()
     record = bench_mod.assemble_record(
-        kept,
+        fragments,
         config={
             "profile": args.profile,
             "stride": args.stride,
             "jobs": args.jobs,
-            "repeats": args.repeats,
-            "warmup": args.warmup,
             "select": args.select,
         },
         fidelity=fidelity,
@@ -716,17 +700,11 @@ def _run_bench(args: argparse.Namespace) -> int:
     )
     bench_mod.write_record(record, out)
     print(f"Wrote bench record ({len(record['benches'])} benches) to {out}")
-    if not args.no_history:
-        history = Path(args.history) if args.history else (
-            bench_dir / "results" / "history.jsonl"
-        )
-        bench_mod.append_history(record, history)
-        print(f"Appended to {history}")
     if not fidelity["ok"]:
         drifted = [
             name
             for name, entry in fidelity["goldens"].items()
-            if abs(entry["deviation"]) > args.fidelity_tol
+            if entry["deviation"] != 0
         ]
         print(
             f"repro: error: {len(drifted)} paper golden(s) drifted: "
@@ -749,64 +727,18 @@ def _compare_bench(args: argparse.Namespace) -> int:
         _fail(str(exc))
     try:
         report = bench_mod.compare_records(
-            old,
-            new,
-            k=args.k,
-            rel_floor=args.rel_floor,
-            min_delta_s=args.min_delta_s,
-            fidelity_tol=args.fidelity_tol,
-            gate_counters=args.gate_counter,
+            old, new, gate_counters=args.gate_counter
         )
     except ValueError as exc:
         _fail(str(exc))
     print(report.summary())
-    if not report.fidelity_ok:
-        return 1
-    if not report.counters_ok:
-        return 1
-    if not report.perf_ok:
-        if args.perf == "advisory":
-            print(
-                "Perf regressions are advisory on this runner (--perf advisory)."
-            )
-            return 0
-        return 1
-    return 0
-
-
-def _report_bench(args: argparse.Namespace) -> int:
-    """``repro bench report``: render the history into markdown/HTML."""
-    from repro.obs import bench as bench_mod
-    from repro.obs.report import render_html, render_markdown
-
-    history = Path(args.history) if args.history else (
-        _repo_root() / "benchmarks" / "results" / "history.jsonl"
-    )
-    records, corrupt = bench_mod.load_history(history)
-    if corrupt:
-        print(
-            f"warning: tolerated {corrupt} undecodable history line(s)",
-            file=sys.stderr,
-        )
-    if not records:
-        print(f"No bench history at {history}; run `repro bench` first.")
-        return 1
-    render = render_html if args.format == "html" else render_markdown
-    text = render(records, max_runs=args.max_runs)
-    if args.out:
-        Path(args.out).write_text(text + ("\n" if not text.endswith("\n") else ""))
-        print(f"Wrote bench report ({len(records)} run(s)) to {args.out}")
-    else:
-        print(text)
-    return 0
+    return 0 if report.ok else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Dispatch the ``repro bench`` action (default: run the suite)."""
     if args.bench_action == "compare":
         return _compare_bench(args)
-    if args.bench_action == "report":
-        return _report_bench(args)
     return _run_bench(args)
 
 
@@ -1098,8 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the paper benchmarks and record/compare/report "
-        "structured perf + fidelity results",
+        help="run the paper benchmarks once and record/compare their "
+        "fidelity and counters",
         allow_abbrev=False,
     )
     bench.add_argument(
@@ -1115,35 +1047,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep benches (REPRO_JOBS)",
     )
     bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed repeats per bench; median + MAD land in the record "
-        "(default: 3)",
-    )
-    bench.add_argument(
-        "--warmup", type=int, default=1,
-        help="discarded warmup runs before the timed repeats (default: 1)",
-    )
-    bench.add_argument(
         "-k", dest="select", default=None, metavar="EXPR",
         help="pytest -k expression selecting a bench subset",
     )
     bench.add_argument(
         "--out", default=None,
         help="record path (default: BENCH_<gitsha>.json at the repo root)",
-    )
-    bench.add_argument(
-        "--history", default=None,
-        help="history file to append to "
-        "(default: benchmarks/results/history.jsonl)",
-    )
-    bench.add_argument(
-        "--no-history", action="store_true",
-        help="do not append this record to the history",
-    )
-    bench.add_argument(
-        "--fidelity-tol", type=float, default=0.0,
-        help="allowed relative deviation from the paper goldens "
-        "(default: 0 -- exact)",
     )
     bench.add_argument(
         "--benchmarks-dir", default=None,
@@ -1153,60 +1062,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_compare = bench_sub.add_parser(
         "compare",
-        help="compare two bench records; non-zero exit on perf regression "
-        "or fidelity drift",
+        help="compare two bench records; non-zero exit on fidelity or "
+        "gated-counter drift",
         allow_abbrev=False,
     )
     bench_compare.add_argument("old", help="baseline BENCH_*.json")
     bench_compare.add_argument("new", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--k", type=float, default=3.0,
-        help="noise gate: median shift must exceed k x MAD (default: 3)",
-    )
-    bench_compare.add_argument(
-        "--rel-floor", type=float, default=0.10,
-        help="and exceed this fraction of the old median (default: 0.10)",
-    )
-    bench_compare.add_argument(
-        "--min-delta-s", type=float, default=0.010,
-        help="and exceed this many seconds absolute (default: 0.01)",
-    )
-    bench_compare.add_argument(
-        "--fidelity-tol", type=float, default=0.0,
-        help="allowed golden deviation/change (default: 0 -- exact)",
-    )
-    bench_compare.add_argument(
-        "--perf", choices=["gate", "advisory"], default="gate",
-        help="gate: perf regressions fail the compare (default); "
-        "advisory: report them but exit 0 (fidelity always gates)",
-    )
     bench_compare.add_argument(
         "--gate-counter", action="append", default=[], metavar="NAME",
         help="obs counter that must be exactly equal between the records "
         "in every bench (repeatable); any drift fails the compare. "
         "Histogram names are rejected -- timing distributions are never "
         "exactly equal",
-    )
-
-    bench_report = bench_sub.add_parser(
-        "report",
-        help="render the bench history as a consolidated markdown/HTML report",
-        allow_abbrev=False,
-    )
-    bench_report.add_argument(
-        "--history", default=None,
-        help="history file (default: benchmarks/results/history.jsonl)",
-    )
-    bench_report.add_argument(
-        "--out", default=None, help="write here instead of stdout"
-    )
-    bench_report.add_argument(
-        "--format", choices=["md", "html"], default="md",
-        help="markdown (default) or a self-contained HTML page",
-    )
-    bench_report.add_argument(
-        "--max-runs", type=int, default=8,
-        help="runs shown in the trend table (default: 8)",
     )
     bench.set_defaults(func=cmd_bench)
 

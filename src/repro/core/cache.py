@@ -196,13 +196,17 @@ class MappingCache:
         self,
         key: str,
         result: Any,
-        record: dict[str, Any] | None = None,
+        record: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
-        """Store a fresh search result (and its disk record, when enabled)."""
+        """Store a fresh search result, and its disk record when enabled.
+
+        ``record`` builds the disk record; it is called only when the
+        cache has a disk tier, so a memory-only sweep never serializes.
+        """
         self._mem[key] = result
         obs.count("cache.puts")
         if self.directory is not None and record is not None:
-            self._unsaved.setdefault(self._digest_of(key), {})[key] = record
+            self._unsaved.setdefault(self._digest_of(key), {})[key] = record()
 
     # --- disk tier -------------------------------------------------------------
 

@@ -291,7 +291,7 @@ class Mapper:
         self.cache.put(
             key,
             result,
-            record={
+            record=lambda: {
                 "mapping": mapping_to_dict(result.mapping),
                 "evaluated": result.candidates_evaluated,
                 "invalid": result.candidates_invalid,

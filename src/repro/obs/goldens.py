@@ -9,11 +9,11 @@ of truth for them, consumed by
 
 * the golden regression tests (``tests/integration/test_goldens.py``),
   which assert every entry reproduces **exactly**, and
-* the cross-run benchmark harness (:mod:`repro.obs.bench`), whose
+* the bench records (:mod:`repro.obs.bench`), whose
   :func:`fidelity_block` embeds per-golden deviations in every
   ``BENCH_<gitsha>.json`` so ``repro bench compare`` can fail a commit
   that drifts from the paper even when every relationship-style test
-  still passes.
+  still passes.  The gate is exact: any non-zero deviation fails.
 
 Each :class:`Golden` carries a zero-argument ``compute`` closure that
 re-derives the value from the live model code.  Computation is cheap
@@ -32,12 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-
-#: Relative deviations at or below this are treated as exact.  The
-#: registry's computations are deterministic IEEE-754 arithmetic, so the
-#: default gate is *zero*; ``repro bench compare --fidelity-tol`` can
-#: relax it for exotic platforms.
-DEFAULT_FIDELITY_TOL = 0.0
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,6 @@ class GoldenResult:
         if self.expected == 0:
             return self.actual - self.expected
         return (self.actual - self.expected) / self.expected
-
-    def ok(self, tol: float = DEFAULT_FIDELITY_TOL) -> bool:
-        """Whether the deviation is within ``tol`` (default: exact)."""
-        return abs(self.deviation) <= tol
 
 
 # --- nest builders for the Figure 6 walkthroughs -----------------------------------
@@ -589,12 +579,12 @@ def evaluate_goldens() -> list[GoldenResult]:
     ]
 
 
-def fidelity_block(tol: float = DEFAULT_FIDELITY_TOL) -> dict:
+def fidelity_block() -> dict:
     """The ``fidelity`` block of a :mod:`repro.obs.bench` record.
 
     ``{"goldens": {name: {expected, actual, deviation, source}},
     "max_abs_deviation": float, "ok": bool}`` -- ``ok`` means every
-    deviation is within ``tol`` (default: exactly zero).
+    deviation is exactly zero.
     """
     results = evaluate_goldens()
     deviations = [abs(r.deviation) for r in results]
@@ -609,12 +599,11 @@ def fidelity_block(tol: float = DEFAULT_FIDELITY_TOL) -> dict:
             for r in results
         },
         "max_abs_deviation": max(deviations, default=0.0),
-        "ok": all(r.ok(tol) for r in results),
+        "ok": not any(deviations),
     }
 
 
 __all__ = [
-    "DEFAULT_FIDELITY_TOL",
     "GOLDENS",
     "Golden",
     "GoldenResult",

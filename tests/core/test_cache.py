@@ -300,7 +300,7 @@ def _concurrent_writer(directory, writer, count, barrier):
     for index in range(count):
         cache = MappingCache(directory)
         key = _fake_key(writer, index)
-        cache.put(key, object(), record={"mapping": {"i": index}})
+        cache.put(key, object(), record=lambda: {"mapping": {"i": index}})
         cache.save()
 
 
@@ -363,9 +363,9 @@ class TestAppendOnlyStore:
 
     def test_each_save_appends_only_its_new_entries(self, tmp_path):
         cache = MappingCache(tmp_path)
-        cache.put(_fake_key(0, 0), object(), record={"mapping": {"i": 0}})
+        cache.put(_fake_key(0, 0), object(), record=lambda: {"mapping": {"i": 0}})
         cache.save()
-        cache.put(_fake_key(0, 1), object(), record={"mapping": {"i": 1}})
+        cache.put(_fake_key(0, 1), object(), record=lambda: {"mapping": {"i": 1}})
         cache.save()
         cache.save()  # nothing new: no line
         lines = self._path(tmp_path).read_text().splitlines()
@@ -377,7 +377,7 @@ class TestAppendOnlyStore:
         path.write_text(_entry_line(0) + "\n" + _entry_line(1)[:40])
         for index in (2, 3):
             cache = MappingCache(tmp_path)
-            cache.put(_fake_key(0, index), object(), record={"mapping": {"i": index}})
+            cache.put(_fake_key(0, index), object(), record=lambda: {"mapping": {"i": index}})
             cache.save()
         recorder = obs.Recorder()
         with obs.use(recorder):
@@ -421,7 +421,7 @@ class TestAppendOnlyStore:
         path.write_text(_entry_line(0))
         cache = MappingCache(tmp_path)
         assert cache.contains(_fake_key(0, 0))
-        cache.put(_fake_key(0, 1), object(), record={"mapping": {"i": 1}})
+        cache.put(_fake_key(0, 1), object(), record=lambda: {"mapping": {"i": 1}})
         cache.save()
         assert path.read_text().splitlines() == [_entry_line(0), _entry_line(1)]
         fresh = MappingCache(tmp_path)
@@ -508,7 +508,7 @@ def _put_digest(directory, digest, index=0, pad=0):
     """Save one entry under ``digest``; pad the record to inflate file size."""
     cache = MappingCache(directory)
     record = {"mapping": {"i": index}, "pad": "x" * pad}
-    cache.put(f"s{index}|{digest}|minimal|o", object(), record=record)
+    cache.put(f"s{index}|{digest}|minimal|o", object(), record=lambda: record)
     cache.save()
 
 
@@ -565,11 +565,11 @@ class TestCacheGovernance:
         _put_digest(tmp_path, "cd" * 32)
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "lots")
         cache = MappingCache(tmp_path)
-        cache.put("s1|" + "cd" * 32 + "|minimal|o", object(), record={"m": 1})
+        cache.put("s1|" + "cd" * 32 + "|minimal|o", object(), record=lambda: {"m": 1})
         with pytest.raises(ConfigError, match=CACHE_MAX_BYTES_ENV):
             cache.save()
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "-5")
-        cache.put("s2|" + "cd" * 32 + "|minimal|o", object(), record={"m": 2})
+        cache.put("s2|" + "cd" * 32 + "|minimal|o", object(), record=lambda: {"m": 2})
         with pytest.raises(ConfigError, match=">= 0"):
             cache.save()
 
@@ -604,6 +604,6 @@ class TestCacheDegradedMode:
         assert counters["resource.enospc"] >= 1
         assert not list(tmp_path.glob("mappings-*.json"))
         # Later saves are silent no-ops, not repeated failures.
-        cache.put("s|" + "ef" * 32 + "|minimal|o", object(), record={"m": 1})
+        cache.put("s|" + "ef" * 32 + "|minimal|o", object(), record=lambda: {"m": 1})
         cache.save()
         durable.reset_degraded()

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import durable
 from repro.arch.config import case_study_hardware
+from repro.core.cache import CACHE_FORMAT_VERSION, MappingCache
 from repro.core.cost import evaluate_mapping
 from repro.core.mapper import Mapper, edp_objective, energy_objective, map_model
+from repro.core.serialize import mapping_to_dict
 from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
 
@@ -77,3 +80,50 @@ class TestSearchModel:
         exhaustive = Mapper(hw=hw, profile=SearchProfile.EXHAUSTIVE).search_layer(layer)
         minimal = Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_layer(layer)
         assert exhaustive.best.energy_pj <= minimal.best.energy_pj + 1e-6
+
+
+class TestDiskRecords:
+    """A fresh search's disk record is built only when the cache keeps it."""
+
+    @staticmethod
+    def layers():
+        return [
+            common_layer("a"),
+            ConvLayer("b", h=28, w=28, ci=128, co=128, kh=1, kw=1),
+        ]
+
+    def test_memory_only_search_never_serializes(self, monkeypatch):
+        def refuse(mapping):
+            raise AssertionError("a memory-only search serialized its winner")
+
+        monkeypatch.setattr("repro.core.mapper.mapping_to_dict", refuse)
+        mapper = Mapper(
+            hw=case_study_hardware(),
+            profile=SearchProfile.MINIMAL,
+            cache=MappingCache(),
+        )
+        assert len(mapper.search_model(self.layers())) == 2
+
+    def test_disk_cache_appends_each_search_record(self, tmp_path):
+        mapper = Mapper(
+            hw=case_study_hardware(),
+            profile=SearchProfile.MINIMAL,
+            cache=MappingCache(tmp_path),
+        )
+        results = mapper.search_model(self.layers())
+        (path,) = tmp_path.glob("mappings-*.json")
+        lines, torn = durable.parse_lines(path.read_text())
+        assert torn == 0
+        assert lines == [
+            {
+                "version": CACHE_FORMAT_VERSION,
+                "entries": {
+                    mapper._key(r.layer): {
+                        "mapping": mapping_to_dict(r.mapping),
+                        "evaluated": r.candidates_evaluated,
+                        "invalid": r.candidates_invalid,
+                    }
+                    for r in results
+                },
+            }
+        ]

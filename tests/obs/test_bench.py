@@ -1,12 +1,12 @@
-"""Tests for the bench record schema, history and the compare gate.
+"""Tests for the bench record schema and the compare gates.
 
-Everything runs on synthetic records -- no benchmark is executed -- so the
-noise gates, the fidelity strictness and the torn-history tolerance are
-checked directly, the same way ``tests/core/test_checkpoint.py`` drills
-the sweep checkpoint.
+Everything runs on synthetic records -- no benchmark is executed -- so
+the fidelity strictness and the counter gate are checked directly.  The
+committed baseline record is checked against the live golden registry.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,40 +15,35 @@ from repro.obs import bench as bench_mod
 from repro.obs.bench import (
     BENCH_SCHEMA,
     BenchCapture,
-    append_history,
     assemble_record,
     compare_records,
     environment_fingerprint,
     load_fragments,
-    load_history,
     load_record,
-    mad,
-    median,
     validate_record,
     write_record,
 )
-from repro.obs.report import render_html, render_markdown
+from repro.obs.goldens import fidelity_block
+
+#: The record ``make bench-record`` and CI compare each run against.
+BASELINE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "results"
+    / "bench_baseline.json"
+)
 
 
-def make_record(
-    sha="a" * 40,
-    benches=None,
-    goldens=None,
-):
-    """A minimal valid bench record from (median, mad) pairs."""
-    bench_entries = {}
-    for name, (med, spread) in (benches or {}).items():
-        bench_entries[name] = {
+def make_record(benches=(), goldens=None):
+    """A minimal valid bench record from golden (expected, actual) pairs."""
+    bench_entries = {
+        name: {
             "node": f"bench_{name}.py::test_{name}",
-            "wall_s": {
-                "samples": [med],
-                "median": med,
-                "mad": spread,
-                "repeats": 1,
-            },
             "values": {},
             "artifacts": [f"{name}.txt"],
         }
+        for name in benches
+    }
     golden_entries = {}
     for name, (expected, actual) in (goldens or {}).items():
         deviation = (
@@ -63,7 +58,7 @@ def make_record(
     return {
         "schema": BENCH_SCHEMA,
         "created_utc": "2026-01-01T00:00:00Z",
-        "git_sha": sha,
+        "git_sha": "a" * 40,
         "environment": {"python": "3.11.7", "cpu_count": 1, "repro_env": {}},
         "config": {"profile": "minimal"},
         "benches": bench_entries,
@@ -78,23 +73,6 @@ def make_record(
     }
 
 
-class TestRobustStats:
-    def test_median_odd_even(self):
-        assert median([3, 1, 2]) == 2
-        assert median([4, 1, 2, 3]) == 2.5
-
-    def test_median_empty_raises(self):
-        with pytest.raises(ValueError):
-            median([])
-
-    def test_mad(self):
-        # samples 1,2,9: median 2, abs deviations 1,0,7 -> MAD 1.
-        assert mad([1, 2, 9]) == 1
-
-    def test_mad_constant_series_is_zero(self):
-        assert mad([5.0, 5.0, 5.0]) == 0.0
-
-
 class TestBenchCapture:
     def test_txt_artifact_matches_legacy_record_byte_for_byte(self, tmp_path):
         legacy = tmp_path / "legacy"
@@ -102,7 +80,7 @@ class TestBenchCapture:
         legacy.mkdir()
         new.mkdir()
         text = "Table X -- something\n  row 1\n  row 2"
-        # The legacy fixture's exact write.
+        # The format the committed results/*.txt artifacts were written in.
         (legacy / "t.txt").write_text(text + "\n")
         with BenchCapture("bench_t.py::test_t", new) as capture:
             capture("t", text)
@@ -118,7 +96,7 @@ class TestBenchCapture:
             capture.values(answer=42)
         fragments = load_fragments(record_dir)
         frag = fragments["bench_x.py::test_x"]
-        assert frag["wall_s"] > 0
+        assert "wall_s" not in frag
         assert frag["values"] == {"answer": 42.0}
         assert frag["artifacts"] == ["x.txt"]
         assert frag["counters"]["unit.test.work"] == 7
@@ -144,7 +122,7 @@ class TestBenchCapture:
     def test_load_fragments_skips_garbage_lines(self, tmp_path):
         record_dir = tmp_path / "frags"
         record_dir.mkdir()
-        good = json.dumps({"bench": "b", "wall_s": 0.1, "values": {}})
+        good = json.dumps({"bench": "b", "values": {}})
         (record_dir / bench_mod.FRAGMENTS_NAME).write_text(
             good + "\n{torn gar\n"
         )
@@ -152,35 +130,31 @@ class TestBenchCapture:
 
 
 class TestAssembleAndValidate:
-    def _runs(self):
-        def frag(wall, answer):
-            return {
-                "b": {
-                    "bench": "b",
-                    "node": "bench_b.py::test_b",
-                    "wall_s": wall,
-                    "values": {"answer": answer},
-                    "artifacts": ["b.txt"],
-                    "counters": {"c": 1},
-                }
+    def test_values_and_counters_from_the_run(self):
+        fragments = {
+            "b": {
+                "bench": "b",
+                "node": "bench_b.py::test_b",
+                "values": {"answer": 3.0},
+                "artifacts": ["b.txt"],
+                "counters": {"c": 1},
             }
-
-        return [frag(0.10, 1.0), frag(0.30, 2.0), frag(0.20, 3.0)]
-
-    def test_wall_stats_across_repeats_values_from_last(self):
+        }
         record = assemble_record(
-            self._runs(), config={"profile": "fast"}, fidelity={"goldens": {}}
+            fragments, config={"profile": "fast"}, fidelity={"goldens": {}}
         )
         entry = record["benches"]["b"]
-        assert entry["wall_s"]["median"] == 0.20
-        assert entry["wall_s"]["mad"] == pytest.approx(0.10)
-        assert entry["wall_s"]["repeats"] == 3
-        assert entry["values"] == {"answer": 3.0}
+        assert entry == {
+            "node": "bench_b.py::test_b",
+            "values": {"answer": 3.0},
+            "artifacts": ["b.txt"],
+            "counters": {"c": 1},
+        }
         assert validate_record(record) == []
 
     def test_empty_runs_raise(self):
         with pytest.raises(ValueError):
-            assemble_record([], config={}, fidelity={})
+            assemble_record({}, config={}, fidelity={})
 
     def test_validate_flags_missing_keys(self):
         problems = validate_record({"schema": "wrong"})
@@ -188,7 +162,7 @@ class TestAssembleAndValidate:
         assert any("expected" in p for p in problems)
 
     def test_write_and_load_roundtrip(self, tmp_path):
-        record = make_record(benches={"b": (0.1, 0.01)})
+        record = make_record(benches=["b"], goldens={"g": (2.0, 2.0)})
         path = write_record(record, tmp_path / "BENCH_test.json")
         assert load_record(path) == record
 
@@ -197,92 +171,19 @@ class TestAssembleAndValidate:
             write_record({"schema": BENCH_SCHEMA}, tmp_path / "bad.json")
 
 
-class TestHistory:
-    def test_append_then_load(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        first = make_record(sha="a" * 40, benches={"b": (0.1, 0.0)})
-        second = make_record(sha="b" * 40, benches={"b": (0.2, 0.0)})
-        append_history(first, path)
-        append_history(second, path)
-        records, corrupt = load_history(path)
-        assert corrupt == 0
-        assert [r["git_sha"] for r in records] == ["a" * 40, "b" * 40]
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        # A killed writer can tear at most the final line; the loader must
-        # keep every complete record and just count the casualty.
-        path = tmp_path / "history.jsonl"
-        append_history(make_record(sha="a" * 40), path)
-        append_history(make_record(sha="b" * 40), path)
-        whole = path.read_text()
-        path.write_text(whole + whole.splitlines()[0][: len(whole) // 3])
-        records, corrupt = load_history(path)
-        assert corrupt == 1
-        assert [r["git_sha"] for r in records] == ["a" * 40, "b" * 40]
-
-    def test_foreign_schema_lines_counted_as_corrupt(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        path.write_text(json.dumps({"schema": "other/1"}) + "\n")
-        records, corrupt = load_history(path)
-        assert records == []
-        assert corrupt == 1
-
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert load_history(tmp_path / "nope.jsonl") == ([], 0)
-
-
 class TestCompare:
     def test_clean_rerun_passes(self):
-        old = make_record(benches={"b": (0.100, 0.002)}, goldens={"g": (2.0, 2.0)})
-        new = make_record(benches={"b": (0.101, 0.002)}, goldens={"g": (2.0, 2.0)})
+        old = make_record(benches=["b"], goldens={"g": (2.0, 2.0)})
+        new = make_record(benches=["b"], goldens={"g": (2.0, 2.0)})
         report = compare_records(old, new)
-        assert report.perf_ok
-        assert report.fidelity_ok
-
-    def test_injected_regression_is_flagged(self):
-        # +100% with 2 ms MAD clears k*MAD, the 10% floor and 10 ms.
-        old = make_record(benches={"b": (0.100, 0.002)})
-        new = make_record(benches={"b": (0.200, 0.002)})
-        report = compare_records(old, new)
-        assert [d.bench for d in report.regressions] == ["b"]
-        assert not report.perf_ok
-
-    def test_mad_level_noise_is_not_flagged(self):
-        # +30 ms shift on a 40 ms MAD: inside the k=3 noise band.
-        old = make_record(benches={"b": (1.000, 0.040)})
-        new = make_record(benches={"b": (1.030, 0.040)})
-        assert compare_records(old, new).perf_ok
-
-    def test_relative_floor_suppresses_tiny_shifts(self):
-        # Clears k*MAD and the absolute floor, but is only +2% relative.
-        old = make_record(benches={"b": (1.000, 0.001)})
-        new = make_record(benches={"b": (1.020, 0.001)})
-        assert compare_records(old, new).perf_ok
-
-    def test_absolute_floor_suppresses_fast_benches(self):
-        # A 2 ms bench doubling is still under min_delta_s.
-        old = make_record(benches={"b": (0.002, 0.0)})
-        new = make_record(benches={"b": (0.004, 0.0)})
-        assert compare_records(old, new).perf_ok
-
-    def test_improvement_is_reported_not_fatal(self):
-        old = make_record(benches={"b": (0.200, 0.002)})
-        new = make_record(benches={"b": (0.100, 0.002)})
-        report = compare_records(old, new)
-        assert report.perf_ok
-        assert report.perf[0].status == "improved"
-
-    def test_added_and_removed_benches(self):
-        old = make_record(benches={"gone": (0.1, 0.0)})
-        new = make_record(benches={"fresh": (0.1, 0.0)})
-        statuses = {d.bench: d.status for d in compare_records(old, new).perf}
-        assert statuses == {"gone": "removed", "fresh": "added"}
+        assert report.ok
+        assert "every golden matches the paper" in report.summary()
 
     def test_fidelity_drift_of_one_golden_fails(self):
         old = make_record(goldens={"g1": (2.0, 2.0), "g2": (8.75, 8.75)})
         new = make_record(goldens={"g1": (2.0, 2.0), "g2": (8.75, 8.76)})
         report = compare_records(old, new)
-        assert not report.fidelity_ok
+        assert not report.ok
         assert [issue.golden for issue in report.fidelity] == ["g2"]
         assert "paper" in report.fidelity[0].reason
 
@@ -291,26 +192,36 @@ class TestCompare:
         # value moved since the old record -- still an issue.
         old = make_record(goldens={"g": (2.0, 2.5)})
         new = make_record(goldens={"g": (2.0, 2.0)})
-        report = compare_records(old, new, fidelity_tol=0.1)
+        report = compare_records(old, new)
         assert [issue.golden for issue in report.fidelity] == ["g"]
         assert "changed" in report.fidelity[0].reason
 
-    def test_summary_mentions_regressions_and_drift(self):
-        old = make_record(
-            benches={"b": (0.100, 0.002)}, goldens={"g": (2.0, 2.0)}
-        )
-        new = make_record(
-            benches={"b": (0.300, 0.002)}, goldens={"g": (2.0, 3.0)}
-        )
+    def test_golden_missing_from_the_new_record_fails(self):
+        # Deleting a golden from the registry must not pass the gate.
+        old = make_record(goldens={"g1": (2.0, 2.0), "g2": (8.75, 8.75)})
+        new = make_record(goldens={"g1": (2.0, 2.0)})
+        report = compare_records(old, new)
+        assert not report.ok
+        assert [issue.golden for issue in report.fidelity] == ["g2"]
+        assert "missing" in report.fidelity[0].reason
+
+    def test_golden_added_in_the_new_record_passes(self):
+        old = make_record(goldens={"g1": (2.0, 2.0)})
+        new = make_record(goldens={"g1": (2.0, 2.0), "g2": (8.75, 8.75)})
+        assert compare_records(old, new).ok
+
+    def test_summary_names_each_drifted_golden(self):
+        old = make_record(goldens={"g": (2.0, 2.0), "h": (1.0, 1.0)})
+        new = make_record(goldens={"g": (2.0, 3.0)})
         text = compare_records(old, new).summary()
-        assert "REGRESSION" in text
         assert "DRIFT g" in text
+        assert "DRIFT h" in text
 
 
 class TestCounterGate:
     @staticmethod
     def record_with_counters(counters, name="b"):
-        record = make_record(benches={name: (0.1, 0.002)})
+        record = make_record(benches=[name])
         record["benches"][name]["counters"] = counters
         return record
 
@@ -318,14 +229,14 @@ class TestCounterGate:
         old = self.record_with_counters({"dse.points.pruned": 7, "other": 1})
         new = self.record_with_counters({"dse.points.pruned": 7, "other": 99})
         report = compare_records(old, new, gate_counters=["dse.points.pruned"])
-        assert report.counters_ok
+        assert report.ok
         assert report.counters == []
 
     def test_gated_counter_drift_fails_exactly(self):
         old = self.record_with_counters({"dse.points.pruned": 7})
         new = self.record_with_counters({"dse.points.pruned": 8})
         report = compare_records(old, new, gate_counters=["dse.points.pruned"])
-        assert not report.counters_ok
+        assert not report.ok
         issue = report.counters[0]
         assert issue.counter == "dse.points.pruned"
         assert (issue.old_value, issue.new_value) == (7, 8)
@@ -335,18 +246,18 @@ class TestCounterGate:
         old = self.record_with_counters({"dse.points.pruned": 7})
         new = self.record_with_counters({})
         report = compare_records(old, new, gate_counters=["dse.points.pruned"])
-        assert not report.counters_ok
+        assert not report.ok
 
     def test_counter_absent_from_both_sides_is_ignored(self):
         old = self.record_with_counters({})
         new = self.record_with_counters({})
         report = compare_records(old, new, gate_counters=["dse.points.pruned"])
-        assert report.counters_ok
+        assert report.ok
 
     def test_ungated_counters_never_gate(self):
         old = self.record_with_counters({"dse.points.pruned": 7})
         new = self.record_with_counters({"dse.points.pruned": 999})
-        assert compare_records(old, new).counters_ok
+        assert compare_records(old, new).ok
 
     def test_gating_a_histogram_name_is_a_clear_error(self):
         # A histogram's sum is timing-shaped and never exactly equal
@@ -373,51 +284,6 @@ class TestCounterGate:
             compare_records(old, new, gate_counters=["h"])
 
 
-class TestReport:
-    def _history(self):
-        return [
-            make_record(
-                sha="a" * 40,
-                benches={"b": (0.100, 0.002)},
-                goldens={"g": (2.0, 2.0)},
-            ),
-            make_record(
-                sha="b" * 40,
-                benches={"b": (0.150, 0.002)},
-                goldens={"g": (2.0, 2.1)},
-            ),
-        ]
-
-    def test_markdown_trend_and_drift(self):
-        text = render_markdown(self._history())
-        assert "aaaaaaa" in text and "bbbbbbb" in text
-        assert "+50.0%" in text
-        assert "DRIFT" in text
-
-    def test_markdown_empty_history(self):
-        assert "No recorded runs" in render_markdown([])
-
-    def test_html_is_self_contained_and_flags_drift(self):
-        page = render_html(self._history())
-        assert page.startswith("<!doctype html>")
-        assert "<script" not in page
-        assert "class='drift'" in page
-
-    def test_html_escapes_content(self):
-        history = [make_record(benches={"<b&>": (0.1, 0.0)})]
-        page = render_html(history)
-        assert "<b&>" not in page
-        assert "&lt;b&amp;&gt;" in page
-
-    def test_counter_delta_section(self):
-        history = self._history()
-        history[0]["benches"]["b"]["counters"] = {"mapper.evals": 100}
-        history[1]["benches"]["b"]["counters"] = {"mapper.evals": 300}
-        text = render_markdown(history)
-        assert "mapper.evals" in text
-        assert "+200" in text
-
-
 class TestEnvironmentFingerprint:
     def test_captures_repro_knobs_but_not_the_record_dir(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_PROFILE", "minimal")
@@ -426,3 +292,22 @@ class TestEnvironmentFingerprint:
         assert env["repro_env"]["REPRO_BENCH_PROFILE"] == "minimal"
         assert bench_mod.RECORD_DIR_ENV not in env["repro_env"]
         assert env["cpu_count"] >= 1
+
+
+class TestBaseline:
+    """The committed baseline is a valid record of today's goldens."""
+
+    def test_baseline_validates_and_carries_no_wall_time(self):
+        record = load_record(BASELINE)
+        assert validate_record(record) == []
+        assert "repeats" not in record["config"]
+        assert "warmup" not in record["config"]
+        assert all("wall_s" not in entry for entry in record["benches"].values())
+
+    def test_baseline_goldens_equal_the_registry(self):
+        committed = load_record(BASELINE)["fidelity"]
+        live = fidelity_block()
+        assert list(committed["goldens"]) == sorted(live["goldens"])
+        for name, entry in live["goldens"].items():
+            assert committed["goldens"][name] == entry, name
+        assert committed["ok"] and committed["max_abs_deviation"] == 0.0
