@@ -81,12 +81,14 @@ print(sys.argv[2], "re-run from the shared cache:", c["cache.disk_hits"], \
 	done
 
 # I/O fault-injection gate (mirrors the CI io-faults step): the
-# durability/taxonomy/fuzz suites, then two end-to-end legs.  Leg 1: a
+# durability/taxonomy/fuzz suites, then three end-to-end legs.  Leg 1: a
 # sweep with half of all sink writes failing ENOSPC must produce
 # byte-identical JSON to a clean run while reporting nonzero degraded.*
 # counters (full disk costs the checkpoint, never the answer).  Leg 2: a
-# guided search pointed at a corrupted --study file must quarantine it
-# as *.corrupt-* and finish.  See docs/robustness.md.
+# guided search pointed at a corrupted --study file must set it aside
+# as *.corrupt-* and finish.  Leg 3: a guided store cut mid-line (what
+# kill -9 during an append leaves) must resume every complete trial and
+# give the clean run's payload.  See docs/robustness.md.
 faults-io:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/core/test_durable.py tests/core/test_errors.py \
@@ -108,15 +110,30 @@ degraded = {k: v for k, v in counters.items() if k.startswith("degraded.")}; \
 assert degraded, f"no degraded.* counters in {sorted(counters)}"; \
 print("degraded sinks:", ", ".join(sorted(degraded)))' "$$tmp/metrics.json" && \
 	echo "enospc-faulted sweep byte-identical to clean run" && \
-	printf 'not a sqlite database' > "$$tmp/study.sqlite" && \
+	printf 'not a sweep store' > "$$tmp/study.jsonl" && \
 	REPRO_FAULTS='corrupt-study' \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 512 --models alexnet --profile minimal \
 		--strategy guided --trials 8 --seed 0 \
-		--study "$$tmp/study.sqlite" --jobs 1 \
+		--study "$$tmp/study.jsonl" --jobs 1 \
 		--json "$$tmp/guided.json" >/dev/null 2>&1 && \
-	ls "$$tmp"/study.sqlite.corrupt-* >/dev/null && \
-	echo "corrupt study quarantined; guided search completed"
+	ls "$$tmp"/study.jsonl.corrupt-* >/dev/null && \
+	echo "corrupt study set aside; guided search completed" && \
+	for run in clean cut; do \
+		if [ $$run = cut ]; then truncate -s -40 "$$tmp/cut.jsonl"; fi; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
+			--macs 512 --models alexnet --profile minimal \
+			--strategy guided --trials 8 --seed 0 \
+			--study "$$tmp/cut.jsonl" --jobs 1 \
+			--json "$$tmp/guided-$$run.json" >/dev/null 2>&1 || exit 1; \
+	done && \
+	python -c 'import json, sys; \
+clean, cut = (json.load(open(path)) for path in sys.argv[1:]); \
+clean["search"].pop("resumed"); resumed = cut["search"].pop("resumed"); \
+assert clean == cut, "cut store changed the guided payload"; \
+assert 0 < resumed < cut["search"]["proposed"], resumed; \
+print(f"store cut mid-line: {resumed} trials resumed, payload identical")' \
+		"$$tmp/guided-clean.json" "$$tmp/guided-cut.json"
 
 # Run-telemetry gate (mirrors the CI obs-telemetry job): the event-log/
 # progress/export suites, then three end-to-end legs.  Leg 1: a sweep with
@@ -186,7 +203,7 @@ guided:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 4096 --area 3.0 --models alexnet --profile fast \
 		--strategy guided --trials 139 --seed 0 \
-		--study "$$tmp/guided-study.sqlite" --jobs 4 \
+		--study "$$tmp/guided-study.jsonl" --jobs 4 \
 		--json "$$tmp/guided.json" >/dev/null && \
 	python scripts/check_guided_gate.py "$$tmp/exhaustive.json" \
 		"$$tmp/guided.json" --max-eval-frac 0.01
@@ -272,8 +289,11 @@ batch-parity:
 	cmp "$$tmp/bert-chunked.json" "$$tmp/bert-batch.json" && \
 	echo "chunked batch kernel (REPRO_BATCH_MAX_BYTES) byte-identical to one-shot"
 
+# Every bench, including the four that do not use the pytest-benchmark
+# fixture (batch kernel, obs overhead and both transformer benches), which
+# --benchmark-only would skip.
 bench:
-	pytest benchmarks/ --benchmark-only
+	pytest benchmarks/
 
 # The fast benchmark subset CI runs on every push to catch perf-path
 # regressions without paying for the full sweep, plus the observability
@@ -329,7 +349,7 @@ profile:
 # memory sweep (about 2 minutes on one core, 1 of them in Figure 15).
 bench-full:
 	REPRO_BENCH_PROFILE=exhaustive REPRO_FIG15_STRIDE=1 \
-		pytest benchmarks/ --benchmark-only
+		pytest benchmarks/
 
 examples:
 	python examples/quickstart.py

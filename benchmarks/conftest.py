@@ -16,7 +16,9 @@ Environment knobs:
 * ``REPRO_BENCH_RECORD_DIR`` -- set by the ``repro bench`` CLI: the
   ``record_bench`` fixture appends one structured JSON fragment per test
   there (reproduced values, obs counters) for the cross-run fidelity and
-  counter gates.  See ``docs/observability.md``.
+  counter gates, and writes the artifacts under its ``results/`` instead
+  of the committed ``benchmarks/results/``.  See
+  ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -75,15 +77,17 @@ def record_bench(request):
     Calling the fixture writes the ``.txt`` artifact (and echoes it);
     ``record_bench.values(r_squared=...)`` attaches scalar reproduced
     numbers, and ``record_bench.json(name, ...)`` writes a JSON artifact.
-    Under ``repro bench`` (REPRO_BENCH_RECORD_DIR set) the test body
-    additionally runs under a live obs recorder and its values and
-    counters are appended as one JSON fragment for the CLI to fold into
-    ``BENCH_<gitsha>.json``.
+    Under ``repro bench`` (REPRO_BENCH_RECORD_DIR set) the artifacts go to
+    the record directory's ``results/``, leaving the committed ones alone,
+    and the test body additionally runs under a live obs recorder and its
+    values and counters are appended as one JSON fragment for the CLI to
+    fold into ``BENCH_<gitsha>.json``.
     """
+    record_dir = os.environ.get(RECORD_DIR_ENV) or None
     capture = BenchCapture(
         node_id=request.node.nodeid,
-        results_dir=RESULTS_DIR,
-        record_dir=os.environ.get(RECORD_DIR_ENV) or None,
+        results_dir=Path(record_dir) / "results" if record_dir else RESULTS_DIR,
+        record_dir=record_dir,
     )
     with capture:
         yield capture

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sqlite3
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -861,8 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--study", default=None,
-        help="guided only: sqlite study file persisting completed trials "
-        "so an interrupted search resumes",
+        help="guided only: JSONL store file persisting completed trials; "
+        "re-running the same command resumes from it",
     )
     explore.add_argument(
         "--seed", type=int, default=0,
@@ -1132,8 +1131,7 @@ def main(argv: list[str] | None = None) -> int:
     subcommand is printed as one ``repro: error [<code>]: <message>`` line
     and mapped to its exit code in exactly one place: usage 2, config 3,
     data 4, corrupt state 5, exhausted resources 6.  ``KeyboardInterrupt``
-    exits 130 (SIGINT convention) and a raw ``sqlite3.DatabaseError`` --
-    corrupt state that slipped past the quarantine -- exits 5.
+    exits 130 (SIGINT convention).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1151,7 +1149,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 128 + 13
-    except (ReproError, sqlite3.DatabaseError) as exc:
+    except ReproError as exc:
         print(
             f"repro: error [{error_code_for(exc)}]: {exc}", file=sys.stderr
         )

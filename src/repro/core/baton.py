@@ -162,7 +162,7 @@ class NNBaton:
             strategy: ``"exhaustive"`` (default) or ``"guided"`` -- the
                 ask/tell optimizer of :mod:`repro.core.search`.
             trials: Guided only -- the full-evaluation budget.
-            study: Guided only -- sqlite study path for persistence/resume.
+            study: Guided only -- JSONL store file for persistence/resume.
             seed: Guided only -- sampler seed.
             progress: Optional :class:`repro.obs.progress.ProgressMeter`
                 updated as the sweep completes points (stderr only).

@@ -5,23 +5,28 @@ of design points; one OOM-killed worker or one Ctrl-C used to throw the
 whole run away.  This module persists evaluated design points as they
 arrive, so an interrupted sweep restarted with ``--resume`` skips every
 point it already evaluated (invalid points are cheaply validated again)
-and produces byte-identical output to an uninterrupted run.
+and produces byte-identical output to an uninterrupted run.  A guided
+search persists through the same store, opened at its ``--study`` path.
 
 Format -- one JSON object per line, append-only:
 
-* a **header** line ``{"kind": "header", "version": 1, "sweep": <digest>}``;
+* a **header** line ``{"kind": "header", "version": 1, "sweep": <digest>}``,
+  plus the readable parameters a guided study pins (``strategy``,
+  ``seed``, ``trials``);
 * **point** lines ``{"kind": "point", "key": <task key>, "record": {...}}``.
 
 The file is keyed by a SHA-256 **sweep digest** over everything that
 determines a point's result (model layer shapes, MAC budget, the space,
 the area budget, search profile, technology point and memory stride), the
 same discipline the mapping cache applies to hardware digests: a changed
-sweep parameter lands in a different file and never poisons a resume.
+sweep parameter lands in a different file and never poisons a resume, and
+a header naming another sweep is refused (:class:`StudyConfigError`).
 Appends are buffered and flushed as one ``write`` on an ``O_APPEND``
 descriptor (:func:`repro.durable.append_lines`), so concurrent or killed
 writers can at worst leave one torn *tail* line -- the next flush starts a
 fresh line after it, and the loader tolerates (and counts) undecodable
-lines instead of discarding the checkpoint.
+lines instead of discarding the checkpoint.  A file with no readable
+header at all is set aside (:func:`repro.durable.set_aside`).
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from pathlib import Path
 from typing import Any
 
 from repro import durable, obs
+from repro.core.parallel import _fault_plan
+from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.checkpoint")
 
@@ -102,11 +109,25 @@ def task_key(task: tuple) -> str:
     )
 
 
+class StudyConfigError(ConfigError, ValueError):
+    """The store's header names another sweep (digest or parameters).
+
+    Still a ``ValueError`` (the historical contract) and a
+    :class:`repro.errors.ConfigError` (code ``config``, exit 3).
+    """
+
+
 class SweepCheckpoint:
     """Append-only JSONL store of evaluated design points.
 
+    An exhaustive sweep keeps ``sweep-<digest16>.jsonl`` under its
+    checkpoint directory; a guided search names its ``--study`` file
+    (``name``) and pins its readable parameters (``meta``) in the header
+    next to the digest.  Open the store with :meth:`load` (resume) or
+    :meth:`reset` (start fresh) before recording into it.
+
     Attributes:
-        path: The checkpoint file (``sweep-<digest16>.jsonl``).
+        path: The store file.
         flush_every: Buffered point records per append (1 = every point).
         corrupt_lines: Undecodable lines tolerated during the last load.
     """
@@ -116,12 +137,16 @@ class SweepCheckpoint:
         directory: str | Path,
         digest: str,
         flush_every: int = 16,
+        *,
+        name: str | None = None,
+        meta: dict[str, Any] | None = None,
     ) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.directory = Path(directory)
         self.digest = digest
-        self.path = self.directory / f"sweep-{digest[:16]}.jsonl"
+        self.path = self.directory / (name or f"sweep-{digest[:16]}.jsonl")
+        self.meta = dict(meta or {})
         self.flush_every = flush_every
         self.corrupt_lines = 0
         self._buffer: list[str] = []
@@ -142,12 +167,22 @@ class SweepCheckpoint:
 
         Tolerates a torn tail (or any undecodable line), counting it in
         :attr:`corrupt_lines` and the ``checkpoint.corrupt_lines`` obs
-        counter.  A checkpoint of a different format version is set aside
-        (renamed) and treated as empty.
+        counter.  A non-empty file with no readable header line (garbage,
+        a store of another format, or one of a different format version)
+        is set aside (renamed) and treated as empty; the next flush then
+        starts the file with a header.
+
+        Raises:
+            StudyConfigError: When the header names another sweep: another
+                digest, or other ``meta`` parameters.
         """
         self.corrupt_lines = 0
+        self._header_written = False
+        plan = _fault_plan()
+        if plan is not None:
+            plan.corrupt_study_file(self.path)
         try:
-            text = self.path.read_text()
+            text = self.path.read_bytes().decode("utf-8", errors="replace")
         except FileNotFoundError:
             return {}
         except OSError as exc:
@@ -157,17 +192,12 @@ class SweepCheckpoint:
                 durable.record_sink_failure("checkpoint", exc)
             return {}
         records: dict[str, dict[str, Any]] = {}
-        version_ok = False
+        header: dict[str, Any] | None = None
         lines, self.corrupt_lines = durable.parse_lines(text)
         for payload in lines:
             kind = payload.get("kind")
             if kind == "header":
-                if payload.get("version") != CHECKPOINT_FORMAT_VERSION:
-                    self._set_aside(
-                        f"format version {payload.get('version')!r}"
-                    )
-                    return {}
-                version_ok = True
+                header = header or payload
             elif kind == "point":
                 try:
                     records[str(payload["key"])] = dict(payload["record"])
@@ -175,6 +205,14 @@ class SweepCheckpoint:
                     self.corrupt_lines += 1
             elif "kind" not in payload:
                 self.corrupt_lines += 1
+        if header is None:
+            if text.strip():
+                self._set_aside("missing header")
+            return {}
+        if header.get("version") != CHECKPOINT_FORMAT_VERSION:
+            self._set_aside(f"format version {header.get('version')!r}")
+            return {}
+        self._check_header(header)
         if self.corrupt_lines:
             obs.count("checkpoint.corrupt_lines", self.corrupt_lines)
             logger.warning(
@@ -182,12 +220,31 @@ class SweepCheckpoint:
                 self.path,
                 self.corrupt_lines,
             )
-        if not version_ok and records:
-            # Point lines without any header: treat as foreign/corrupt.
-            self._set_aside("missing header")
-            return {}
-        self._header_written = version_ok
+        self._header_written = True
         return records
+
+    def _header(self) -> dict[str, Any]:
+        return {
+            "kind": "header",
+            "version": CHECKPOINT_FORMAT_VERSION,
+            "sweep": self.digest,
+            **self.meta,
+        }
+
+    def _check_header(self, header: dict[str, Any]) -> None:
+        """Refuse a header that names another sweep, naming each field."""
+        clashes = [
+            f"{'digest' if key == 'sweep' else key}: store has "
+            f"{header.get(key)!r}, run wants {value!r}"
+            for key, value in self._header().items()
+            if header.get(key) != value
+        ]
+        if clashes:
+            raise StudyConfigError(
+                f"{self.path} holds another sweep ({'; '.join(clashes)}); "
+                "use a fresh --study/--checkpoint-dir path or re-run with "
+                "the stored parameters"
+            )
 
     def _set_aside(self, reason: str) -> None:
         """Set aside an unusable checkpoint; a failed rename is not fatal."""
@@ -213,14 +270,7 @@ class SweepCheckpoint:
         """Replace the file with a lone header line (keeps the buffer)."""
         if not durable.sink_enabled("checkpoint"):
             return
-        header = json.dumps(
-            {
-                "kind": "header",
-                "version": CHECKPOINT_FORMAT_VERSION,
-                "sweep": self.digest,
-            },
-            sort_keys=True,
-        )
+        header = json.dumps(self._header(), sort_keys=True)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             durable.atomic_write(self.path, header + "\n", sink="checkpoint")
@@ -251,6 +301,9 @@ class SweepCheckpoint:
         :meth:`load` tolerates and the next flush starts a fresh line
         after, so a flush that returned cannot be lost to a power cut.
 
+        The header goes first whenever neither :meth:`load` nor
+        :meth:`reset` saw one: a missing, empty or set-aside file.
+
         A full or failing disk (ENOSPC/EIO/...) degrades the checkpoint
         sink -- one warning, the ``degraded.checkpoint`` counter -- and
         the sweep continues without resumability; results are unaffected.
@@ -261,10 +314,7 @@ class SweepCheckpoint:
             self._buffer.clear()
             return
         if not self._header_written:
-            if self.path.exists():
-                self._header_written = True
-            else:
-                self._write_header()
+            self._write_header()
         points = len(self._buffer)
         written = durable.append_lines(self.path, self._buffer, sink="checkpoint")
         self._buffer.clear()
@@ -282,6 +332,7 @@ __all__ = [
     "CHECKPOINT_DIR_ENV",
     "CHECKPOINT_FORMAT_VERSION",
     "DEFAULT_CHECKPOINT_DIRNAME",
+    "StudyConfigError",
     "SweepCheckpoint",
     "sweep_digest",
     "task_key",

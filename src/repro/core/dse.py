@@ -27,24 +27,23 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro import obs
-from repro.arch.area import AreaModel
 from repro.arch.config import MemoryConfig, build_hardware
 from repro.arch.technology import DEFAULT_TECHNOLOGY, TechnologyParams
 from repro.arch.topology import Topology
-from repro.arch.validate import validation_errors
+# run_search validates every point; the name stays bound here because
+# perfbench/tracing.py wraps validation_errors in this module's namespace.
+from repro.arch.validate import validation_errors  # noqa: F401
 from repro.core.checkpoint import SweepCheckpoint, sweep_digest
-from repro.core.mapper import Mapper, SharedTables
-from repro.core.parallel import TaskPolicy, is_picklable, resolve_jobs, run_tasks
+from repro.core.mapper import Mapper
+from repro.core.parallel import TaskPolicy
 from repro.core.search import (
     STRATEGY_NAMES,
+    Candidate,
     DesignPoint,
     ExhaustiveStrategy,
     GuidedStrategy,
-    Study,
-    _evaluate_task,
-    _finish_point,
     run_search,
+    sweep_candidates,
 )
 from repro.core.space import SearchProfile
 from repro.errors import UsageError
@@ -135,11 +134,14 @@ def granularity_study(
 
     Buffers are assembled proportionally to the computation resources; every
     point is evaluated on every model with the optimal mapping strategy.
-    Invalid points (structural rule violations) are returned unevaluated so
-    callers can report the pruning; a point whose evaluation failed keeps
-    its :attr:`~repro.core.search.DesignPoint.failure`, labelled with the
-    point's label.  The evaluations run in the ``granularity``
-    :func:`repro.obs.stage`.
+    The factorizations run through :func:`repro.core.search.run_search` as
+    one exhaustive round in the ``granularity`` :func:`repro.obs.stage`, so
+    they are validated, evaluated and counted like :func:`explore`'s
+    points: invalid points (structural rule violations) come back
+    unevaluated so callers can report the pruning, and a point whose
+    evaluation failed keeps its
+    :attr:`~repro.core.search.DesignPoint.failure`, labelled with its task
+    key.
 
     Args:
         models: Benchmarks to evaluate (name -> layers).
@@ -152,39 +154,29 @@ def granularity_study(
             every worker count.
         policy: Timeout/retry/on-error contract for the fan-out (defaults
             to abort-on-first-failure).
+
+    Raises:
+        ValueError: When ``models`` is empty.
     """
+    if not models:
+        raise ValueError("models must be non-empty")
     space = space or DesignSpace()
-    jobs = resolve_jobs(jobs)
-    context = (models, profile, SharedTables())
-    if jobs > 1 and not is_picklable(context):
-        jobs = 1
-    points = []
-    for config in space.computation_configs(total_macs):
-        hw = build_hardware(*config, tech=tech)
-        points.append(
-            DesignPoint(
-                hw=hw,
-                chiplet_area_mm2=AreaModel(hw).chiplet_area_mm2(),
-                valid=False,
-                errors=tuple(validation_errors(hw)),
-            )
-        )
-    todo = [index for index, point in enumerate(points) if not point.errors]
-    with obs.stage("granularity"):
-        outcomes = run_tasks(
-            _evaluate_task,
-            [points[index].hw for index in todo],
-            jobs=jobs,
-            context=context,
-            policy=policy,
-        )
-    for index, outcome in zip(todo, outcomes):
-        _finish_point(points[index], outcome, index, points[index].label)
-    evaluated = sum(1 for point in points if point.valid)
-    obs.count("dse.points.total", len(points))
-    obs.count("dse.points.evaluated", evaluated)
-    obs.count("dse.points.invalid", len(points) - evaluated)
-    return points
+    candidates = [
+        Candidate(comp=config, memory=build_hardware(*config, tech=tech).memory)
+        for config in space.computation_configs(total_macs)
+    ]
+    return run_search(
+        ExhaustiveStrategy(candidates, stage="granularity"),
+        models,
+        total_macs,
+        None,
+        Topology.RING,
+        profile,
+        tech,
+        next(iter(models)),
+        jobs=jobs,
+        policy=policy,
+    )
 
 
 def best_point(
@@ -251,9 +243,9 @@ def _check_options(
             )
         if checkpoint_dir is not None or resume:
             raise SweepOptionError(
-                "guided search persists through study (--study), not the "
-                "sweep checkpoint; drop checkpoint_dir/resume (--checkpoint, "
-                "--checkpoint-dir, --resume)"
+                "guided search persists through its study file (--study) "
+                "and always resumes from it; drop checkpoint_dir/resume "
+                "(--checkpoint, --checkpoint-dir, --resume)"
             )
     elif trials is not None or study is not None:
         raise SweepOptionError(
@@ -304,8 +296,8 @@ def explore(
       ``checkpoint_dir`` makes it resumable.
     * ``"guided"`` samples the full lattice and pays for only ``trials``
       full evaluations; dominance-pruned proposals come back ``valid=False``
-      with a labelled error, and ``study`` (a sqlite file) makes it
-      resumable.
+      with a labelled error, and ``study`` (a JSONL store file) makes it
+      resumable: a re-run answers every trial the file holds.
 
     Args:
         models: Benchmarks to evaluate (name -> layers).
@@ -338,7 +330,9 @@ def explore(
         checkpoint_every: Evaluated points buffered per checkpoint flush.
         strategy: ``"exhaustive"`` (default) or ``"guided"``.
         trials: Guided only -- the full-evaluation budget (required).
-        study: Guided only -- optional sqlite study path for resume.
+        study: Guided only -- optional store file for resume: the sweep
+            checkpoint at this path, its header pinning the digest,
+            strategy, seed and trials.
         seed: Guided only -- sampler seed (same seed, same trajectory).
         primary_model: The model whose EDP the search minimizes (defaults
             to the first ``models`` entry); only guided search prunes by it.
@@ -367,17 +361,22 @@ def explore(
         tech,
         topology=topology.value,
     )
-    store: SweepCheckpoint | Study | None = None
+    store: SweepCheckpoint | None = None
     if strategy == "guided":
         engine = GuidedStrategy(space, required_macs, trials=trials, seed=seed)
         if study is not None:
-            store = Study(
-                study,
+            study = Path(study)
+            store = SweepCheckpoint(
+                study.parent,
                 digest(1, strategy=engine.name, seed=seed, trials=trials),
+                flush_every=checkpoint_every,
+                name=study.name,
                 meta={"strategy": engine.name, "seed": seed, "trials": trials},
             )
     else:
-        engine = ExhaustiveStrategy(space, required_macs, memory_stride)
+        engine = ExhaustiveStrategy(
+            sweep_candidates(space, required_macs, memory_stride)
+        )
         if checkpoint_dir is not None:
             store = SweepCheckpoint(
                 SweepCheckpoint.resolve_dir(checkpoint_dir),

@@ -6,9 +6,10 @@ IV-D): propose design points, drop the ones that break a structural rule,
 map every layer of every model onto the rest and score them.  What varies
 is the :class:`SearchStrategy` that proposes:
 
-* :class:`ExhaustiveStrategy` -- every (computation, memory) point of the
-  space in sweep order, in one round: the Figure 15 reproduction and the
-  oracle the guided mode is tested against.
+* :class:`ExhaustiveStrategy` -- a fixed list of (computation, memory)
+  points, in order, in one round: the Figure 15 sweep
+  (:func:`sweep_candidates`), the oracle the guided mode is tested
+  against, and Figure 14's factorizations at proportional memory.
 * :class:`GuidedStrategy` -- a seeded TPE/SA-style sampler: each lattice
   dimension is drawn from an elite-weighted categorical distribution with
   an annealed uniform-exploration floor, and every batch first proposes the
@@ -22,8 +23,9 @@ admissible roofline bound on a design's EDP, already exceeds the
 incumbent's *actual* EDP, so the point cannot win), **invalid**
 (structural rules), **resumed** (answered by a store) or **evaluated**
 (fanned out through :func:`repro.core.parallel.run_tasks`, then recorded).
-Stores -- the JSONL :class:`~repro.core.checkpoint.SweepCheckpoint` and the
-sqlite :class:`Study` -- therefore hold evaluated points only.
+The one store -- the JSONL :class:`~repro.core.checkpoint.SweepCheckpoint`,
+opened at the ``--study`` path for a guided search -- therefore holds
+evaluated points only.
 
 Determinism: given the same seed, space and models, a run proposes and
 evaluates the identical point sequence at every ``--jobs`` count -- the
@@ -41,7 +43,6 @@ import time
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro import obs
@@ -51,19 +52,16 @@ from repro.arch.energy import EnergyModel
 from repro.arch.technology import TechnologyParams
 from repro.arch.topology import Topology
 from repro.arch.validate import validation_errors
-from repro.core.checkpoint import task_key
+from repro.core.checkpoint import StudyConfigError, SweepCheckpoint, task_key
 from repro.core.cost import (
     InvalidMappingError,
     intrinsic_compute_energy_pj,
     model_cost,
 )
 from repro.core.mapper import Mapper, SharedTables
-from repro import durable
-from repro.errors import ConfigError, StateCorruptionError
 from repro.core.parallel import (
     TaskFailure,
     TaskPolicy,
-    _fault_plan,
     is_picklable,
     resolve_jobs,
     run_tasks,
@@ -84,6 +82,11 @@ STRATEGY_NAMES = ("exhaustive", "guided")
 #: Emitted parent-side per fixed batch of settled points (never per worker
 #: chunk), so the event set of a ``--jobs N`` sweep equals the serial run's.
 POINT_BATCH_EVERY = 16
+
+#: A guided search's store: the sweep checkpoint, opened at the ``--study``
+#: path.  The name stays importable (``perfbench/tracing.py`` wraps the
+#: store's methods under it).
+Study = SweepCheckpoint
 
 
 # --- the admissible EDP lower bound -----------------------------------------------
@@ -303,12 +306,14 @@ class Candidate:
         comp: ``(chiplets, cores, lanes, vector)``.
         memory: The resolved :class:`~repro.arch.config.MemoryConfig`.
         index: The lattice index ``(comp, o_l1, a_l1, w_l1, a_l2)`` the
-            strategy proposed (kept so strategies can reason in index space).
+            strategy proposed (kept so strategies can reason in index
+            space); ``None`` off the lattice (Figure 14's proportional
+            memory).
     """
 
     comp: tuple[int, int, int, int]
     memory: MemoryConfig
-    index: tuple[int, int, int, int, int]
+    index: tuple[int, int, int, int, int] | None = None
 
     @property
     def key(self) -> str:
@@ -503,40 +508,54 @@ class SearchStrategy(ABC):
         """Whether the search is out of budget or out of space."""
 
 
-class ExhaustiveStrategy(SearchStrategy):
+def sweep_candidates(
+    space: Any, required_macs: int, memory_stride: int = 1
+) -> list[Candidate]:
     """The Figure 15 sweep: every point of the space, in sweep order.
 
-    Proposes every computation config of the MAC budget crossed with
-    every ``memory_stride``-th legal memory combination -- the order of
+    Every computation config of the MAC budget crossed with every
+    ``memory_stride``-th legal memory combination -- the order of
     :meth:`~repro.core.dse.DesignSpace.computation_configs` x
-    :meth:`~repro.core.dse.DesignSpace.memory_configs` -- all in one round.
-    A MAC budget no computation config factorizes proposes nothing.
+    :meth:`~repro.core.dse.DesignSpace.memory_configs`.  A MAC budget no
+    computation config factorizes yields nothing.
+    """
+    if memory_stride < 1:
+        raise ValueError(f"memory_stride must be >= 1, got {memory_stride}")
+    if not space.computation_configs(required_macs):
+        return []
+    lattice = Lattice(space, required_macs)
+    memory = [index[1:] for index in lattice.scan() if index[0] == 0]
+    return [
+        lattice.candidate((ci, *mem))
+        for ci in range(lattice.dims[0])
+        for mem in memory[::memory_stride]
+    ]
+
+
+class ExhaustiveStrategy(SearchStrategy):
+    """Every candidate of a fixed list, in order, all in one round.
+
+    :func:`repro.core.dse.explore` proposes the Figure 15 sweep
+    (:func:`sweep_candidates`); :func:`repro.core.dse.granularity_study`
+    proposes Figure 14's factorizations, under its own ``stage`` (the
+    ``op`` of its run events and its stage timer).
     """
 
     name = "exhaustive"
 
     def __init__(
-        self, space: Any, required_macs: int, memory_stride: int = 1
+        self, candidates: Sequence[Candidate], stage: str = "explore"
     ) -> None:
-        if memory_stride < 1:
-            raise ValueError(f"memory_stride must be >= 1, got {memory_stride}")
-        self._queue: list[tuple[int, int, int, int, int]] = []
-        if space.computation_configs(required_macs):
-            self.lattice = Lattice(space, required_macs)
-            memory = [index[1:] for index in self.lattice.scan() if index[0] == 0]
-            self._queue = [
-                (ci, *mem)
-                for ci in range(self.lattice.dims[0])
-                for mem in memory[::memory_stride]
-            ]
-        super().__init__(budget=len(self._queue))
+        super().__init__(budget=len(candidates))
+        self._queue = list(candidates)
         self._cursor = 0
+        self.op = self.stage = stage
 
     def ask(self, n: int | None = None) -> list[Candidate]:
         stop = len(self._queue) if n is None else self._cursor + n
         batch = self._queue[self._cursor : stop]
         self._cursor += len(batch)
-        return [self.lattice.candidate(index) for index in batch]
+        return batch
 
     def finished(self) -> bool:
         return self._cursor >= len(self._queue)
@@ -674,173 +693,6 @@ class GuidedStrategy(SearchStrategy):
         return size - 1
 
 
-# --- the sqlite study --------------------------------------------------------------
-
-
-class StudyConfigError(ConfigError, ValueError):
-    """The study file was created under different search parameters.
-
-    Still a ``ValueError`` (the historical contract) and now a
-    :class:`repro.errors.ConfigError` (code ``config``, exit 3).
-    """
-
-
-class Study:
-    """Persistent trial store for one guided search (stdlib ``sqlite3``).
-
-    Layout: a ``meta`` key/value table pinning the extended sweep digest
-    plus the human-readable search parameters, and a ``trials`` table of
-    checkpoint-format JSON records keyed by the canonical task key.  A
-    resumed run re-proposes the same trajectory (the sampler is seeded)
-    and answers already-stored trials from here instead of re-evaluating,
-    so interruption costs nothing but the lost in-flight batch.
-
-    Durability: the database opens in WAL journal mode with
-    ``synchronous=FULL``, so a committed trial survives ``kill -9`` at any
-    instant.  A file that fails sqlite's ``quick_check`` (truncated,
-    overwritten, not a database at all) is set aside as
-    ``<file>.corrupt-<ms>`` by :func:`repro.durable.set_aside` -- exactly
-    like the mapping cache -- and the search restarts from a fresh study
-    instead of dying on a raw ``sqlite3.DatabaseError``.
-    """
-
-    SCHEMA_VERSION = 1
-
-    def __init__(self, path: str | Path, digest: str, meta: dict[str, Any]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.quarantined: Path | None = None
-        plan = _fault_plan()
-        if plan is not None:
-            plan.corrupt_study_file(self.path)
-        self._conn = self._open_verified()
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS trials ("
-            "seq INTEGER PRIMARY KEY AUTOINCREMENT, "
-            "key TEXT UNIQUE NOT NULL, record TEXT NOT NULL)"
-        )
-        stored = dict(self._conn.execute("SELECT key, value FROM meta"))
-        expected = {
-            "version": str(self.SCHEMA_VERSION),
-            "digest": digest,
-            **{key: str(value) for key, value in sorted(meta.items())},
-        }
-        if stored:
-            clashes = [
-                f"{key}: study has {stored.get(key)!r}, run wants {value!r}"
-                for key, value in expected.items()
-                if stored.get(key) != value
-            ]
-            if clashes:
-                self._conn.close()
-                raise StudyConfigError(
-                    f"study {self.path} does not match this search "
-                    f"({'; '.join(clashes)}); use a fresh --study path or "
-                    "re-run with the study's parameters"
-                )
-        else:
-            self._conn.executemany(
-                "INSERT INTO meta (key, value) VALUES (?, ?)",
-                sorted(expected.items()),
-            )
-            self._conn.commit()
-
-    def _open_verified(self):
-        """Connect in WAL mode, quarantining a corrupt file on the way.
-
-        A truncated or garbage study file fails ``PRAGMA journal_mode`` or
-        ``PRAGMA quick_check``; it is renamed ``<file>.corrupt-<ms>`` (the
-        ``study.corrupt_files`` counter records it, one warning is logged)
-        and a fresh database takes its place.
-
-        Raises:
-            StateCorruptionError: When the corrupt file cannot even be
-                renamed out of the way -- there is no healthy path left.
-        """
-        import sqlite3
-
-        for attempt in range(2):
-            conn = None
-            try:
-                conn = sqlite3.connect(str(self.path))
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=FULL")
-                row = conn.execute("PRAGMA quick_check").fetchone()
-                if row is None or str(row[0]).lower() != "ok":
-                    raise sqlite3.DatabaseError(
-                        f"quick_check: {row[0] if row else 'no result'}"
-                    )
-                return conn
-            except sqlite3.DatabaseError as exc:
-                if conn is not None:
-                    conn.close()
-                if attempt:  # the freshly created replacement failed too
-                    raise
-                try:
-                    self.quarantined = durable.set_aside(
-                        self.path, "study.corrupt_files", str(exc)
-                    )
-                except OSError as rename_exc:
-                    raise StateCorruptionError(
-                        f"study {self.path} is corrupt ({exc}) and could "
-                        f"not be quarantined: {rename_exc}"
-                    ) from exc
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def load(self) -> dict[str, dict[str, Any]]:
-        """Stored trial records keyed by task key."""
-        import json
-
-        records: dict[str, dict[str, Any]] = {}
-        for key, text in self._conn.execute(
-            "SELECT key, record FROM trials ORDER BY seq"
-        ):
-            try:
-                records[str(key)] = dict(json.loads(text))
-            except (ValueError, TypeError):
-                continue  # a torn record is re-evaluated, never fatal
-        return records
-
-    def record(self, key: str, record: dict[str, Any]) -> None:
-        """Insert-or-replace one completed trial (commit via :meth:`flush`).
-
-        A write that fails because the disk is full (or the device is
-        erroring) degrades the study sink -- one warning, the
-        ``degraded.study`` counter -- instead of killing the search; the
-        run completes, it just cannot be resumed from this study.
-        """
-        import json
-        import sqlite3
-
-        if not durable.sink_enabled("study"):
-            return
-        try:
-            self._conn.execute(
-                "INSERT INTO trials (key, record) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET record = excluded.record",
-                (key, json.dumps(record, sort_keys=True)),
-            )
-        except (sqlite3.OperationalError, sqlite3.DatabaseError) as exc:
-            durable.record_sink_failure("study", exc)
-
-    def flush(self) -> None:
-        import sqlite3
-
-        if not durable.sink_enabled("study"):
-            return
-        try:
-            self._conn.commit()
-        except (sqlite3.OperationalError, sqlite3.DatabaseError) as exc:
-            durable.record_sink_failure("study", exc)
-
-    def close(self) -> None:
-        self.flush()
-        self._conn.close()
-
-
 # --- the loop ----------------------------------------------------------------------
 
 
@@ -853,7 +705,7 @@ def run_search(
     profile: SearchProfile,
     tech: TechnologyParams,
     primary: str,
-    store: Any = None,
+    store: SweepCheckpoint | None = None,
     jobs: int | None = None,
     policy: TaskPolicy | None = None,
     progress: Any | None = None,
@@ -883,10 +735,10 @@ def run_search(
         profile: Mapping-search profile per evaluated point.
         tech: Technology point.
         primary: The model whose EDP the incumbent and the bound use.
-        store: Optional :class:`~repro.core.checkpoint.SweepCheckpoint` or
-            :class:`Study`: loaded once, handed each evaluation record,
-            flushed after every round that more rounds follow, and closed
-            when the loop ends (also on ``KeyboardInterrupt``).
+        store: Optional :class:`~repro.core.checkpoint.SweepCheckpoint`:
+            loaded once, handed each evaluation record, flushed after every
+            round that more rounds follow, and closed when the loop ends
+            (also on ``KeyboardInterrupt``).
         jobs: Worker processes per round's evaluations.
         policy: Timeout/retry/on-error contract for the fan-outs.
         progress: Optional :class:`repro.obs.progress.ProgressMeter`
@@ -1065,4 +917,5 @@ __all__ = [
     "Trial",
     "edp_lower_bound",
     "run_search",
+    "sweep_candidates",
 ]

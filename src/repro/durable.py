@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives and graceful write degradation.
 
-Every persistent sink in the tree (the mapping cache, sweep checkpoints,
-the bench history, result writers) funnels its bytes through the two
-helpers here:
+Every persistent sink in the tree (the mapping cache, sweep checkpoints
+and guided studies, bench records, result writers) funnels its bytes
+through the two helpers here:
 
 * :func:`atomic_write` -- write a temp file, ``fsync`` it, rename it over
   the target, then ``fsync`` the parent directory.  A ``kill -9`` at any
@@ -89,8 +89,7 @@ def is_resource_error(exc: BaseException) -> bool:
 def _errno_name(exc: BaseException) -> str:
     """A stable lowercase name for the errno (``enospc``, ``eio``, ...).
 
-    Exceptions without an errno (sqlite3 errors from the study sink) are
-    counted under ``resource.unknown``.
+    Exceptions without an errno are counted under ``resource.unknown``.
     """
     code = getattr(exc, "errno", None)
     return _errno.errorcode.get(code or 0, "unknown").lower()

@@ -108,18 +108,12 @@ def exit_code_for(exc: BaseException) -> int:
     """The stable exit code of ``exc`` under the taxonomy.
 
     ``ReproError`` subclasses carry their own code; ``KeyboardInterrupt``
-    maps to 130; a raw ``sqlite3.DatabaseError`` that escaped the
-    quarantine machinery is corrupt state; anything else is the generic
-    failure exit 1.
+    maps to 130; anything else is the generic failure exit 1.
     """
     if isinstance(exc, ReproError):
         return exc.exit_code
     if isinstance(exc, KeyboardInterrupt):
         return EXIT_INTERRUPT
-    import sqlite3
-
-    if isinstance(exc, sqlite3.DatabaseError):
-        return EXIT_STATE_CORRUPTION
     return EXIT_FAILURE
 
 
@@ -129,10 +123,6 @@ def error_code_for(exc: BaseException) -> str:
         return exc.code
     if isinstance(exc, KeyboardInterrupt):
         return "interrupt"
-    import sqlite3
-
-    if isinstance(exc, sqlite3.DatabaseError):
-        return StateCorruptionError.code
     return ReproError.code
 
 

@@ -51,15 +51,16 @@ Kinds:
     and :func:`~repro.durable.durable_append`).  Indices count writes per
     sink, so ``enospc:0.5@seed=3`` deterministically fails ~half of a
     sink's flushes; ``sink=cache`` restricts the fault to one sink
-    (``cache``, ``checkpoint``, ``history``, ``bench``...).
+    (``cache``, ``checkpoint``, ``events``, ``bench``...).
 ``slow-disk``
     Sleep ``sleep`` seconds before a sink write -- models a saturated or
     dying disk without failing the write (pair it with ``sleep=``).
 ``corrupt-study``
-    Garble the guided-search sqlite study file just before it is opened
+    Garble the JSONL store file just before it is loaded
     (:meth:`FaultPlan.corrupt_study_file`, consulted by
-    :class:`repro.core.search.Study`), driving the quarantine-and-restart
-    recovery path deterministically.
+    :meth:`repro.core.checkpoint.SweepCheckpoint.load`, the store behind a
+    guided ``--study``), driving the set-aside-and-restart and torn-tail
+    recovery paths deterministically.
 
 ``attempts=N`` fires the fault only on attempts ``< N`` (default 1, so a
 retried task succeeds -- the retry-then-recover path); ``attempts=0`` fires
@@ -271,12 +272,13 @@ class FaultPlan:
                 time.sleep(spec.sleep_s)
 
     def corrupt_study_file(self, path, index: int = 0) -> bool:
-        """Garble the study file at ``path`` when a ``corrupt-study`` fires.
+        """Garble the store file at ``path`` when a ``corrupt-study`` fires.
 
-        Consulted by :class:`repro.core.search.Study` before opening its
-        sqlite file.  An existing file is truncated mid-byte (the
-        signature of a torn writer); a missing one is filled with
-        non-sqlite garbage.  Returns whether corruption was injected.
+        Consulted by :meth:`repro.core.checkpoint.SweepCheckpoint.load`
+        before it reads the file.  An existing file is truncated mid-byte
+        (the signature of a torn writer: a torn tail line, or a header
+        too short to read); a missing one is filled with a garbage line
+        that has no header.  Returns whether corruption was injected.
         """
         from pathlib import Path
 
@@ -291,7 +293,7 @@ class FaultPlan:
                 target.write_bytes(data[: max(1, len(data) // 2)] + b"\xff")
             else:
                 target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(b"this is not a sqlite database\n")
+                target.write_bytes(b"this is not a sweep store\n")
             return True
         return False
 

@@ -22,6 +22,7 @@ from repro.core.dse import DesignSpace, explore
 from repro.core.parallel import SweepStats, TaskPolicy
 from repro.core.space import SearchProfile
 from repro.testing.faults import FaultPlan, install_plan, parse_fault_specs
+from repro.workloads.layer import ConvLayer
 from repro.workloads.models import alexnet
 
 SMALL_SPACE = DesignSpace(
@@ -280,6 +281,31 @@ class TestExploreResume:
         assert payload(resumed) == payload(first)
         assert payload(first) == payload(explore(models, **kwargs))
         assert stats.points_resumed == len(evaluated)
+
+    def test_emptied_checkpoint_resumes_every_point(self, tmp_path):
+        # A resume into an empty file must start it with a header, or the
+        # next resume sets the headerless file aside and re-runs it all.
+        models = {"tiny": [ConvLayer("c1", h=14, w=14, ci=16, co=32, kh=3, kw=3)]}
+        kwargs = dict(
+            required_macs=16,
+            space=DesignSpace(
+                vector_sizes=(2, 4), lanes=(2, 4), cores=(1, 2), chiplets=(1, 2),
+                o_l1_per_lane_bytes=(48,), a_l1_kb=(1, 2), w_l1_kb=(2, 4),
+                a_l2_kb=(32, 64),
+            ),
+            profile=SearchProfile.MINIMAL,
+            checkpoint_dir=tmp_path,
+        )
+        first = explore(models, **kwargs)
+        assert len(first) == 48 and all(p.valid for p in first)
+        (path,) = tmp_path.glob("sweep-*.jsonl")
+        path.write_text("")
+        _, refilled = counted_explore(models, resume=True, **kwargs)
+        assert refilled.points_resumed == 0
+        resumed, stats = counted_explore(models, resume=True, **kwargs)
+        assert stats.points_resumed == 48
+        assert point_fingerprint(resumed) == point_fingerprint(first)
+        assert not list(tmp_path.glob("*.corrupt-*"))
 
     def test_changed_sweep_never_reuses_the_checkpoint(self, tmp_path):
         models = small_models()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import obs
+from repro.core.checkpoint import task_key
 from repro.core.dse import (
     DesignSpace,
     best_point,
@@ -9,7 +11,9 @@ from repro.core.dse import (
     granularity_study,
     pareto_front,
 )
+from repro.core.parallel import TaskPolicy
 from repro.core.space import SearchProfile
+from repro.testing.faults import FaultPlan, install_plan, parse_fault_specs
 from repro.workloads.layer import ConvLayer
 
 
@@ -102,6 +106,46 @@ class TestGranularityStudy:
         assert point.edp("tiny") == pytest.approx(
             point.energy_pj["tiny"] * 1e-12 * point.runtime_s("tiny")
         )
+
+    def test_points_counters_and_stage_recorded(self):
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            points = granularity_study(
+                tiny_model(), total_macs=256, space=SMALL_SPACE,
+                profile=SearchProfile.MINIMAL,
+            )
+        counters = recorder.metrics.counters()
+        evaluated = sum(p.valid for p in points)
+        assert counters["dse.points.total"] == len(points)
+        assert counters["dse.points.evaluated"] == evaluated
+        assert counters["dse.points.invalid"] == len(points) - evaluated
+        assert "stage.granularity_ms" in recorder.metrics.histograms()
+        events = recorder.run_events()
+        names = [event["event"] for event in events]
+        assert names[0] == "run.start" and names[-1] == "run.finish"
+        assert "point.batch" in names
+        assert {events[0]["op"], events[-1]["op"]} == {"granularity"}
+
+    def test_failures_are_labelled_with_task_keys(self):
+        install_plan(FaultPlan(parse_fault_specs("exc:@indices=1&attempts=0")))
+        try:
+            points = granularity_study(
+                tiny_model(), total_macs=256, space=SMALL_SPACE,
+                profile=SearchProfile.MINIMAL, jobs=1,
+                policy=TaskPolicy(on_error="skip"),
+            )
+        finally:
+            install_plan(None)
+        failures = [point.failure for point in points if point.failure]
+        assert len(failures) == 1
+        point = points[failures[0].index]
+        assert failures[0].label == task_key((*point.hw.config_tuple(), point.hw.memory))
+        assert not point.valid
+        assert point.errors[0].startswith("evaluation failed")
+
+    def test_empty_models_rejected(self):
+        with pytest.raises(ValueError, match="models"):
+            granularity_study({}, total_macs=256, space=SMALL_SPACE)
 
 
 class TestBestPoint:

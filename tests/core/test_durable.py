@@ -177,14 +177,12 @@ class TestDegradedMode:
         assert not durable.is_resource_error(ValueError("nope"))
 
     def test_non_osexc_counts_as_unknown(self):
-        import sqlite3
-
         recorder = obs.Recorder()
         with obs.use(recorder):
-            durable.record_sink_failure("study", sqlite3.OperationalError("full"))
+            durable.record_sink_failure("checkpoint", RuntimeError("full"))
         counters = recorder.metrics.counters()
         assert counters["resource.unknown"] == 1
-        assert counters["degraded.study"] == 1
+        assert counters["degraded.checkpoint"] == 1
 
     def test_reset_degraded(self):
         durable.record_sink_failure("cache", OSError(errno.EIO, "x"))

@@ -6,8 +6,6 @@ exceptions must keep every ``isinstance`` contract they had before joining
 the hierarchy.
 """
 
-import sqlite3
-
 import pytest
 
 from repro.errors import (
@@ -46,13 +44,11 @@ class TestTaxonomy:
     def test_exit_code_for_taxonomy(self):
         assert exit_code_for(DataError("x")) == EXIT_DATA
         assert exit_code_for(KeyboardInterrupt()) == EXIT_INTERRUPT
-        assert exit_code_for(sqlite3.DatabaseError("x")) == EXIT_STATE_CORRUPTION
         assert exit_code_for(RuntimeError("x")) == EXIT_FAILURE
 
     def test_error_code_for(self):
         assert error_code_for(ConfigError("x")) == "config"
         assert error_code_for(KeyboardInterrupt()) == "interrupt"
-        assert error_code_for(sqlite3.DatabaseError("x")) == "state-corruption"
         assert error_code_for(RuntimeError("x")) == "error"
 
 

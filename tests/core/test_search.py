@@ -14,6 +14,7 @@ from repro.core.search import (
     Study,
     StudyConfigError,
     edp_lower_bound,
+    sweep_candidates,
 )
 from repro.core.space import SearchProfile
 from repro.testing.faults import FaultPlan, install_plan, parse_fault_specs
@@ -131,12 +132,12 @@ class TestLattice:
 
 class TestStrategies:
     def test_exhaustive_strategy_covers_lattice_once(self):
-        strategy = ExhaustiveStrategy(TINY_SPACE, TINY_MACS)
+        strategy = ExhaustiveStrategy(sweep_candidates(TINY_SPACE, TINY_MACS))
         seen = []
         while not strategy.finished():
             batch = strategy.ask(7)
             seen.extend(cand.index for cand in batch)
-        assert seen == strategy.lattice.scan()
+        assert seen == Lattice(TINY_SPACE, TINY_MACS).scan()
 
     @pytest.mark.parametrize(
         "space, macs",
@@ -171,19 +172,19 @@ class TestStrategies:
             if index % stride == 0
         ]
         assert expected
-        strategy = ExhaustiveStrategy(space, macs, stride)
+        strategy = ExhaustiveStrategy(sweep_candidates(space, macs, stride))
         assert [cand.key for cand in strategy.ask()] == expected
         assert strategy.finished()
 
     def test_exhaustive_strategy_unfactorable_budget_proposes_nothing(self):
-        strategy = ExhaustiveStrategy(TINY_SPACE, 7, 3)
+        strategy = ExhaustiveStrategy(sweep_candidates(TINY_SPACE, 7, 3))
         assert strategy.finished()
         assert strategy.ask() == []
         assert explore(TINY_MODELS, 7, space=TINY_SPACE, memory_stride=3) == []
 
     def test_exhaustive_strategy_rejects_bad_stride(self):
         with pytest.raises(ValueError, match="memory_stride"):
-            ExhaustiveStrategy(TINY_SPACE, TINY_MACS, 0)
+            sweep_candidates(TINY_SPACE, TINY_MACS, 0)
 
     def test_guided_never_reproposes(self):
         strategy = GuidedStrategy(TINY_SPACE, TINY_MACS, trials=1000, seed=3)
@@ -293,9 +294,14 @@ class TestGuidedExplore:
         assert found.edp("tiny") == oracle.edp("tiny")
 
 
+def _store(path, digest="digest-a"):
+    """The guided store at ``path``, as explore() opens a ``--study``."""
+    return Study(path.parent, digest, name=path.name, meta={"strategy": "guided"})
+
+
 class TestStudyResume:
     def test_resume_skips_completed_trials(self, tmp_path):
-        study = tmp_path / "study.sqlite"
+        study = tmp_path / "study.jsonl"
         first = _tiny_guided(trials=20, study=study)
         second, stats = _counted(_tiny_guided, trials=20, study=study)
         assert stats.points_resumed > 0
@@ -304,91 +310,109 @@ class TestStudyResume:
         assert _fingerprint(first) == _fingerprint(second)
 
     def test_partial_study_resumes_then_continues(self, tmp_path):
-        study = tmp_path / "study.sqlite"
+        study = tmp_path / "study.jsonl"
         _tiny_guided(trials=10, study=study)
         bigger = _tiny_guided(trials=25, study=None)
         # A larger budget is a different search: same path must be refused.
-        with pytest.raises(StudyConfigError):
+        with pytest.raises(StudyConfigError, match="trials"):
             _tiny_guided(trials=25, study=study)
         assert bigger  # the fresh run itself is unaffected
 
     def test_mismatched_seed_refused(self, tmp_path):
-        study = tmp_path / "study.sqlite"
+        study = tmp_path / "study.jsonl"
         _tiny_guided(trials=10, seed=0, study=study)
         with pytest.raises(StudyConfigError, match="seed"):
             _tiny_guided(trials=10, seed=1, study=study)
 
     def test_study_meta_pins_digest(self, tmp_path):
-        path = tmp_path / "study.sqlite"
-        Study(path, "digest-a", meta={"strategy": "guided"}).close()
+        path = tmp_path / "study.jsonl"
+        store = _store(path)
+        assert store.load() == {}
+        store.record("k1", {"label": "p1"})
+        store.close()
         with pytest.raises(StudyConfigError, match="digest"):
-            Study(path, "digest-b", meta={"strategy": "guided"})
+            _store(path, "digest-b").load()
 
 
 class TestStudyCorruption:
-    """A damaged --study file is quarantined, never a raw DatabaseError."""
+    """A store file the loader cannot trust is set aside, never fatal."""
 
     def test_garbage_file_is_quarantined(self, tmp_path):
-        from repro import obs
-
-        path = tmp_path / "study.sqlite"
-        path.write_bytes(b"this is not a sqlite database\n")
+        path = tmp_path / "study.jsonl"
+        path.write_bytes(b"this is not a sweep store\n")
         recorder = obs.Recorder()
+        store = _store(path)
         with obs.use(recorder):
-            store = Study(path, "digest-a", meta={"strategy": "guided"})
-        try:
-            assert store.quarantined is not None
-            assert store.quarantined.name.startswith("study.sqlite.corrupt-")
-            assert store.quarantined.exists()
-            # The fresh replacement works normally.
-            store.record("k1", {"label": "p1"})
-            store.flush()
-            assert store.load() == {"k1": {"label": "p1"}}
-        finally:
-            store.close()
-        assert recorder.metrics.counters()["study.corrupt_files"] == 1
+            assert store.load() == {}
+        assert not path.exists()
+        assert list(tmp_path.glob("study.jsonl.corrupt-*"))
+        assert recorder.metrics.counters()["checkpoint.set_aside"] == 1
+        # The fresh replacement starts with a header and works normally.
+        store.record("k1", {"label": "p1"})
+        store.close()
+        assert _store(path).load() == {"k1": {"label": "p1"}}
 
-    def test_truncated_file_is_quarantined(self, tmp_path):
-        path = tmp_path / "study.sqlite"
-        first = Study(path, "digest-a", meta={"strategy": "guided"})
-        first.record("k1", {"label": "p1"})
-        first.flush()
-        first.close()
-        # Chop the committed database in half: quick_check must fail.
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        store = Study(path, "digest-a", meta={"strategy": "guided"})
-        try:
-            assert store.quarantined is not None
-            assert store.load() == {}  # fresh study, old trials set aside
-        finally:
-            store.close()
+    def test_sqlite_study_is_set_aside(self, tmp_path):
+        import sqlite3
+
+        baseline = _tiny_guided(trials=10, study=None)
+        study = tmp_path / "study.sqlite"
+        conn = sqlite3.connect(str(study))
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("INSERT INTO meta VALUES ('digest', 'old')")
+        conn.commit()
+        conn.close()
+        points = _tiny_guided(trials=10, study=study)
+        assert _fingerprint(points) == _fingerprint(baseline)
+        assert list(tmp_path.glob("study.sqlite.corrupt-*"))
+        _, stats = _counted(_tiny_guided, trials=10, study=study)
+        assert stats.points_resumed == stats.points_evaluated > 0
+
+    def test_store_cut_mid_line_resumes_every_complete_record(self, tmp_path):
+        # kill -9 during an append leaves the last line torn.
+        study = tmp_path / "study.jsonl"
+        clean = _tiny_guided(trials=20, study=study)
+        text = study.read_text()
+        lines = text.splitlines(keepends=True)
+        cut = len(text) - len(lines[-1]) // 2
+        study.write_text(text[:cut])
+        complete = len(lines) - 2  # the header and the torn line
+        recorder = obs.MetricsRecorder()
+        with obs.use(recorder):
+            resumed = _tiny_guided(trials=20, study=study)
+        stats = SweepStats(recorder.metrics)
+        assert _fingerprint(resumed) == _fingerprint(clean)
+        assert stats.points_resumed == complete > 0
+        assert recorder.metrics.counter("checkpoint.corrupt_lines") == 1
+        assert not list(tmp_path.glob("*.corrupt-*"))
+        # The re-evaluated trial was appended after the fragment.
+        _, again = _counted(_tiny_guided, trials=20, study=study)
+        assert again.points_resumed == complete + 1
 
     def test_corrupt_study_fault_kind(self, tmp_path):
-        from repro.testing.faults import FaultPlan, FaultSpec, install_plan
+        from repro.testing.faults import FaultSpec
 
-        path = tmp_path / "study.sqlite"
+        path = tmp_path / "study.jsonl"
+        store = _store(path)
         previous = install_plan(FaultPlan([FaultSpec(kind="corrupt-study")]))
         try:
-            store = Study(path, "digest-a", meta={"strategy": "guided"})
+            # The injected garbage file is set aside on load.
+            assert store.load() == {}
         finally:
             install_plan(previous)
-        try:
-            # The injected garbage file was quarantined on open.
-            assert store.quarantined is not None
-            store.record("k1", {"label": "p1"})
-            store.flush()
-            assert store.load() == {"k1": {"label": "p1"}}
-        finally:
-            store.close()
+        assert list(tmp_path.glob("study.jsonl.corrupt-*"))
+        store.record("k1", {"label": "p1"})
+        store.close()
+        assert _store(path).load() == {"k1": {"label": "p1"}}
 
     def test_guided_explore_survives_corrupt_study(self, tmp_path):
-        study = tmp_path / "study.sqlite"
+        study = tmp_path / "study.jsonl"
         baseline = _tiny_guided(trials=10, study=None)
         study.write_bytes(b"\xff" * 64)
         points = _tiny_guided(trials=10, study=study)
         assert _fingerprint(points) == _fingerprint(baseline)
-        assert list(tmp_path.glob("study.sqlite.corrupt-*"))
+        assert list(tmp_path.glob("study.jsonl.corrupt-*"))
 
 
 class TestFailureLabels:

@@ -127,7 +127,7 @@ class TestCommands:
                     "--seed",
                     "3",
                     "--study",
-                    str(tmp_path / "study.sqlite"),
+                    str(tmp_path / "study.jsonl"),
                     "--json",
                     str(out_path),
                 ]
@@ -143,7 +143,7 @@ class TestCommands:
         search = data["search"]
         assert set(search) >= {"evaluated", "pruned", "deduped", "resumed"}
         assert search["evaluated"] <= 6
-        assert (tmp_path / "study.sqlite").exists()
+        assert (tmp_path / "study.jsonl").exists()
 
     def test_explore_guided_requires_trials(self, capsys):
         code = main(
@@ -528,6 +528,25 @@ class TestBenchCLI:
         # A record compared against itself is clean: exit 0.
         assert main(["bench", "compare", str(out), str(out)]) == 0
 
+    def test_bench_leaves_committed_results_alone(self, tmp_path):
+        # repro bench writes its artifacts into its staging directory; the
+        # committed benchmarks/results/ is neither rewritten nor touched.
+        results = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+        def snapshot():
+            return {
+                path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in sorted(results.iterdir())
+            }
+
+        before = snapshot()
+        proc = _run_cli(
+            "bench", "-k", "fig10", "--profile", "minimal",
+            "--out", str(tmp_path / "BENCH_test.json"),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert snapshot() == before
+
     def test_compare_fidelity_drift_fails_even_advisory(self, tmp_path, capsys):
         # Fidelity always gates: compare has no mode that forgives drift.
         old = self._write(
@@ -629,7 +648,7 @@ class TestTaxonomyExitCodes:
         assert "missing hardware field" in err
 
     def test_config_error_mismatched_study_exits_3(self, tmp_path, capsys):
-        study = tmp_path / "study.sqlite"
+        study = tmp_path / "study.jsonl"
         argv = [
             "explore",
             "--macs", "32",

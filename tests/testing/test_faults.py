@@ -180,7 +180,7 @@ class TestIoKinds:
 
     def test_corrupt_study_truncates_existing_file(self, tmp_path):
         plan = FaultPlan(parse_fault_specs("corrupt-study"))
-        target = tmp_path / "study.sqlite"
+        target = tmp_path / "study.jsonl"
         target.write_bytes(b"A" * 100)
         assert plan.corrupt_study_file(target)
         blob = target.read_bytes()
@@ -189,15 +189,15 @@ class TestIoKinds:
 
     def test_corrupt_study_writes_garbage_for_missing_file(self, tmp_path):
         plan = FaultPlan(parse_fault_specs("corrupt-study"))
-        target = tmp_path / "fresh" / "study.sqlite"
+        target = tmp_path / "fresh" / "study.jsonl"
         assert plan.corrupt_study_file(target)
         assert target.exists()
-        # Not a valid sqlite header -- quick_check will reject it.
-        assert not target.read_bytes().startswith(b"SQLite format 3\x00")
+        # No header line: the store's loader sets the file aside.
+        assert b'"header"' not in target.read_bytes()
 
     def test_corrupt_study_respects_indices(self, tmp_path):
         plan = FaultPlan(parse_fault_specs("corrupt-study:@indices=1"))
-        target = tmp_path / "study.sqlite"
+        target = tmp_path / "study.jsonl"
         assert not plan.corrupt_study_file(target, index=0)
         assert not target.exists()
 
