@@ -1130,7 +1130,7 @@ def main(argv: list[str] | None = None) -> int:
     Every taxonomy error (:class:`repro.errors.ReproError`) escaping a
     subcommand is printed as one ``repro: error [<code>]: <message>`` line
     and mapped to its exit code in exactly one place: usage 2, config 3,
-    data 4, corrupt state 5, exhausted resources 6.  ``KeyboardInterrupt``
+    data 4, exhausted resources 6.  ``KeyboardInterrupt``
     exits 130 (SIGINT convention).
     """
     parser = build_parser()

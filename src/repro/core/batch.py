@@ -21,6 +21,16 @@ columns gathered by each row's segment, and :func:`search_batch` picks one
 winner per segment.  A pack holds dense or grouped layers, never both, so
 each call runs one A-L1/A-L2 recurrence.
 
+An evaluation has two halves.  :func:`c3p_columns` derives everything no
+buffer size moves -- the loop nest, each C3P walk's critical capacities
+with the loop counts they guard, the A0 bits, the traffic multipliers, the
+cycles -- from the table, its layers, ``hw.package`` and ``hw.tech``.
+:func:`score_columns` then tests ``hw.memory`` against them: legality,
+reload factors, fills, traffic, energy and EDP.  :func:`evaluate_batch` is
+the one applied to the other, and a sweep's
+:class:`~repro.core.mapper.SharedTables` holds a reused pack's columns so
+that its later machines run only the second half.
+
 **Bit-identity contract.**  The scalar path is the golden oracle; this
 kernel must agree with it to the last float.  Three rules make that hold:
 
@@ -77,9 +87,6 @@ BATCH_MAX_BYTES_ENV = "REPRO_BATCH_MAX_BYTES"
 #: intermediate and result columns (~60 float64/int64 arrays plus numpy
 #: overhead); deliberately generous so the cap errs toward smaller chunks.
 _BATCH_BYTES_PER_CANDIDATE = 1024
-
-#: Loop-kind codes used by the slot walk (order is cosmetic, values are not).
-_KIND_C, _KIND_W, _KIND_H = 0, 1, 2
 
 #: int64 magnitude guard: products whose float64 estimate clears this bound
 #: may have lost exactness (or wrapped), so the batch aborts to scalar.
@@ -284,8 +291,9 @@ class BatchSearchOutcome:
     (both ``None`` when none of its candidates is valid);
     ``segment_evaluated`` and ``segment_invalid`` count its valid and
     invalid candidates.  ``chunks`` is the number of kernel passes the
-    table took; it is left out of ``==``, since chunking changes nothing
-    else.
+    table took, and ``columns`` the :class:`C3PColumns` a one-chunk call
+    scored (``None`` after several chunks), for the caller to hold; both
+    are left out of ``==``, since neither changes an answer.
     """
 
     winners: tuple[int | None, ...]
@@ -293,6 +301,7 @@ class BatchSearchOutcome:
     segment_invalid: tuple[int, ...]
     reports: tuple[CostReport | None, ...]
     chunks: int = field(default=1, compare=False)
+    columns: C3PColumns | None = field(default=None, compare=False, repr=False)
 
     @property
     def best_index(self) -> int | None:
@@ -315,25 +324,38 @@ def _ceil_div(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     return -(-a // b)
 
 
-def _layer_terms(
-    layers: Sequence[ConvLayer],
-    segment: "np.ndarray | None",
-    hw: HardwareConfig,
-    model: EnergyModel,
-) -> SimpleNamespace:
-    """The layer quantities the kernel reads, broadcastable against the rows.
+#: The layer terms the loop nest reads (:func:`c3p_columns`).
+_NEST_TERMS = (
+    "ho", "wo", "co", "ci", "kh", "kw", "row_step", "col_step",
+    "groups", "co_per_group", "ci_per_group", "a_l1_chunk",
+)
 
-    Each quantity is computed per layer with the scalar path's own
-    expression.  For one layer's table (``segment`` is ``None``) they stay
-    Python scalars; for a pack each becomes a column holding every row's
-    segment's value, so a pack row meets exactly the operands a one-layer
-    call would give it.
+#: The layer terms :func:`score_columns` reads.
+_SCORED_TERMS = (
+    "kernel_sweep", "output_bits", "a_l1_read_bits",
+    "rf_rmw_bits", "rf_drain_bits", "rf_pj", "mac_pj",
+)
+
+
+def _layer_terms(
+    layers: Sequence[ConvLayer], hw: HardwareConfig, model: EnergyModel, pack: bool
+) -> dict[str, object]:
+    """The layer quantities the kernel reads, by name.
+
+    Each is computed per layer with the scalar path's own expression
+    (``macs`` and ``output_elements`` read once per layer).  For one
+    layer's table they stay Python scalars; for a ``pack`` each is an
+    array over the segments, which :func:`_per_row` gathers by each row's
+    segment, so a pack row meets exactly the operands a one-layer call
+    would give it.  They read ``hw.package`` and ``hw.tech`` only.
     """
     tech = hw.tech
 
     def terms(layer: ConvLayer) -> dict:
-        rf_rmw_bits = layer.macs / hw.vector_size * tech.psum_bits
-        rf_drain_bits = layer.output_elements * tech.psum_bits
+        macs = layer.macs
+        output_elements = layer.output_elements
+        rf_rmw_bits = macs / hw.vector_size * tech.psum_bits
+        rf_drain_bits = output_elements * tech.psum_bits
         return {
             "ho": layer.ho, "wo": layer.wo, "co": layer.co, "ci": layer.ci,
             "kh": layer.kh, "kw": layer.kw,
@@ -344,20 +366,28 @@ def _layer_terms(
             "ci_per_group": layer.ci_per_group,
             "a_l1_chunk": min(hw.vector_size, layer.ci),
             "kernel_sweep": float(layer.kh * layer.kw),
-            "output_bits": layer.output_elements * tech.data_bits,
-            "a_l1_read_bits": layer.macs / hw.lanes * tech.data_bits,
+            "output_bits": output_elements * tech.data_bits,
+            "a_l1_read_bits": macs / hw.lanes * tech.data_bits,
             "rf_rmw_bits": rf_rmw_bits,
             "rf_drain_bits": rf_drain_bits,
             "rf_pj": (rf_rmw_bits + rf_drain_bits) * model.rf_rmw_pj_per_bit,
-            "mac_pj": model.mac_energy_pj(layer.macs),
+            "mac_pj": model.mac_energy_pj(macs),
         }
 
-    if segment is None:
-        return SimpleNamespace(**terms(layers[0]))
+    if not pack:
+        return terms(layers[0])
     per_layer = [terms(layer) for layer in layers]
-    return SimpleNamespace(
-        **{name: np.array([t[name] for t in per_layer])[segment] for name in per_layer[0]}
-    )
+    return {name: np.array([t[name] for t in per_layer]) for name in per_layer[0]}
+
+
+def _per_row(
+    terms: dict[str, object], names: Sequence[str], segment: "np.ndarray | None"
+) -> SimpleNamespace:
+    """``names`` of ``terms`` broadcastable against the rows: a one-layer
+    table's scalars as they are, a pack's gathered by ``segment``."""
+    if segment is None:
+        return SimpleNamespace(**{name: terms[name] for name in names})
+    return SimpleNamespace(**{name: terms[name][segment] for name in names})
 
 
 def _input_channels_for(q: SimpleNamespace, out_channels: "np.ndarray") -> "np.ndarray":
@@ -388,34 +418,101 @@ def _window_bytes(
     return elements * data_bytes
 
 
-def _level_slots(
-    order_channel: "np.ndarray",
-    c: "np.ndarray",
-    w: "np.ndarray",
-    h: "np.ndarray",
-) -> list[tuple["np.ndarray", "np.ndarray"]]:
-    """(kind, count) columns of one temporal level, inner to outer.
+#: The loops that can reload one walk's buffer, in slot order: each
+#: critical capacity Cc_k (bytes) with the loop count a smaller buffer
+#: multiplies the reload factor by.
+Critical = tuple[tuple["np.ndarray", "np.ndarray"], ...]
 
-    Channel-priority yields C, W, H; plane-priority yields W, H, C --
-    exactly :func:`repro.core.loopnest._level_loops`.
+
+def _reload(start, buffer, critical: Critical) -> "np.ndarray":
+    """``start`` times the count of every Cc_k above ``buffer``, in slot order.
+
+    The scalar walk's ``reload_factor *= loop.count`` on each unsatisfied
+    critical capacity, with the same operands in the same order.
     """
-    ch = order_channel.astype(bool)
-    return [
-        (np.where(ch, _KIND_C, _KIND_W), np.where(ch, c, w)),
-        (np.where(ch, _KIND_W, _KIND_H), np.where(ch, w, h)),
-        (np.where(ch, _KIND_H, _KIND_C), np.where(ch, h, c)),
-    ]
+    reload = start
+    for capacity, count in critical:
+        reload = np.where(buffer < capacity, reload * count, reload)
+    return reload
 
 
-def evaluate_batch(
+@dataclass(frozen=True, eq=False)
+class C3PColumns:
+    """The half of a table's evaluation that no buffer size moves.
+
+    :func:`c3p_columns` derives it from the table, its layers,
+    ``hw.package`` and ``hw.tech``.  In C3P (Section IV-B, Eq. 1-2) the
+    critical capacities Cc_k are properties of the loop nest, and a
+    buffer's size only decides which of them it satisfies; so
+    :func:`score_columns` tests ``hw.memory`` against these columns and
+    nothing more, and machines that differ only in memory can share one
+    table's columns.  They keep no reference to the table.
+
+    The slot walk of each buffer reduces to its critical loops.  Every
+    temporal level orders its slots C, W, H (channel priority) or W, H, C
+    (plane priority), so its one C loop never falls between its W and H
+    loops: the weight walk's W and H loops of a level share one working
+    set, and the dense A-L1 and A-L2 walks penalize only C loops (grouped
+    layers only through Cc0).
+
+    Attributes:
+        terms: The layer terms :func:`score_columns` reads: Python scalars
+            for one layer, arrays over a pack's segments.
+        invalid: Rows no buffer size can make legal (partition and tile
+            shape checks of ``LoopNest.validity_errors``).
+        o_l1_required: O-L1 bytes each row's core tile needs.
+        a_l1_required: A-L1 bytes each row's core tile needs.
+        weight_group: Cores whose W-L1s pool one chiplet's weights.
+        weight_critical: The weight walk's W and H loops.
+        a_l1_critical: The dense A-L1 walk's C loops (empty if grouped).
+        a_l2_critical: The dense A-L2 walk's level-2 C loop (empty if
+            grouped).
+        chp_co_ways: Chiplet channel ways (the fill's per-chiplet copies).
+        n_chiplets: Active chiplets.
+        n_cores: Active cores per chiplet.
+        sharing_hops: Ring/mesh/switch hops per shared bit.
+        plane_rotated: Rows whose weights rotate across plane-split chiplets.
+        channel_rotated: Rows whose activations rotate across channel-split
+            chiplets.
+        runtime_s: Each row's run time.
+
+    The remaining fields are :class:`BatchResult`'s of the same name.
+    """
+
+    terms: dict[str, object]
+    invalid: "np.ndarray"
+    o_l1_required: "np.ndarray"
+    a_l1_required: "np.ndarray"
+    weight_group: "np.ndarray"
+    weight_critical: Critical
+    weight_a0_bits: "np.ndarray"
+    a_l1_cc0_bytes: "np.ndarray"
+    a_l1_critical: Critical
+    a_l1_a0_bits: "np.ndarray"
+    a_l2_critical: Critical
+    a_l2_a0_bits: "np.ndarray"
+    chp_co_ways: "np.ndarray"
+    n_chiplets: "np.ndarray"
+    n_cores: "np.ndarray"
+    sharing_hops: "np.ndarray"
+    plane_rotated: "np.ndarray"
+    channel_rotated: "np.ndarray"
+    w_l1_read_bits: "np.ndarray"
+    o_l2_bytes: "np.ndarray"
+    cycles: "np.ndarray"
+    runtime_s: "np.ndarray"
+
+
+def c3p_columns(
     layers: ConvLayer | Sequence[ConvLayer],
     hw: HardwareConfig,
     candidates: CandidateTable,
-) -> BatchResult:
-    """Evaluate every candidate of one machine's table in one pass.
+) -> C3PColumns:
+    """The memory-independent half of evaluating ``candidates`` (see :class:`C3PColumns`).
 
     ``layers`` is the table's layer, or -- for a pack -- one layer per
-    segment, all dense or all grouped.
+    segment, all dense or all grouped.  Reads ``hw.package`` and
+    ``hw.tech``, never ``hw.memory``.
 
     Raises:
         BatchOverflowError: When an int64 product would leave the exact
@@ -431,7 +528,8 @@ def evaluate_batch(
         raise ValueError("a pack holds dense or grouped layers, not both")
     (grouped,) = kinds
     model = EnergyModel(hw)
-    q = _layer_terms(members, candidates.segment, hw, model)
+    terms = _layer_terms(members, hw, model, candidates.segment is not None)
+    q = _per_row(terms, _NEST_TERMS, candidates.segment)
     cols = candidates.columns
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
@@ -454,6 +552,9 @@ def evaluate_batch(
     c2 = _ceil_div(macro_co, tile_co)
     w2 = _ceil_div(macro_wo, tile_wo)
     h2 = _ceil_div(macro_ho, tile_ho)
+    # Channel priority puts a level's C loop first, plane priority last.
+    channel_first_1 = cols["chp_order_channel"].astype(bool)
+    channel_first_2 = cols["pkg_order_channel"].astype(bool)
 
     pkg_grid_ways = cols["pkg_rows"] * cols["pkg_cols"]
     pkg_ways = cols["pkg_co_ways"] * pkg_grid_ways
@@ -462,101 +563,66 @@ def evaluate_batch(
     n_chiplets = np.minimum(pkg_ways, np.int64(hw.n_chiplets))
     n_cores = np.minimum(chp_ways, np.int64(hw.n_cores))
 
-    slots = _level_slots(cols["chp_order_channel"], c1, w1, h1) + _level_slots(
-        cols["pkg_order_channel"], c2, w2, h2
-    )
-
     # --- validity (LoopNest.validity_errors, vectorized) --------------------
     o_l1_required = _ceil_div(core_ho * core_wo * core_co * tech.psum_bits, np.int64(8))
     min_a_l1 = _input_cols_for(q, core_wo) * q.a_l1_chunk * data_bits // 8
     pkg_channel = cols["pkg_is_channel"].astype(bool)
     invalid = pkg_ways > hw.n_chiplets
     invalid |= chp_ways > hw.n_cores
-    invalid |= o_l1_required > hw.memory.o_l1_bytes
-    invalid |= min_a_l1 > hw.memory.a_l1_bytes
     invalid |= pkg_channel & (cols["pkg_co_ways"] > q.co)
     invalid |= cols["chp_co_ways"] > macro_co
     invalid |= (cols["pkg_rows"] > q.ho) | (cols["pkg_cols"] > q.wo)
     invalid |= (cols["chp_rows"] > tile_ho) | (cols["chp_cols"] > tile_wo)
-    valid = ~invalid
 
     # --- weight-buffer C3P walk (analyze_weight_buffer) ---------------------
+    # The working set grows at each C loop; a level's W and H loops see the
+    # set before its C loop (plane priority) or after it (channel priority).
     weight_elements = q.kh * q.kw * q.ci_per_group * core_co
     block_bytes = weight_elements * data_bytes
-    weight_buffer = (hw.memory.w_l1_bytes * chp_grid_ways).astype(np.float64)
-    working_set = block_bytes.copy()
-    weight_reload = np.ones(len(candidates), dtype=np.float64)
-    for kind, count in slots:
-        is_c = kind == _KIND_C
-        penalized = ~is_c & (weight_buffer < working_set)
-        weight_reload = np.where(penalized, weight_reload * count, weight_reload)
-        working_set = np.where(is_c, working_set * count, working_set)
-    total_channel = c1 * c2
-    weight_a0_bits = block_bytes * 8.0 * total_channel
-    weight_fill_bits = weight_a0_bits * weight_reload
+    after_c1 = block_bytes * c1
+    level_1 = np.where(channel_first_1, after_c1, block_bytes)
+    level_2 = np.where(channel_first_2, after_c1 * c2, after_c1)
+    weight_critical = ((level_1, w1), (level_1, h1), (level_2, w2), (level_2, h2))
+    weight_a0_bits = block_bytes * 8.0 * (c1 * c2)
 
     # --- A-L1 C3P walk (analyze_activation_l1) ------------------------------
+    # A C loop holds the full-CI window of the output extent its level's
+    # earlier W and H loops (plane priority) have grown.
+    # A0 windows: one core block's (A-L1) and one chiplet tile's (A-L2).
     block_channels = _input_channels_for(q, core_co)
     chunk_channels = np.minimum(np.int64(hw.vector_size), block_channels)
     cc0 = _window_bytes(q, data_bytes, core_ho, core_wo, chunk_channels)
-    a_l1_budget = float(hw.memory.a_l1_bytes)
-    a_l1_reload = np.where(a_l1_budget >= cc0, 1.0, q.kernel_sweep)
-    out_rows, out_cols = core_ho.copy(), core_wo.copy()
-    channel_multiplicity = np.ones(len(candidates), dtype=np.int64)
-    ci_col = np.full(len(candidates), q.ci, dtype=np.int64)
-    for kind, count in slots:
-        is_c = kind == _KIND_C
-        if grouped:
-            channel_multiplicity = np.where(
-                is_c, channel_multiplicity * count, channel_multiplicity
-            )
-        else:
-            ws = _window_bytes(q, data_bytes, out_rows, out_cols, ci_col)
-            penalized = is_c & (a_l1_budget < ws)
-            a_l1_reload = np.where(penalized, a_l1_reload * count, a_l1_reload)
-        out_cols = np.where(kind == _KIND_W, out_cols * count, out_cols)
-        out_rows = np.where(kind == _KIND_H, out_rows * count, out_rows)
-    planar_iterations = w1 * h1 * w2 * h2
+    rows_2, cols_2 = tile_ho * h2, tile_wo * w2
     if grouped:
-        a0_channels = np.minimum(block_channels * channel_multiplicity, q.ci)
+        # Distinct input channels per C iteration: fresh data, no penalty.
+        a_l1_critical = a_l2_critical = ()
+        a_l1_window = _window_bytes(
+            q, data_bytes, core_ho, core_wo, np.minimum(block_channels * (c1 * c2), q.ci)
+        )
+        a_l2_window = _window_bytes(
+            q, data_bytes, tile_ho, tile_wo,
+            np.minimum(_input_channels_for(q, tile_co) * c2, q.ci),
+        )
     else:
-        a0_channels = ci_col
-    a_l1_a0_bits = (
-        _window_bytes(q, data_bytes, core_ho, core_wo, a0_channels)
-        * 8.0
-        * planar_iterations
-    )
-    a_l1_fill_bits = a_l1_a0_bits * a_l1_reload
+        ci = np.full(len(candidates), q.ci, dtype=np.int64)
+        rows_1, cols_1 = core_ho * h1, core_wo * w1
+        a_l1_window = _window_bytes(q, data_bytes, core_ho, core_wo, ci)
+        level_1_window = _window_bytes(q, data_bytes, rows_1, cols_1, ci)
+        level_2_window = _window_bytes(q, data_bytes, rows_1 * h2, cols_1 * w2, ci)
+        a_l1_critical = (
+            (np.where(channel_first_1, a_l1_window, level_1_window), c1),
+            (np.where(channel_first_2, level_1_window, level_2_window), c2),
+        )
+        # --- A-L2 C3P walk (analyze_activation_l2: level-2 loops only) ------
+        a_l2_window = _window_bytes(q, data_bytes, tile_ho, tile_wo, ci)
+        a_l2_critical = (
+            (np.where(channel_first_2, a_l2_window,
+                      _window_bytes(q, data_bytes, rows_2, cols_2, ci)), c2),
+        )
+    a_l1_a0_bits = a_l1_window * 8.0 * (w1 * h1 * w2 * h2)
+    a_l2_a0_bits = a_l2_window * 8.0 * w2 * h2
 
-    # --- A-L2 C3P walk (analyze_activation_l2: level-2 loops only) ----------
-    tile_channels = _input_channels_for(q, tile_co)
-    a_l2_budget = float(hw.memory.a_l2_bytes)
-    a_l2_reload = np.ones(len(candidates), dtype=np.float64)
-    out_rows, out_cols = tile_ho.copy(), tile_wo.copy()
-    channel_multiplicity2 = np.ones(len(candidates), dtype=np.int64)
-    for kind, count in _level_slots(cols["pkg_order_channel"], c2, w2, h2):
-        is_c = kind == _KIND_C
-        if grouped:
-            channel_multiplicity2 = np.where(
-                is_c, channel_multiplicity2 * count, channel_multiplicity2
-            )
-        else:
-            ws = _window_bytes(q, data_bytes, out_rows, out_cols, ci_col)
-            penalized = is_c & (a_l2_budget < ws)
-            a_l2_reload = np.where(penalized, a_l2_reload * count, a_l2_reload)
-        out_cols = np.where(kind == _KIND_W, out_cols * count, out_cols)
-        out_rows = np.where(kind == _KIND_H, out_rows * count, out_rows)
-    if grouped:
-        a0_channels2 = np.minimum(tile_channels * channel_multiplicity2, q.ci)
-    else:
-        a0_channels2 = ci_col
-    a_l2_a0_bits = (
-        _window_bytes(q, data_bytes, tile_ho, tile_wo, a0_channels2) * 8.0 * w2 * h2
-    )
-    a_l2_fill_bits = a_l2_a0_bits * a_l2_reload
-
-    # --- traffic assembly (compute_traffic) ---------------------------------
-    chiplet_weight_fill = weight_fill_bits * cols["chp_co_ways"]
+    # --- traffic multipliers (compute_traffic) ------------------------------
     # Sharing cost dispatches on the package topology (ring/mesh: N_P - 1
     # hops; switch: N_P).  n_chiplets is per-candidate, so evaluate the
     # scalar model once per distinct count -- candidate spaces only ever
@@ -566,30 +632,9 @@ def evaluate_batch(
         sharing_hops[n_chiplets == count] = hw.topology.sharing_hops_per_bit(
             int(count)
         )
-    rot_weights = cols["rot_weights"].astype(bool)
-    rot_activations = cols["rot_activations"].astype(bool)
-    plane_rotated = ~pkg_channel & rot_weights
-    dram_weight_bits = np.where(
-        plane_rotated, chiplet_weight_fill, chiplet_weight_fill * n_chiplets
-    )
-    weight_d2d = np.where(plane_rotated, chiplet_weight_fill * sharing_hops, 0.0)
-    w_l1_write_bits = chiplet_weight_fill * n_chiplets
     core_blocks = c1 * w1 * h1 * c2 * w2 * h2
     block_weight_bits = weight_elements * data_bits
     w_l1_read_bits = block_weight_bits * core_blocks * n_cores * n_chiplets
-
-    channel_rotated = pkg_channel & rot_activations
-    dram_input_bits = np.where(
-        channel_rotated, a_l2_fill_bits, a_l2_fill_bits * n_chiplets
-    )
-    act_d2d = np.where(channel_rotated, a_l2_fill_bits * sharing_hops, 0.0)
-    a_l2_write_bits = a_l2_fill_bits * n_chiplets
-    a_l1_write_bits = a_l1_fill_bits * n_cores * n_chiplets
-    a_l2_read_bits = a_l1_fill_bits * chp_grid_ways * n_chiplets
-    a_l1_read_bits = q.a_l1_read_bits
-    d2d_bit_hops = act_d2d + weight_d2d
-
-    output_bits = q.output_bits
 
     # --- int64 exactness guard ----------------------------------------------
     blocks_f = (
@@ -604,12 +649,11 @@ def evaluate_batch(
     block_cycles_f = (
         core_ho.astype(np.float64) * core_wo * q.kh * q.kw
     )  # chunk factor bounded below by 1, added next
-    chunks = _ceil_div(np.maximum(_input_channels_for(q, core_co), 1),
-                       np.int64(hw.vector_size))
+    chunks = _ceil_div(np.maximum(block_channels, 1), np.int64(hw.vector_size))
     cycles_estimate = blocks_f * block_cycles_f * chunks
     window_estimate = (
-        _input_rows_for(q, out_rows).astype(np.float64)
-        * _input_cols_for(q, out_cols)
+        _input_rows_for(q, rows_2).astype(np.float64)
+        * _input_cols_for(q, cols_2)
         * q.ci
     )
     guard = max(
@@ -622,16 +666,102 @@ def evaluate_batch(
             f"candidate magnitude {guard:g} exceeds the int64-exact range"
         )
 
+    # --- cycles (LoopNest.total_cycles) and the O-L2 size -------------------
+    cycles = core_blocks * (core_ho * core_wo * q.kh * q.kw * chunks)
+    return C3PColumns(
+        terms={name: terms[name] for name in _SCORED_TERMS},
+        invalid=invalid,
+        o_l1_required=o_l1_required,
+        a_l1_required=min_a_l1,
+        weight_group=chp_grid_ways,
+        weight_critical=weight_critical,
+        weight_a0_bits=weight_a0_bits,
+        a_l1_cc0_bytes=cc0,
+        a_l1_critical=a_l1_critical,
+        a_l1_a0_bits=a_l1_a0_bits,
+        a_l2_critical=a_l2_critical,
+        a_l2_a0_bits=a_l2_a0_bits,
+        chp_co_ways=cols["chp_co_ways"].copy(),
+        n_chiplets=n_chiplets,
+        n_cores=n_cores,
+        sharing_hops=sharing_hops,
+        plane_rotated=~pkg_channel & cols["rot_weights"].astype(bool),
+        channel_rotated=pkg_channel & cols["rot_activations"].astype(bool),
+        w_l1_read_bits=w_l1_read_bits,
+        o_l2_bytes=_ceil_div(tile_ho * tile_wo * tile_co * data_bits, np.int64(8)),
+        cycles=cycles,
+        runtime_s=cycles * tech.cycle_time_ns() * 1e-9,
+    )
+
+
+def score_columns(
+    columns: C3PColumns, hw: HardwareConfig, candidates: CandidateTable
+) -> BatchResult:
+    """Score ``candidates``' :class:`C3PColumns` against ``hw.memory``.
+
+    ``columns`` come from :func:`c3p_columns` on these rows (or on a table
+    with equal rows and segments) and a machine with ``hw``'s package and
+    technology.  This half tests the buffer sizes: legality against O-L1
+    and A-L1, each walk's reload factor, and then the fills, traffic,
+    per-bit energies, total energy and EDP.
+    """
+    memory, tech = hw.memory, hw.tech
+    model = EnergyModel(hw)
+    q = _per_row(columns.terms, _SCORED_TERMS, candidates.segment)
+    valid = ~(
+        columns.invalid
+        | (columns.o_l1_required > memory.o_l1_bytes)
+        | (columns.a_l1_required > memory.a_l1_bytes)
+    )
+
+    # --- the three C3P walks' reload factors and fills ----------------------
+    weight_buffer = (memory.w_l1_bytes * columns.weight_group).astype(np.float64)
+    weight_reload = _reload(
+        np.ones(len(candidates), dtype=np.float64), weight_buffer, columns.weight_critical
+    )
+    weight_fill_bits = columns.weight_a0_bits * weight_reload
+    a_l1_budget = float(memory.a_l1_bytes)
+    a_l1_reload = _reload(
+        np.where(a_l1_budget >= columns.a_l1_cc0_bytes, 1.0, q.kernel_sweep),
+        a_l1_budget,
+        columns.a_l1_critical,
+    )
+    a_l1_fill_bits = columns.a_l1_a0_bits * a_l1_reload
+    a_l2_reload = _reload(
+        np.ones(len(candidates), dtype=np.float64),
+        float(memory.a_l2_bytes),
+        columns.a_l2_critical,
+    )
+    a_l2_fill_bits = columns.a_l2_a0_bits * a_l2_reload
+
+    # --- traffic assembly (compute_traffic) ---------------------------------
+    n_chiplets, n_cores = columns.n_chiplets, columns.n_cores
+    sharing_hops = columns.sharing_hops
+    plane_rotated, channel_rotated = columns.plane_rotated, columns.channel_rotated
+    chiplet_weight_fill = weight_fill_bits * columns.chp_co_ways
+    dram_weight_bits = np.where(
+        plane_rotated, chiplet_weight_fill, chiplet_weight_fill * n_chiplets
+    )
+    weight_d2d = np.where(plane_rotated, chiplet_weight_fill * sharing_hops, 0.0)
+    w_l1_write_bits = chiplet_weight_fill * n_chiplets
+    dram_input_bits = np.where(
+        channel_rotated, a_l2_fill_bits, a_l2_fill_bits * n_chiplets
+    )
+    act_d2d = np.where(channel_rotated, a_l2_fill_bits * sharing_hops, 0.0)
+    a_l2_write_bits = a_l2_fill_bits * n_chiplets
+    a_l1_write_bits = a_l1_fill_bits * n_cores * n_chiplets
+    a_l2_read_bits = a_l1_fill_bits * columns.weight_group * n_chiplets
+    d2d_bit_hops = act_d2d + weight_d2d
+    output_bits = q.output_bits
+
     # --- energy (energy_from_traffic) ---------------------------------------
     dram_bits = dram_input_bits + dram_weight_bits + output_bits
     dram_pj = dram_bits * model.dram_pj_per_bit
     d2d_pj = d2d_bit_hops * model.d2d_pj_per_bit
     a_l2_pj = (a_l2_write_bits + a_l2_read_bits) * model.a_l2_pj_per_bit
-    o_l2_bytes = _ceil_div(tile_ho * tile_wo * tile_co * data_bits, np.int64(8))
-    if hw.memory.o_l2_bytes:
-        o_l2_pj_bit = np.full(
-            len(candidates), model.o_l2_pj_per_bit(0), dtype=np.float64
-        )
+    o_l2_bytes = columns.o_l2_bytes
+    if memory.o_l2_bytes:
+        o_l2_pj_bit = np.full(len(candidates), model.o_l2_pj_per_bit(0), dtype=np.float64)
     else:
         # TechnologyParams.sram_energy_pj_per_bit on the per-candidate size.
         slope = (tech.l2_anchor_pj_per_bit - tech.l1_anchor_pj_per_bit) / (
@@ -643,8 +773,8 @@ def evaluate_batch(
             tech.rf_rmw_energy_pj_per_bit,
         )
     o_l2_pj = (output_bits + output_bits) * o_l2_pj_bit
-    a_l1_pj = (a_l1_write_bits + a_l1_read_bits) * model.a_l1_pj_per_bit
-    w_l1_pj = (w_l1_write_bits + w_l1_read_bits) * model.w_l1_pj_per_bit
+    a_l1_pj = (a_l1_write_bits + q.a_l1_read_bits) * model.a_l1_pj_per_bit
+    w_l1_pj = (w_l1_write_bits + columns.w_l1_read_bits) * model.w_l1_pj_per_bit
     rf_pj = q.rf_pj
     mac_pj = q.mac_pj
     # EnergyBreakdown.total_pj association order, component by component.
@@ -653,23 +783,20 @@ def evaluate_batch(
         + mac_pj
     )
 
-    # --- cycles and EDP (LoopNest.total_cycles / CostReport.edp) ------------
-    block_cycles = core_ho * core_wo * q.kh * q.kw * chunks
-    cycles = core_blocks * block_cycles
-    runtime_s = cycles * tech.cycle_time_ns() * 1e-9
-    edp = energy_pj * 1e-12 * runtime_s
+    # --- EDP (CostReport.edp) -----------------------------------------------
+    edp = energy_pj * 1e-12 * columns.runtime_s
 
     return BatchResult(
         candidates=candidates,
         valid=valid,
-        weight_a0_bits=weight_a0_bits,
+        weight_a0_bits=columns.weight_a0_bits,
         weight_reload=weight_reload,
         weight_fill_bits=weight_fill_bits,
-        a_l1_cc0_bytes=cc0,
-        a_l1_a0_bits=a_l1_a0_bits,
+        a_l1_cc0_bytes=columns.a_l1_cc0_bytes,
+        a_l1_a0_bits=columns.a_l1_a0_bits,
         a_l1_reload=a_l1_reload,
         a_l1_fill_bits=a_l1_fill_bits,
-        a_l2_a0_bits=a_l2_a0_bits,
+        a_l2_a0_bits=columns.a_l2_a0_bits,
         a_l2_reload=a_l2_reload,
         a_l2_fill_bits=a_l2_fill_bits,
         dram_input_bits=dram_input_bits,
@@ -679,9 +806,9 @@ def evaluate_batch(
         a_l2_write_bits=a_l2_write_bits,
         a_l2_read_bits=a_l2_read_bits,
         a_l1_write_bits=a_l1_write_bits,
-        a_l1_read_bits=a_l1_read_bits,
+        a_l1_read_bits=q.a_l1_read_bits,
         w_l1_write_bits=w_l1_write_bits,
-        w_l1_read_bits=w_l1_read_bits,
+        w_l1_read_bits=columns.w_l1_read_bits,
         rf_rmw_bits=q.rf_rmw_bits,
         rf_drain_bits=q.rf_drain_bits,
         dram_pj=dram_pj,
@@ -694,9 +821,29 @@ def evaluate_batch(
         mac_pj=mac_pj,
         energy_pj=energy_pj,
         o_l2_bytes=o_l2_bytes,
-        cycles=cycles,
+        cycles=columns.cycles,
         edp=edp,
     )
+
+
+def evaluate_batch(
+    layers: ConvLayer | Sequence[ConvLayer],
+    hw: HardwareConfig,
+    candidates: CandidateTable,
+) -> BatchResult:
+    """Evaluate every candidate of one machine's table in one pass.
+
+    ``layers`` is the table's layer, or -- for a pack -- one layer per
+    segment, all dense or all grouped: :func:`score_columns` applied to
+    :func:`c3p_columns`.
+
+    Raises:
+        BatchOverflowError: When an int64 product would leave the exact
+            range (callers fall back to the scalar oracle).
+        ValueError: On an empty table, or a pack mixing dense and grouped
+            layers.
+    """
+    return score_columns(c3p_columns(layers, hw, candidates), hw, candidates)
 
 
 #: Objective-function names the kernel can score (mapper objectives).
@@ -726,6 +873,7 @@ def search_batch(
     hw: HardwareConfig,
     candidates: CandidateTable,
     objective: str = "energy_objective",
+    columns: C3PColumns | None = None,
 ) -> BatchSearchOutcome | None:
     """Batch-evaluate ``candidates`` and pick each segment's scalar-identical winner.
 
@@ -747,6 +895,13 @@ def search_batch(
     scan uses the same strict-``<`` update as the scalar loop, so the
     first-in-enumeration winner -- and therefore the whole sweep output --
     is byte-identical at every chunk size.
+
+    ``columns`` are :class:`C3PColumns` an earlier one-chunk call computed
+    for a table with these rows and segments, on layers of these shapes
+    and a machine with ``hw``'s package and technology: the call then only
+    scores them (:func:`score_columns`).  A table that takes several
+    chunks ignores them.  The outcome carries the columns a one-chunk call
+    scored.
     """
     scorer = BATCH_OBJECTIVES[objective]
     if not candidates:
@@ -759,13 +914,16 @@ def search_batch(
     # Each segment's current winner: (table row, its chunk's result, row in the chunk).
     winners: list[tuple[int, BatchResult, int] | None] = [None] * segments
     chunk = batch_chunk_candidates() or len(candidates)
+    if chunk < len(candidates):
+        columns = None
     n_chunks = 0
     for start in range(0, len(candidates), chunk):
         part = candidates[start : start + chunk]
         try:
-            result = evaluate_batch(layers, hw, part)
+            part_columns = c3p_columns(layers, hw, part) if columns is None else columns
         except BatchOverflowError:
             return None
+        result = score_columns(part_columns, hw, part)
         n_chunks += 1
         masked = np.where(result.valid, result.scores(scorer), np.inf)
         if part.segment is None:
@@ -790,4 +948,5 @@ def search_batch(
             for w, layer in zip(winners, members)
         ),
         chunks=n_chunks,
+        columns=part_columns if n_chunks == 1 else None,
     )

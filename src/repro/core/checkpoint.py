@@ -302,7 +302,10 @@ class SweepCheckpoint:
         after, so a flush that returned cannot be lost to a power cut.
 
         The header goes first whenever neither :meth:`load` nor
-        :meth:`reset` saw one: a missing, empty or set-aside file.
+        :meth:`reset` saw one: a missing, empty or set-aside file.  When
+        that header write degrades the sink, the buffered points are
+        dropped with it: appended without their header, they would be set
+        aside by the next resume.
 
         A full or failing disk (ENOSPC/EIO/...) degrades the checkpoint
         sink -- one warning, the ``degraded.checkpoint`` counter -- and
@@ -310,11 +313,11 @@ class SweepCheckpoint:
         """
         if not self._buffer:
             return
+        if not self._header_written:
+            self._write_header()
         if not durable.sink_enabled("checkpoint"):
             self._buffer.clear()
             return
-        if not self._header_written:
-            self._write_header()
         points = len(self._buffer)
         written = durable.append_lines(self.path, self._buffer, sink="checkpoint")
         self._buffer.clear()

@@ -17,7 +17,8 @@ Serially, a model's uncached shapes are scored in *packs*: consecutive small
 candidate tables concatenated up to :data:`PACK_ROWS` rows and scored by one
 batch-kernel call, which also returns each winner's full report.  A sweep can
 also hand its mappers one :class:`SharedTables`, so the machines that give a
-layer one candidate set build its table once.
+layer one candidate set build its table once, and the machines that serve a
+pack again only score its held C3P columns against their buffer sizes.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ from repro.core.space import CandidateTable, MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
 
 #: Rows a pack of small candidate tables grows to before the kernel scores
-#: it.  A kernel call costs about 0.9 ms at 36 rows, 1.6 ms at 512 and
-#: 4.7 ms at 2,332 (about 950 B of traced peak memory per row), so packing
-#: 15 MINIMAL tables per call removes most of the per-call cost, while
-#: larger packs gain little time and raise peak memory.  A table of this
-#: many rows or more is scored alone, as soon as it is built.
+#: it.  On MINIMAL tables of a 2-8-16-16 machine a kernel call, winner
+#: reports included, costs about 0.7 ms at 36 rows (one layer), 1.6 ms at
+#: 512 (17 layers) and 3.6 ms at 2,374 (67 layers), with about 580 B of
+#: traced peak memory per row; scoring held C3P columns instead takes
+#: 0.24, 0.63 and 2.1 ms.  Packing about 15 MINIMAL tables per call
+#: removes most of the per-call cost, while larger packs gain little time
+#: and raise peak memory.  A table of this many rows or more is scored
+#: alone, as soon as it is built.
 PACK_ROWS = 512
 
 #: Objective functions the mapper can minimize.
@@ -123,7 +127,8 @@ class _Search:
 
 
 class SharedTables:
-    """Candidate tables shared by the machines of a sweep, one per layer shape.
+    """Candidate tables shared by the machines of a sweep, one per layer
+    shape, and the C3P columns of the packs it serves again.
 
     A layer's table depends only on what
     :meth:`~repro.core.space.MappingSpace.candidate_set_key` names for it;
@@ -135,10 +140,21 @@ class SharedTables:
     distinct table is built once.  No table of :data:`PACK_ROWS` rows or
     more is held, so a sweep of large tables builds and drops them as a
     map does.
+
+    A pack's :class:`~repro.core.batch.C3PColumns` read only its tables,
+    their layers' shapes, the package and the technology, so the machines
+    that serve one pack share them: the first kernel call that scores a
+    pack all of whose tables were served again computes and holds its
+    columns (:meth:`hold`), and the later calls only score them against
+    their buffer sizes (:meth:`columns`).  Guided searches rarely meet one
+    pack twice, so they hold almost nothing.  Replacing a table drops the
+    columns of every pack that holds it.
     """
 
     def __init__(self) -> None:
         self._tables: dict[tuple, tuple[tuple, CandidateTable]] = {}
+        self._served: set[CandidateTable] = set()  # held tables served again
+        self._columns: dict[tuple, batch.C3PColumns] = {}
 
     def table(self, space: MappingSpace, layer: ConvLayer) -> CandidateTable:
         """``layer``'s table on ``space``, built unless its shape holds it
@@ -146,14 +162,44 @@ class SharedTables:
         shape = _shape_key(layer)
         key = space.candidate_set_key(layer)
         held = self._tables.get(shape)
-        if held is not None and held[0] == key:
-            return held[1]
+        if held is not None:
+            if held[0] == key:
+                self._served.add(held[1])
+                return held[1]
+            self._drop(shape)
         table = space.unique_candidates(layer, count=False)
         if len(table) < PACK_ROWS:
             self._tables[shape] = (key, table)
-        else:
-            self._tables.pop(shape, None)
         return table
+
+    def _drop(self, shape: tuple) -> None:
+        """Forget ``shape``'s table and the columns of every pack holding it."""
+        _, table = self._tables.pop(shape)
+        if table in self._served:  # no held pack has a table served once
+            self._served.remove(table)
+            self._columns = {
+                key: columns
+                for key, columns in self._columns.items()
+                if all(member is not table for member in key[0])
+            }
+
+    def columns(
+        self, tables: tuple[CandidateTable, ...], hw: HardwareConfig
+    ) -> batch.C3PColumns | None:
+        """The held columns of the pack of ``tables`` on ``hw``'s package
+        and technology, if any."""
+        return self._columns.get((tables, hw.package, hw.tech))
+
+    def hold(
+        self,
+        tables: tuple[CandidateTable, ...],
+        hw: HardwareConfig,
+        columns: batch.C3PColumns | None,
+    ) -> None:
+        """Hold the pack's ``columns`` if every one of ``tables`` was
+        served again (``None``, from a chunked call, holds nothing)."""
+        if columns is not None and all(table in self._served for table in tables):
+            self._columns[tables, hw.package, hw.tech] = columns
 
 
 def _search_layer_task(layer: ConvLayer) -> _Search:
@@ -357,8 +403,10 @@ class Mapper:
         """Score ``(index, layer, table, table_ms)`` members in one kernel
         call and file each layer's search in ``found`` under its index.
 
-        A pack the int64 guard refuses is re-scored one member at a time,
-        and a member it still refuses takes the scalar oracle.
+        With :attr:`tables`, the call scores the pack's held C3P columns,
+        or hands :meth:`SharedTables.hold` the columns it computed.  A pack
+        the int64 guard refuses is re-scored one member at a time, and a
+        member it still refuses takes the scalar oracle.
         """
         start = time.perf_counter()
         _, layers, tables, _ = zip(*members)
@@ -366,11 +414,16 @@ class Mapper:
             scored, table = layers[0], tables[0]
         else:
             scored, table = layers, CandidateTable.pack(tables)
-        outcome = batch.search_batch(scored, self.hw, table, objective=self._objective_name)
+        held = None if self.tables is None else self.tables.columns(tables, self.hw)
+        outcome = batch.search_batch(
+            scored, self.hw, table, objective=self._objective_name, columns=held
+        )
         if outcome is None and len(members) > 1:
             for member in members:
                 self._score([member], found)
             return
+        if outcome is not None and held is None and self.tables is not None:
+            self.tables.hold(tables, self.hw, outcome.columns)
         kernel_ms = (time.perf_counter() - start) * 1e3
         for segment, (index, layer, own, table_ms) in enumerate(members):
             if outcome is None:

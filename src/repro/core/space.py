@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -283,6 +284,117 @@ class CandidateTable(Sequence):
         )
 
 
+#: Distinct inputs each enumeration memo keeps; a Fig. 15 sweep round meets
+#: a few hundred.
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _chiplet_options(
+    n: int, profile: SearchProfile, macro_co: int, macro_ho: int, macro_wo: int
+) -> tuple[SpatialPrimitive, ...]:
+    """Chiplet-level C / P / H partitions of a macro partition over ``n`` cores.
+
+    A pure function of its ints, shared by every caller (hence a tuple).
+    Every grid it tests has at most ``n`` rows, columns and channel ways,
+    so :meth:`MappingSpace.chiplet_spatials` clamps the macro extents to
+    ``n`` first: more layers then meet one entry.
+    """
+    if n == 1:
+        return (SpatialPrimitive.channel(1),)
+    options: list[SpatialPrimitive] = []
+    if macro_co >= n:
+        options.append(SpatialPrimitive.channel(n))
+    plane_grids = [
+        g
+        for g in factor_grids(n)
+        if g.ways > 1 and g.rows <= macro_ho and g.cols <= macro_wo
+    ]
+    if profile is not SearchProfile.EXHAUSTIVE and len(plane_grids) > 1:
+        plane_grids = [min(plane_grids, key=lambda g: g.aspect_ratio())]
+    options.extend(SpatialPrimitive.plane(g) for g in plane_grids)
+    for co_ways in _divisors(n):
+        if co_ways in (1, n) or macro_co < co_ways:
+            continue
+        sub_grids = [
+            g
+            for g in factor_grids(n // co_ways)
+            if g.rows <= macro_ho and g.cols <= macro_wo
+        ]
+        if not sub_grids:
+            continue
+        if profile is not SearchProfile.EXHAUSTIVE:
+            sub_grids = [min(sub_grids, key=lambda g: g.aspect_ratio())]
+        options.extend(SpatialPrimitive.hybrid(co_ways, g) for g in sub_grids)
+    if profile is not SearchProfile.EXHAUSTIVE:
+        # Keep at most one partition per dimension kind.
+        kept: dict[PartitionDim, SpatialPrimitive] = {}
+        for opt in options:
+            kept.setdefault(opt.dim, opt)
+        options = list(kept.values())
+    if not options:
+        # Thin macro partition: occupy as many cores as it has channels.
+        options.append(SpatialPrimitive.channel(min(n, max(macro_co, 1))))
+    return tuple(options)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _core_tiles(
+    share_ho: int,
+    share_wo: int,
+    max_pixels: int,
+    cc0_tile: int | None,
+    profile: SearchProfile,
+) -> tuple[tuple[int, int], ...]:
+    """:meth:`MappingSpace.core_tiles` given the layer's pixel budget and
+    Cc0 tile: a pure function of its ints, shared by every caller."""
+    tiles: list[tuple[int, int]] = []
+    side = 1
+    while side * side <= max_pixels:
+        tiles.append((min(side, share_ho), min(side, share_wo)))
+        if side * 2 * side <= max_pixels:
+            tiles.append((min(side, share_ho), min(2 * side, share_wo)))
+            tiles.append((min(2 * side, share_ho), min(side, share_wo)))
+        side *= 2
+    # Full-width row stripe (friendly to sliding-window input reuse).
+    row_w = min(share_wo, max_pixels)
+    tiles.append((1, row_w))
+    # The largest tile covering the share, if it fits.
+    if share_ho * share_wo <= max_pixels:
+        tiles.append((share_ho, share_wo))
+    # The largest square tile whose Cc0 (one P-channel input window) fits
+    # the A-L1 -- the C3P-guided choice that dodges the kernel-sweep
+    # reload penalty on large-kernel layers.
+    if cc0_tile is not None:
+        tiles.append((min(cc0_tile, share_ho), min(cc0_tile, share_wo)))
+    tiles = _dedupe([(h, w) for h, w in tiles if 1 <= h and 1 <= w])
+    cc0_kept = (
+        [(min(cc0_tile, share_ho), min(cc0_tile, share_wo))]
+        if cc0_tile is not None
+        else []
+    )
+    if profile is not SearchProfile.EXHAUSTIVE and len(tiles) > 3:
+        # The largest square, the largest overall, the row stripe, and
+        # the Cc0-fitting tile.
+        largest_square = max(
+            (t for t in tiles if t[0] == t[1]),
+            key=lambda t: t[0] * t[1],
+            default=tiles[0],
+        )
+        largest = max(tiles, key=lambda t: t[0] * t[1])
+        stripe = (1, row_w)
+        tiles = _dedupe([largest_square, largest, stripe] + cc0_kept)
+    if profile is SearchProfile.MINIMAL and len(tiles) > 2:
+        largest_square = max(
+            (t for t in tiles if t[0] == t[1]),
+            key=lambda t: t[0] * t[1],
+            default=tiles[0],
+        )
+        largest = max(tiles, key=lambda t: t[0] * t[1])
+        tiles = _dedupe([largest_square, largest] + cc0_kept)
+    return tuple(tiles)
+
+
 @dataclass(frozen=True)
 class MappingSpace:
     """Candidate mappings for one hardware instance.
@@ -352,53 +464,26 @@ class MappingSpace:
     ) -> list[SpatialPrimitive]:
         """Chiplet-level C / P / H partitions feeding N_C cores."""
         n = self.hw.n_cores
-        macro_co = ceil_div(layer.co, package.co_ways)
-        macro_ho = ceil_div(layer.ho, package.grid.rows)
-        macro_wo = ceil_div(layer.wo, package.grid.cols)
-        if n == 1:
-            return [SpatialPrimitive.channel(1)]
-        options: list[SpatialPrimitive] = []
-        if macro_co >= n:
-            options.append(SpatialPrimitive.channel(n))
-        plane_grids = [
-            g
-            for g in factor_grids(n)
-            if g.ways > 1 and g.rows <= macro_ho and g.cols <= macro_wo
-        ]
-        if self.profile is not SearchProfile.EXHAUSTIVE and len(plane_grids) > 1:
-            plane_grids = [min(plane_grids, key=lambda g: g.aspect_ratio())]
-        options.extend(SpatialPrimitive.plane(g) for g in plane_grids)
-        for co_ways in _divisors(n):
-            if co_ways in (1, n) or macro_co < co_ways:
-                continue
-            sub_grids = [
-                g
-                for g in factor_grids(n // co_ways)
-                if g.rows <= macro_ho and g.cols <= macro_wo
-            ]
-            if not sub_grids:
-                continue
-            if self.profile is not SearchProfile.EXHAUSTIVE:
-                sub_grids = [min(sub_grids, key=lambda g: g.aspect_ratio())]
-            options.extend(SpatialPrimitive.hybrid(co_ways, g) for g in sub_grids)
-        if self.profile is not SearchProfile.EXHAUSTIVE:
-            # Keep at most one partition per dimension kind.
-            kept: dict[PartitionDim, SpatialPrimitive] = {}
-            for opt in options:
-                kept.setdefault(opt.dim, opt)
-            options = list(kept.values())
-        if not options:
-            # Thin macro partition: occupy as many cores as it has channels.
-            options.append(SpatialPrimitive.channel(min(n, max(macro_co, 1))))
-        return options
+        return list(
+            _chiplet_options(
+                n,
+                self.profile,
+                min(ceil_div(layer.co, package.co_ways), n),
+                min(ceil_div(layer.ho, package.grid.rows), n),
+                min(ceil_div(layer.wo, package.grid.cols), n),
+            )
+        )
 
     # --- tile candidates ------------------------------------------------------------
 
     def core_tiles(self, layer: ConvLayer, share_ho: int, share_wo: int) -> list[tuple[int, int]]:
         """Core-workload planar tiles respecting the O-L1 psum capacity."""
         max_pixels = self._max_pixels()
-        return self._core_tiles(
-            share_ho, share_wo, max_pixels, self._cc0_square_tile(layer, max_pixels)
+        return list(
+            _core_tiles(
+                share_ho, share_wo, max_pixels,
+                self._cc0_square_tile(layer, max_pixels), self.profile,
+            )
         )
 
     def pair_tiles(
@@ -407,81 +492,29 @@ class MappingSpace:
         """Each (package, chiplet) pair in :meth:`candidates` order, with the
         :meth:`core_tiles` of its core share.
 
-        The O-L1 pixel budget and the Cc0 tile are computed once per layer,
-        and a tile list once per distinct share.
+        The O-L1 pixel budget and the Cc0 tile are computed once per layer;
+        the partition and tile lists come from the memoized
+        :func:`_chiplet_options` and :func:`_core_tiles`.
         """
         max_pixels = self._max_pixels()
         cc0_tile = self._cc0_square_tile(layer, max_pixels)
-        by_share: dict[tuple[int, int], list[tuple[int, int]]] = {}
         out = []
         for package in self.package_spatials(layer):
             macro_ho = ceil_div(layer.ho, package.grid.rows)
             macro_wo = ceil_div(layer.wo, package.grid.cols)
             for chiplet in self.chiplet_spatials(layer, package):
-                share = (
+                tiles = _core_tiles(
                     ceil_div(macro_ho, chiplet.grid.rows),
                     ceil_div(macro_wo, chiplet.grid.cols),
+                    max_pixels, cc0_tile, self.profile,
                 )
-                tiles = by_share.get(share)
-                if tiles is None:
-                    tiles = by_share[share] = self._core_tiles(*share, max_pixels, cc0_tile)
-                out.append((package, chiplet, tiles))
+                out.append((package, chiplet, list(tiles)))
         return out
 
     def _max_pixels(self) -> int:
         """Output pixels one core's O-L1 holds as psums across its lanes."""
         psum_bytes = self.hw.tech.psum_bits / 8.0
         return max(int(self.hw.memory.o_l1_bytes / (psum_bytes * self.hw.lanes)), 1)
-
-    def _core_tiles(
-        self, share_ho: int, share_wo: int, max_pixels: int, cc0_tile: int | None
-    ) -> list[tuple[int, int]]:
-        """:meth:`core_tiles` given the layer's pixel budget and Cc0 tile."""
-        tiles: list[tuple[int, int]] = []
-        side = 1
-        while side * side <= max_pixels:
-            tiles.append((min(side, share_ho), min(side, share_wo)))
-            if side * 2 * side <= max_pixels:
-                tiles.append((min(side, share_ho), min(2 * side, share_wo)))
-                tiles.append((min(2 * side, share_ho), min(side, share_wo)))
-            side *= 2
-        # Full-width row stripe (friendly to sliding-window input reuse).
-        row_w = min(share_wo, max_pixels)
-        tiles.append((1, row_w))
-        # The largest tile covering the share, if it fits.
-        if share_ho * share_wo <= max_pixels:
-            tiles.append((share_ho, share_wo))
-        # The largest square tile whose Cc0 (one P-channel input window) fits
-        # the A-L1 -- the C3P-guided choice that dodges the kernel-sweep
-        # reload penalty on large-kernel layers.
-        if cc0_tile is not None:
-            tiles.append((min(cc0_tile, share_ho), min(cc0_tile, share_wo)))
-        tiles = _dedupe([(h, w) for h, w in tiles if 1 <= h and 1 <= w])
-        cc0_kept = (
-            [(min(cc0_tile, share_ho), min(cc0_tile, share_wo))]
-            if cc0_tile is not None
-            else []
-        )
-        if self.profile is not SearchProfile.EXHAUSTIVE and len(tiles) > 3:
-            # The largest square, the largest overall, the row stripe, and
-            # the Cc0-fitting tile.
-            largest_square = max(
-                (t for t in tiles if t[0] == t[1]),
-                key=lambda t: t[0] * t[1],
-                default=tiles[0],
-            )
-            largest = max(tiles, key=lambda t: t[0] * t[1])
-            stripe = (1, row_w)
-            tiles = _dedupe([largest_square, largest, stripe] + cc0_kept)
-        if self.profile is SearchProfile.MINIMAL and len(tiles) > 2:
-            largest_square = max(
-                (t for t in tiles if t[0] == t[1]),
-                key=lambda t: t[0] * t[1],
-                default=tiles[0],
-            )
-            largest = max(tiles, key=lambda t: t[0] * t[1])
-            tiles = _dedupe([largest_square, largest] + cc0_kept)
-        return tiles
 
     def _cc0_square_tile(self, layer: ConvLayer, max_pixels: int) -> int | None:
         """Side of the largest square tile whose Cc0 fits the A-L1.

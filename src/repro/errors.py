@@ -1,6 +1,6 @@
 """Structured error taxonomy: one hierarchy, stable codes, stable exits.
 
-Everything user-visible that can go wrong falls into one of five buckets,
+Everything user-visible that can go wrong falls into one of four buckets,
 each carried by a :class:`ReproError` subclass with a stable machine
 ``code`` string and a stable process exit code:
 
@@ -10,7 +10,6 @@ class                  code                exit code
 UsageError             usage               2
 ConfigError            config              3
 DataError              data                4
-StateCorruptionError   state-corruption    5
 ResourceExhaustedError resource-exhausted  6
 =====================  ==================  =========
 
@@ -42,9 +41,6 @@ EXIT_CONFIG = 3
 
 #: Exit code of undecodable or inconsistent input data (workload/hw files).
 EXIT_DATA = 4
-
-#: Exit code of corrupt on-disk state (cache, checkpoint, study).
-EXIT_STATE_CORRUPTION = 5
 
 #: Exit code of an exhausted resource budget (disk, memory, overflow guard).
 EXIT_RESOURCES = 6
@@ -90,13 +86,6 @@ class DataError(ReproError):
     exit_code = EXIT_DATA
 
 
-class StateCorruptionError(ReproError):
-    """Persistent state (cache, checkpoint, study) is corrupt on disk."""
-
-    code = "state-corruption"
-    exit_code = EXIT_STATE_CORRUPTION
-
-
 class ResourceExhaustedError(ReproError):
     """A resource budget ran out (disk space, memory budget, int64 range)."""
 
@@ -132,13 +121,11 @@ __all__ = [
     "EXIT_FAILURE",
     "EXIT_INTERRUPT",
     "EXIT_RESOURCES",
-    "EXIT_STATE_CORRUPTION",
     "EXIT_USAGE",
     "ConfigError",
     "DataError",
     "ReproError",
     "ResourceExhaustedError",
-    "StateCorruptionError",
     "UsageError",
     "error_code_for",
     "exit_code_for",

@@ -371,10 +371,28 @@ class TestCheckpointDegradedMode:
         assert not durable.sink_enabled("checkpoint")
         counters = recorder.metrics.counters()
         assert counters["degraded.checkpoint"] == 1
-        # Both the header write and the buffered append hit the fault.
-        assert counters["resource.enospc"] == 2
+        # The header write hits the fault; the points are dropped, not appended.
+        assert counters["resource.enospc"] == 1
         assert len([r for r in caplog.records if "disabled" in r.message]) == 1
         durable.reset_degraded()
+
+    def test_failed_header_write_leaves_no_headerless_points(self, tmp_path):
+        """Only the header write fails: the append that would follow it
+        must not leave point lines the next resume would set aside."""
+        from repro import durable
+
+        durable.reset_degraded()
+        install_plan(FaultPlan(parse_fault_specs("enospc:@indices=0&sink=checkpoint")))
+        try:
+            ckpt = SweepCheckpoint(tmp_path, "c" * 64, flush_every=1)
+            ckpt.record("k1", {"x": 1})
+            ckpt.record("k2", {"x": 2})
+            assert not durable.sink_enabled("checkpoint")
+            lines = ckpt.path.read_text().splitlines() if ckpt.path.exists() else []
+            assert [line for line in lines if '"kind": "point"' in line] == []
+        finally:
+            install_plan(None)
+            durable.reset_degraded()
 
     def test_degraded_flush_does_not_grow_buffer(self, tmp_path):
         from repro import durable

@@ -14,13 +14,11 @@ from repro.errors import (
     EXIT_FAILURE,
     EXIT_INTERRUPT,
     EXIT_RESOURCES,
-    EXIT_STATE_CORRUPTION,
     EXIT_USAGE,
     ConfigError,
     DataError,
     ReproError,
     ResourceExhaustedError,
-    StateCorruptionError,
     UsageError,
     error_code_for,
     exit_code_for,
@@ -33,7 +31,6 @@ class TestTaxonomy:
             UsageError: ("usage", EXIT_USAGE, 2),
             ConfigError: ("config", EXIT_CONFIG, 3),
             DataError: ("data", EXIT_DATA, 4),
-            StateCorruptionError: ("state-corruption", EXIT_STATE_CORRUPTION, 5),
             ResourceExhaustedError: ("resource-exhausted", EXIT_RESOURCES, 6),
         }
         for cls, (code, exit_const, exit_value) in table.items():

@@ -2,10 +2,11 @@
 
 ``Mapper.search_model`` scores a model's uncached shapes in packs and
 counts each layer's search when its lookup uses it; sweeps hand their
-mappers one :class:`~repro.core.mapper.SharedTables`.  These tests hold
-both to what layer-by-layer searches on fresh tables give: the same
-winners, the same counters, and the same ``InvalidMappingError`` after the
-same counts.
+mappers one :class:`~repro.core.mapper.SharedTables`, which also holds
+the C3P columns of the packs it serves again.  These tests hold both to
+what layer-by-layer searches on fresh tables give: the same winners, the
+same counters, and the same ``InvalidMappingError`` after the same
+counts.
 """
 
 from dataclasses import replace
@@ -14,6 +15,8 @@ import pytest
 
 from repro import obs
 from repro.arch.config import KB, build_hardware, case_study_hardware
+from repro.arch.technology import DEFAULT_TECHNOLOGY
+from repro.arch.topology import Topology
 from repro.core import batch
 from repro.core.cost import InvalidMappingError
 from repro.core.mapper import PACK_ROWS, Mapper, SharedTables
@@ -208,3 +211,96 @@ class TestSharedTables:
         assert tables.table(big, layer) is not table  # too big to hold
         assert tables.table(small, layer) is not first  # the key changed
         assert tables.table(small, other) is kept
+
+
+class TestHeldColumns:
+    """SharedTables holds a pack's C3P columns once its tables were served
+    again, and hands them only to machines with the same package and
+    technology."""
+
+    layer = ConvLayer("c", h=28, w=28, ci=64, co=64, kh=3, kw=3, padding=1)
+
+    def served_twice(self, tables, hw):
+        space = MappingSpace(hw, SearchProfile.MINIMAL)
+        table = tables.table(space, self.layer)
+        assert tables.table(space, self.layer) is table
+        return table
+
+    def test_no_columns_for_a_table_served_once(self):
+        hw = build_hardware(2, 4, 8, 8)
+        tables = SharedTables()
+        table = tables.table(MappingSpace(hw, SearchProfile.MINIMAL), self.layer)
+        tables.hold((table,), hw, batch.c3p_columns(self.layer, hw, table))
+        assert tables.columns((table,), hw) is None
+
+    def test_columns_dropped_when_a_member_table_is_replaced(self):
+        hw = build_hardware(2, 4, 8, 8)
+        tables = SharedTables()
+        table = self.served_twice(tables, hw)
+        other = self.served_twice(tables, hw.with_memory(replace(hw.memory, a_l1_bytes=400)))
+        assert other is not table  # the smaller A-L1 moves the layer's Cc0 tile
+        columns = batch.c3p_columns(self.layer, hw, other)
+        tables.hold((other,), hw, columns)
+        assert tables.columns((other,), hw) is columns
+        replaced = tables.table(MappingSpace(hw, SearchProfile.MINIMAL), self.layer)
+        assert replaced is not other
+        assert tables.columns((other,), hw) is None
+
+    def test_columns_stay_with_their_package_and_technology(self):
+        hw = build_hardware(2, 4, 8, 8)
+        tables = SharedTables()
+        table = self.served_twice(tables, hw)
+        columns = batch.c3p_columns(self.layer, hw, table)
+        tables.hold((table,), hw, columns)
+        memory = replace(hw.memory, w_l1_bytes=144 * KB, a_l2_bytes=256 * KB, o_l2_bytes=16 * KB)
+        assert tables.columns((table,), hw.with_memory(memory)) is columns
+        for other in (
+            build_hardware(2, 4, 8, 4, memory=hw.memory),  # vector size
+            build_hardware(2, 4, 8, 8, memory=hw.memory, topology=Topology.SWITCH),
+            build_hardware(2, 4, 8, 8, memory=hw.memory,
+                           tech=replace(DEFAULT_TECHNOLOGY, frequency_mhz=250.0)),
+        ):
+            space = MappingSpace(other, SearchProfile.MINIMAL)
+            assert tables.table(space, self.layer) is table  # one table ...
+            assert tables.columns((table,), other) is None  # ... other columns
+
+    def test_sweep_scores_held_columns_like_fresh_searches(self, monkeypatch):
+        """Machines that share tables but alternate package and technology:
+        each (package, technology) holds columns from its first visit whose
+        tables were served again, and scores them from its next visit on;
+        every answer and counter equals a fresh mapper's."""
+        held = []
+        original = batch.search_batch
+
+        def recording(*args, columns=None, **kwargs):
+            held.append(columns is not None)
+            return original(*args, columns=columns, **kwargs)
+
+        monkeypatch.setattr(batch, "search_batch", recording)
+        base = build_hardware(2, 4, 8, 8)
+        mesh = build_hardware(2, 4, 8, 8, topology=Topology.MESH)
+        slow = build_hardware(2, 4, 8, 8, tech=replace(DEFAULT_TECHNOLOGY, frequency_mhz=250.0))
+        machines = [
+            hw.with_memory(replace(hw.memory, w_l1_bytes=w_l1 * KB))
+            for w_l1 in (2, 18, 144)
+            for hw in (base, mesh, slow)
+        ]
+        layers = get_model("alexnet")
+        tables = SharedTables()
+        shared, shared_metrics = run(lambda: [
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers, jobs=1)
+            for hw in machines
+        ])
+        calls = len(held) // len(machines)
+        # base builds the tables; mesh and slow hold columns at their first
+        # visit, base at its second; the five visits after that only score.
+        assert held == [False] * 4 * calls + [True] * 5 * calls
+        fresh, fresh_metrics = run(lambda: [
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
+            for hw in machines
+        ])
+        assert [summary(r) for r in shared] == [summary(r) for r in fresh]
+        assert [[r.best for r in results] for results in shared] == [
+            [r.best for r in results] for results in fresh
+        ]
+        assert counters(shared_metrics) == counters(fresh_metrics)

@@ -13,10 +13,14 @@ sound if they change nothing:
   out (A-L1 and the vector size may enter only through the Cc0 tile);
 * a pack gives every segment the winner, ``evaluated`` and ``invalid`` of
   its layer's own call, with exact ties, an overflowing segment and a
-  small ``REPRO_BATCH_MAX_BYTES`` included.
+  small ``REPRO_BATCH_MAX_BYTES`` included;
+* a pack's C3P columns computed on one machine and scored on another
+  that shares its tables, package and technology give every
+  ``BatchResult`` field, and every winner report, that the other
+  machine's own evaluation gives.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -309,3 +313,96 @@ class TestPacks:
         for name in ("mapper.candidates.evaluated", "mapper.candidates.invalid",
                      "space.candidates.deduped", "mapper.batch.searches"):
             assert both_counts.get(name, 0) == small_counts.get(name, 0) + huge_counts.get(name, 0)
+
+
+#: A-L1 sizes the sharing machines draw from: below the Cc0 of a 1x1 tile
+#: (no Cc0 tile, so equal keys) they still differ in the rows whose input
+#: row fits, so the scoring half's A-L1 legality test matters.
+SHARED_A_L1_SIZES = [32, 48, 64, 96, 128, 192, 256, *A_L1_SIZES]
+
+
+@st.composite
+def shared_pack_case(draw):
+    """A pack or one layer's table, and two machines that share its tables.
+
+    Both machines have one package and one technology.  Their memories
+    differ wherever the tables allow: A-L1 within every layer's Cc0 tile,
+    O-L1 within one pixel budget, W-L1, A-L2 and O-L2 freely.
+    """
+    kind = draw(st.sampled_from(["dense", "grouped", "single"]))
+    if kind == "grouped":
+        layer = conv_layers(grouped=True)
+    else:
+        layer = st.one_of(conv_layers(grouped=False), gemm_layers())
+    single = kind == "single"
+    layers = draw(st.lists(layer, min_size=1 if single else 2, max_size=1 if single else 5))
+    profile = draw(st.sampled_from([SearchProfile.MINIMAL, SearchProfile.FAST]))
+    chiplets, cores, lanes, vector = draw(COMPUTE)
+    pixels = draw(st.sampled_from([16, 32, 48]))
+    tech = replace(
+        DEFAULT_TECHNOLOGY,
+        frequency_mhz=draw(st.sampled_from([250.0, 500.0])),
+        l2_anchor_pj_per_bit=draw(st.sampled_from([0.81, 1.5])),
+    )
+    topology = draw(st.sampled_from(list(Topology)))
+
+    def machine(a_l1):
+        psum_bytes = tech.psum_bits // 8
+        memory = MemoryConfig(
+            a_l1_bytes=a_l1,
+            w_l1_bytes=draw(st.sampled_from([1, 2, 18, 144])) * KB,
+            # Any size below the next pixel keeps the pixel budget.
+            o_l1_bytes=pixels * psum_bytes * lanes + draw(st.integers(0, psum_bytes * lanes - 1)),
+            a_l2_bytes=draw(st.sampled_from([1, 8, 32, 256])) * KB,
+            o_l2_bytes=draw(st.sampled_from([0, 16 * KB])),
+        )
+        return build_hardware(
+            chiplets, cores, lanes, vector, memory=memory, tech=tech, topology=topology
+        )
+
+    def keys(hw):
+        space = MappingSpace(hw, profile)
+        return [space.candidate_set_key(layer) for layer in layers]
+
+    a_l1 = draw(st.sampled_from(SHARED_A_L1_SIZES))
+    first = machine(a_l1)
+    others = [
+        size for size in SHARED_A_L1_SIZES
+        if size != a_l1 and keys(machine(size)) == keys(first)
+    ]
+    second = machine(draw(st.sampled_from(others or [a_l1])))
+    assert keys(second) == keys(first)
+    space = MappingSpace(first, profile)
+    tables = [space.unique_candidates(layer, count=False) for layer in layers]
+    if single:
+        return layers[0], first, second, tables[0]
+    return layers, first, second, CandidateTable.pack(tables)
+
+
+def assert_same_value(name, held, fresh):
+    if isinstance(fresh, np.ndarray):
+        assert isinstance(held, np.ndarray), name
+        assert held.dtype == fresh.dtype, name
+        assert np.array_equal(held, fresh), name
+    else:
+        assert type(held) is type(fresh), name
+        assert held == fresh, name
+
+
+class TestHeldColumns:
+    @given(shared_pack_case())
+    @settings(max_examples=2 * MAX_EXAMPLES, deadline=None)
+    def test_columns_from_one_machine_score_like_the_other(self, case):
+        layers, first, second, table = case
+        columns = batch.c3p_columns(layers, first, table)
+        held = batch.score_columns(columns, second, table)
+        fresh = batch.evaluate_batch(layers, second, table)
+        for f in fields(batch.BatchResult):
+            if f.name != "candidates":
+                assert_same_value(f.name, getattr(held, f.name), getattr(fresh, f.name))
+        for objective in sorted(batch.BATCH_OBJECTIVES):
+            scored = batch.search_batch(layers, second, table, objective, columns=columns)
+            alone = batch.search_batch(layers, second, table, objective)
+            assert scored.columns is columns
+            assert scored == alone
+            assert [repr(r) for r in scored.reports] == [repr(r) for r in alone.reports]
