@@ -253,7 +253,7 @@ batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
 		--profile exhaustive --json "$$tmp/map-scalar.json" >/dev/null && \
 	cmp "$$tmp/map-batch.json" "$$tmp/map-scalar.json" && \
-	echo "candidate table + batch kernel byte-identical to the scalar oracle (EXHAUSTIVE ResNet-50 map)" && \
+	echo "candidate tables, one per output cube and Cc0 tile (21 shapes, 10 tables), + batch kernel byte-identical to the scalar oracle (EXHAUSTIVE ResNet-50 map)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
@@ -263,7 +263,7 @@ batch-parity:
 		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
 		--profile minimal --stride 16 --jobs 1 --json "$$tmp/trio-scalar.json" >/dev/null && \
 	cmp "$$tmp/trio-batch.json" "$$tmp/trio-scalar.json" && \
-	echo "packs, shared tables and kernel-built reports byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
+	echo "packs, tables shared across points and models, and kernel-built reports byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map mobilenetv2 \
 		--profile fast --json "$$tmp/mbv2-batch.json" >/dev/null && \

@@ -13,12 +13,14 @@ to reuse results across ``Mapper`` instances and (with a disk store) across
 runs; unique shapes can also fan out over worker processes
 (:mod:`repro.core.parallel`) via ``search_model(jobs=N)``.
 
-Serially, a model's uncached shapes are scored in *packs*: consecutive small
-candidate tables concatenated up to :data:`PACK_ROWS` rows and scored by one
-batch-kernel call, which also returns each winner's full report.  A sweep can
-also hand its mappers one :class:`SharedTables`, so the machines that give a
-layer one candidate set build its table once, and the machines that serve a
-pack again only score its held C3P columns against their buffer sizes.
+Serially, a model's uncached shapes are grouped by candidate-set key, so
+the shapes that share an output cube and a Cc0 tile share one table build,
+and scored in *packs*: consecutive small candidate tables concatenated up
+to :data:`PACK_ROWS` rows and scored by one batch-kernel call, which also
+returns each winner's full report.  A sweep can also hand its mappers one
+:class:`SharedTables`, so the machines that give a layer one candidate set
+build its table once, and the machines that serve a pack again only score
+its held C3P columns against their buffer sizes.
 """
 
 from __future__ import annotations
@@ -127,79 +129,91 @@ class _Search:
 
 
 class SharedTables:
-    """Candidate tables shared by the machines of a sweep, one per layer
-    shape, and the C3P columns of the packs it serves again.
+    """Candidate tables shared by the machines of a sweep, one per output
+    cube, and the C3P columns of the packs it serves again.
 
     A layer's table depends only on what
-    :meth:`~repro.core.space.MappingSpace.candidate_set_key` names for it;
-    A-L1 enters only through the layer's Cc0 tile, and W-L1 and A-L2 not
-    at all.  Each shape holds the table of the key it was last built for:
-    a lookup under another key rebuilds it and replaces it.  An exhaustive
-    sweep scans A-L1 in ascending order within each (computation config,
-    O-L1) group, and the Cc0 tile never shrinks as A-L1 grows, so each
-    distinct table is built once.  No table of :data:`PACK_ROWS` rows or
-    more is held, so a sweep of large tables builds and drops them as a
+    :meth:`~repro.core.space.MappingSpace.candidate_set_key` names for it:
+    its output extents HO x WO x CO and, through its Cc0 tile, its input
+    channels, kernel and stride, A-L1, the vector size and the data width;
+    W-L1 and A-L2 do not enter it at all.  Each output cube holds the table
+    of the key it was last built for: a lookup under another key rebuilds
+    it and replaces it.  An exhaustive sweep scans A-L1 in ascending order
+    within each (computation config, O-L1) group, and the Cc0 tile never
+    shrinks as A-L1 grows, so a table is rebuilt only when two layers of
+    one cube want different Cc0 tiles.  No table of :data:`PACK_ROWS` rows
+    or more is held, so a sweep of large tables builds and drops them as a
     map does.
 
     A pack's :class:`~repro.core.batch.C3PColumns` read only its tables,
     their layers' shapes, the package and the technology, so the machines
     that serve one pack share them: the first kernel call that scores a
-    pack all of whose tables were served again computes and holds its
-    columns (:meth:`hold`), and the later calls only score them against
-    their buffer sizes (:meth:`columns`).  Guided searches rarely meet one
-    pack twice, so they hold almost nothing.  Replacing a table drops the
-    columns of every pack that holds it.
+    pack all of whose tables were served again computes them and holds
+    them with the concatenated pack (:meth:`hold`), and the later calls
+    only score them against their buffer sizes (:meth:`columns`).  One
+    table serves layers of different input channels, kernels, strides,
+    paddings and groups, which the columns read, so the layers' shapes are
+    part of the columns' key.  Guided searches rarely meet one pack twice,
+    so they hold almost nothing.  Replacing a table drops the columns of
+    every pack that holds it.
     """
 
     def __init__(self) -> None:
         self._tables: dict[tuple, tuple[tuple, CandidateTable]] = {}
         self._served: set[CandidateTable] = set()  # held tables served again
-        self._columns: dict[tuple, batch.C3PColumns] = {}
+        self._columns: dict[tuple, tuple[CandidateTable, batch.C3PColumns]] = {}
 
-    def table(self, space: MappingSpace, layer: ConvLayer) -> CandidateTable:
-        """``layer``'s table on ``space``, built unless its shape holds it
-        under the same key."""
-        shape = _shape_key(layer)
-        key = space.candidate_set_key(layer)
-        held = self._tables.get(shape)
+    def table(self, space: MappingSpace, layer: ConvLayer, key: tuple) -> CandidateTable:
+        """``layer``'s table on ``space``, whose ``candidate_set_key(layer)``
+        is ``key``: built unless the layer's output cube holds it under the
+        same key."""
+        cube = (layer.ho, layer.wo, layer.co)
+        held = self._tables.get(cube)
         if held is not None:
             if held[0] == key:
                 self._served.add(held[1])
                 return held[1]
-            self._drop(shape)
+            self._drop(cube)
         table = space.unique_candidates(layer, count=False)
         if len(table) < PACK_ROWS:
-            self._tables[shape] = (key, table)
+            self._tables[cube] = (key, table)
         return table
 
-    def _drop(self, shape: tuple) -> None:
-        """Forget ``shape``'s table and the columns of every pack holding it."""
-        _, table = self._tables.pop(shape)
+    def _drop(self, cube: tuple) -> None:
+        """Forget ``cube``'s table and the columns of every pack holding it."""
+        _, table = self._tables.pop(cube)
         if table in self._served:  # no held pack has a table served once
             self._served.remove(table)
             self._columns = {
-                key: columns
-                for key, columns in self._columns.items()
+                key: held
+                for key, held in self._columns.items()
                 if all(member is not table for member in key[0])
             }
 
     def columns(
-        self, tables: tuple[CandidateTable, ...], hw: HardwareConfig
-    ) -> batch.C3PColumns | None:
-        """The held columns of the pack of ``tables`` on ``hw``'s package
-        and technology, if any."""
-        return self._columns.get((tables, hw.package, hw.tech))
+        self,
+        tables: tuple[CandidateTable, ...],
+        shapes: tuple[tuple, ...],
+        hw: HardwareConfig,
+    ) -> tuple[CandidateTable, batch.C3PColumns] | None:
+        """The held pack of ``tables`` and its columns on layers of
+        ``shapes`` (each one's ``_shape_key``) and on ``hw``'s package and
+        technology, if any."""
+        return self._columns.get((tables, shapes, hw.package, hw.tech))
 
     def hold(
         self,
         tables: tuple[CandidateTable, ...],
+        shapes: tuple[tuple, ...],
         hw: HardwareConfig,
+        pack: CandidateTable,
         columns: batch.C3PColumns | None,
     ) -> None:
-        """Hold the pack's ``columns`` if every one of ``tables`` was
-        served again (``None``, from a chunked call, holds nothing)."""
+        """Hold ``pack`` (``tables`` concatenated, or the one table) and its
+        ``columns`` if every one of ``tables`` was served again (``None``,
+        from a chunked call, holds nothing)."""
         if columns is not None and all(table in self._served for table in tables):
-            self._columns[tables, hw.package, hw.tech] = columns
+            self._columns[tables, shapes, hw.package, hw.tech] = (pack, columns)
 
 
 def _search_layer_task(layer: ConvLayer) -> _Search:
@@ -355,14 +369,22 @@ class Mapper:
         The struct-of-arrays batch kernel (:mod:`repro.core.batch`) scores
         the layers' candidate tables when it can guarantee bit-identity
         with the scalar loop (``REPRO_BATCH_KERNEL`` not opted out, values
-        in the int64-exact range).  Tables below :data:`PACK_ROWS` rows
-        (or the ``REPRO_BATCH_MAX_BYTES`` chunk, if smaller) are packed in
+        in the int64-exact range).  The layers are grouped by
+        :meth:`~repro.core.space.MappingSpace.candidate_set_key`, in order
+        of first occurrence, and each group's table is built (or taken from
+        :attr:`tables`) once, its build time charged to the group's first
+        layer: shapes of one output cube that differ in input channels,
+        kernel, stride, padding or groups share it when their Cc0 tiles
+        agree.  Tables below :data:`PACK_ROWS` rows (or the
+        ``REPRO_BATCH_MAX_BYTES`` chunk, if smaller) are packed in group
         order, dense and grouped layers apart, and each pack is scored by
-        one kernel call; a larger table is scored alone before the next is
-        built.  The kernel call also returns each winner's full
-        :class:`CostReport`, built from its columns.  Otherwise the scalar
-        strict-``<`` scan of :meth:`_scalar_search` is the path -- it stays
-        the golden oracle either way (see
+        one kernel call; a larger table is scored alone for each of its
+        layers and released before the next group's table is built, so a
+        map holds one at a time.  Each segment's winner is its own, so the
+        grouping cannot change an answer.  The kernel call also returns
+        each winner's full :class:`CostReport`, built from its columns.
+        Otherwise the scalar strict-``<`` scan of :meth:`_scalar_search` is
+        the path -- it stays the golden oracle either way (see
         ``tests/properties/test_batch_kernel.py`` and
         ``tests/properties/test_winner_reports.py``).
 
@@ -378,22 +400,34 @@ class Mapper:
             if not batch.batch_kernel_enabled():
                 return [self._scalar_search(layer, None, 0.0) for layer in layers]
             budget = min(PACK_ROWS, batch.batch_chunk_candidates() or PACK_ROWS)
-            packs: dict[bool, list] = {False: [], True: []}  # dense, grouped
+            groups: dict[tuple, list[int]] = {}
             for index, layer in enumerate(layers):
+                groups.setdefault(self._space.candidate_set_key(layer), []).append(index)
+            packs: dict[bool, list] = {False: [], True: []}  # dense, grouped
+            rows = dict.fromkeys(packs, 0)
+            for key, indices in groups.items():
                 start = time.perf_counter()
+                first = layers[indices[0]]
                 if self.tables is not None:
-                    table = self.tables.table(self._space, layer)
+                    table = self.tables.table(self._space, first, key)
                 else:
-                    table = self._space.unique_candidates(layer, count=False)
-                member = (index, layer, table, (time.perf_counter() - start) * 1e3)
-                if len(table) >= budget:
-                    self._score([member], found)
-                    continue
-                pack = packs[layer.groups > 1]
-                if sum(len(member[2]) for member in pack) + len(table) > budget:
-                    self._score(pack, found)
-                    pack.clear()
-                pack.append(member)
+                    table = self._space.unique_candidates(first, count=False)
+                table_ms = (time.perf_counter() - start) * 1e3
+                for index in indices:
+                    layer = layers[index]
+                    member = (index, layer, table, table_ms)
+                    table_ms = 0.0  # the group's first layer paid for the build
+                    if len(table) >= budget:
+                        self._score([member], found)
+                        continue
+                    kind = layer.groups > 1
+                    if rows[kind] + len(table) > budget:
+                        self._score(packs[kind], found)
+                        packs[kind].clear()
+                        rows[kind] = 0
+                    packs[kind].append(member)
+                    rows[kind] += len(table)
+                del table, member  # a big table must not outlive its group
             for pack in packs.values():
                 if pack:
                     self._score(pack, found)
@@ -403,27 +437,36 @@ class Mapper:
         """Score ``(index, layer, table, table_ms)`` members in one kernel
         call and file each layer's search in ``found`` under its index.
 
-        With :attr:`tables`, the call scores the pack's held C3P columns,
-        or hands :meth:`SharedTables.hold` the columns it computed.  A pack
-        the int64 guard refuses is re-scored one member at a time, and a
-        member it still refuses takes the scalar oracle.
+        With :attr:`tables`, the call scores the pack's held C3P columns
+        against the held concatenated pack, or hands
+        :meth:`SharedTables.hold` the pack and the columns it computed.  A
+        pack the int64 guard refuses is re-scored one member at a time, and
+        a member it still refuses takes the scalar oracle.
         """
         start = time.perf_counter()
         _, layers, tables, _ = zip(*members)
-        if len(members) == 1:
-            scored, table = layers[0], tables[0]
+        shapes = held = None
+        if self.tables is not None:
+            shapes = tuple(map(_shape_key, layers))
+            held = self.tables.columns(tables, shapes, self.hw)
+        if held is not None:
+            table, columns = held
         else:
-            scored, table = layers, CandidateTable.pack(tables)
-        held = None if self.tables is None else self.tables.columns(tables, self.hw)
+            table = tables[0] if len(members) == 1 else CandidateTable.pack(tables)
+            columns = None
         outcome = batch.search_batch(
-            scored, self.hw, table, objective=self._objective_name, columns=held
+            layers[0] if len(members) == 1 else layers,
+            self.hw,
+            table,
+            objective=self._objective_name,
+            columns=columns,
         )
         if outcome is None and len(members) > 1:
             for member in members:
                 self._score([member], found)
             return
-        if outcome is not None and held is None and self.tables is not None:
-            self.tables.hold(tables, self.hw, outcome.columns)
+        if outcome is not None and held is None and shapes is not None:
+            self.tables.hold(tables, shapes, self.hw, table, outcome.columns)
         kernel_ms = (time.perf_counter() - start) * 1e3
         for segment, (index, layer, own, table_ms) in enumerate(members):
             if outcome is None:

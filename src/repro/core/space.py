@@ -395,6 +395,38 @@ def _core_tiles(
     return tuple(tiles)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _cc0_tile(
+    kh: int,
+    kw: int,
+    row_step: int,
+    col_step: int,
+    chunk: int,
+    data_bits: int,
+    a_l1_bytes: int,
+    max_pixels: int,
+) -> int | None:
+    """:meth:`MappingSpace._cc0_square_tile` given the layer's kernel, its
+    row and column steps (``min(stride, k)``) and its channel chunk: a pure
+    function of its ints, shared by every caller.
+
+    A side's Cc0 is its input rows times its input columns times the chunk
+    times the bytes per element, in that order, as the scalar window sizes
+    multiply it.
+    """
+    bytes_per = data_bits / 8.0
+
+    def cc0(side: int) -> float:
+        return ((side - 1) * row_step + kh) * ((side - 1) * col_step + kw) * chunk * bytes_per
+
+    if cc0(1) > a_l1_bytes:
+        return None
+    side = 1
+    while side * 2 * side * 2 <= max_pixels and cc0(side * 2) <= a_l1_bytes:
+        side *= 2
+    return side
+
+
 @dataclass(frozen=True)
 class MappingSpace:
     """Candidate mappings for one hardware instance.
@@ -408,22 +440,27 @@ class MappingSpace:
     profile: SearchProfile = SearchProfile.EXHAUSTIVE
 
     def candidate_set_key(self, layer: ConvLayer) -> tuple:
-        """Every input :meth:`unique_candidates` reads for ``layer`` besides
-        its shape: equal keys, equal tables.
+        """Every input :meth:`unique_candidates` reads for ``layer``: equal
+        keys, equal tables, for any two layers on any two machines.
 
-        The chiplet, core and lane counts, the O-L1 pixel budget
-        (:meth:`_max_pixels`), the layer's Cc0 tile
+        The layer's output extents HO, WO and CO (its package and chiplet
+        partitions and macro extents), the chiplet, core and lane counts,
+        the O-L1 pixel budget (:meth:`_max_pixels`), the layer's Cc0 tile
         (:meth:`_cc0_square_tile`) and the profile, which fixes the
-        multipliers, orders and rotations.  A-L1, the vector size and the
-        data width enter the build only through the Cc0 tile, so machines
-        that give the layer one Cc0 tile share its table.  W-L1 and A-L2
-        are left out altogether: they only move the C3P critical-capacity
+        multipliers, orders and rotations.  The dataflow splits the output
+        cube, so the layer's input channels, kernel and stride enter the
+        build only through the Cc0 tile (its padding and groups not at
+        all), and so do A-L1, the vector size and the data width: layers
+        and machines that give one output cube one Cc0 tile share its
+        table.  W-L1 and A-L2 are
+        left out altogether: they only move the C3P critical-capacity
         thresholds (Section IV-B, Eq. 1-2), which the kernel tests per
         machine.
         """
         hw = self.hw
         max_pixels = self._max_pixels()
         return (
+            layer.ho, layer.wo, layer.co,
             hw.n_chiplets, hw.n_cores, hw.lanes, max_pixels,
             self._cc0_square_tile(layer, max_pixels), self.profile,
         )
@@ -523,23 +560,14 @@ class MappingSpace:
         supplemental critical capacity).  Returns ``None`` only when even a
         1x1 tile overflows.  The side also stays within ``max_pixels``, so
         the tile may repeat one :meth:`core_tiles` already lists; its dedup
-        drops the copy.
+        drops the copy.  The search itself is the memoized :func:`_cc0_tile`.
         """
-        chunk = min(self.hw.vector_size, layer.ci)
-        bytes_per = self.hw.tech.data_bits / 8.0
-        budget = self.hw.memory.a_l1_bytes
-
-        def cc0(side: int) -> float:
-            return (
-                layer.input_rows_for(side) * layer.input_cols_for(side) * chunk * bytes_per
-            )
-
-        if cc0(1) > budget:
-            return None
-        side = 1
-        while side * 2 * side * 2 <= max_pixels and cc0(side * 2) <= budget:
-            side *= 2
-        return side
+        hw = self.hw
+        return _cc0_tile(
+            layer.kh, layer.kw, min(layer.stride, layer.kh), min(layer.stride, layer.kw),
+            min(hw.vector_size, layer.ci), hw.tech.data_bits, hw.memory.a_l1_bytes,
+            max_pixels,
+        )
 
     def tile_multipliers(self) -> list[int]:
         """Chiplet-workload tile multipliers over the core grid footprint."""

@@ -1,14 +1,15 @@
 """The mapper's packed search and the sweep's shared candidate tables.
 
-``Mapper.search_model`` scores a model's uncached shapes in packs and
-counts each layer's search when its lookup uses it; sweeps hand their
-mappers one :class:`~repro.core.mapper.SharedTables`, which also holds
-the C3P columns of the packs it serves again.  These tests hold both to
-what layer-by-layer searches on fresh tables give: the same winners, the
-same counters, and the same ``InvalidMappingError`` after the same
-counts.
+``Mapper.search_model`` groups a model's uncached shapes by candidate-set
+key, builds each group's table once, scores the tables in packs and counts
+each layer's search when its lookup uses it; sweeps hand their mappers one
+:class:`~repro.core.mapper.SharedTables`, which also holds the C3P columns
+of the packs it serves again.  These tests hold both to what
+layer-by-layer searches on fresh tables give: the same winners, the same
+counters, and the same ``InvalidMappingError`` after the same counts.
 """
 
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from repro.arch.technology import DEFAULT_TECHNOLOGY
 from repro.arch.topology import Topology
 from repro.core import batch
 from repro.core.cost import InvalidMappingError
-from repro.core.mapper import PACK_ROWS, Mapper, SharedTables
+from repro.core.mapper import PACK_ROWS, Mapper, SharedTables, _shape_key
 from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
 from repro.workloads.registry import get_model
@@ -105,6 +106,58 @@ class TestPackedSearch:
         assert len(calls) < shapes / 4
         assert max(calls) <= PACK_ROWS
 
+    def test_map_builds_one_table_per_key(self, monkeypatch):
+        """A map builds each candidate-set key's table once, for every
+        shape of its output cube and Cc0 tile, and answers and counts as
+        layer-by-layer searches do."""
+        builds = []
+        original = MappingSpace.unique_candidates
+
+        def counting(space, layer, count=True):
+            builds.append(space.candidate_set_key(layer))
+            return original(space, layer, count)
+
+        monkeypatch.setattr(MappingSpace, "unique_candidates", counting)
+        layers = get_model("resnet50")
+        hw = case_study_hardware()
+        packed, packed_metrics = run(
+            lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers, jobs=1)
+        )
+        space = MappingSpace(hw, SearchProfile.FAST)
+        keys = list(dict.fromkeys(space.candidate_set_key(layer) for layer in layers))
+        shapes = {_shape_key(layer) for layer in layers}
+        assert (len(keys), len(shapes)) == (10, 21)
+        assert builds == keys
+        builds.clear()
+        single, single_metrics = run(lambda: layer_by_layer(hw, SearchProfile.FAST, layers))
+        assert len(builds) == len(shapes)
+        assert summary(packed) == summary(single)
+        assert [repr(r.best) for r in packed] == [repr(r.best) for r in single]
+        assert counters(packed_metrics) == counters(single_metrics)
+
+    def test_map_holds_one_big_table_at_a_time(self, monkeypatch):
+        """Each table of PACK_ROWS rows or more is released before the next
+        table is built, so a map never holds two of them at once.  A table
+        is watched through its row array, which nothing else keeps."""
+        big = []
+        alive = []
+        original = MappingSpace.unique_candidates
+
+        def tracking(space, layer, count=True):
+            alive.append(sum(ref() is not None for ref in big))
+            table = original(space, layer, count)
+            if len(table) >= PACK_ROWS:
+                big.append(weakref.ref(table.rows))
+            return table
+
+        monkeypatch.setattr(MappingSpace, "unique_candidates", tracking)
+        Mapper(hw=case_study_hardware(), profile=SearchProfile.EXHAUSTIVE).search_model(
+            get_model("resnet50"), jobs=1
+        )
+        assert len(big) > 1
+        assert alive == [0] * len(alive)
+        assert all(ref() is None for ref in big)
+
     def test_invalid_layer_raises_after_the_same_counts(self):
         """A layer with no legal mapping raises after counting what a
         layer-by-layer search counts before it raises -- nothing of the
@@ -158,11 +211,17 @@ def cc0_tile(space, layer):
     return space._cc0_square_tile(layer, space._max_pixels())
 
 
+def lookup(tables, space, layer):
+    """``layer``'s table from ``tables`` under its key on ``space``."""
+    return tables.table(space, layer, space.candidate_set_key(layer))
+
+
 class TestSharedTables:
     def test_sweep_shares_tables_and_counts_like_fresh_ones(self, monkeypatch):
         """A W-L1 and A-L2 change rebuilds no table; an A-L1 change rebuilds
-        exactly the layers whose Cc0 tile it moves.  Results and counters
-        equal fresh mappers'."""
+        exactly the layers whose Cc0 tile it moves; layers of one output
+        cube and Cc0 tile share one build.  Results and counters equal
+        fresh mappers'."""
         builds = []
         original = MappingSpace.unique_candidates
 
@@ -181,7 +240,10 @@ class TestSharedTables:
         first, _, last = (MappingSpace(hw, SearchProfile.MINIMAL) for hw in machines)
         moved = [layer.name for layer in layers if cc0_tile(first, layer) != cc0_tile(last, layer)]
         assert moved == ["conv1", "conv2"]
-        assert builds == [(machines[0].memory.a_l1_bytes, layer.name) for layer in layers] + [
+        # conv3 and conv4 (13 x 13 x 384), and fc6 and fc7 (1 x 1 x 4096),
+        # share an output cube and a Cc0 tile.
+        built = ["conv1", "conv2", "conv3", "conv5", "fc6", "fc8"]
+        assert builds == [(machines[0].memory.a_l1_bytes, name) for name in built] + [
             (machines[2].memory.a_l1_bytes, name) for name in moved
         ]
         builds.clear()
@@ -189,49 +251,50 @@ class TestSharedTables:
             Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
             for hw in machines
         ])
-        assert len(builds) == 3 * len(layers)
+        assert builds == [(hw.memory.a_l1_bytes, name) for hw in machines for name in built]
         assert [summary(r) for r in shared] == [summary(r) for r in fresh]
         assert counters(shared_metrics) == counters(fresh_metrics)
 
     def test_holds_only_the_last_key_and_small_tables(self):
-        """Each shape holds the small table of its last key; another
-        shape's key change leaves it alone."""
+        """Each output cube holds the small table of its last key; another
+        cube's key change leaves it alone."""
         layer = ConvLayer("c", h=56, w=56, ci=64, co=256, kh=3, kw=3, padding=1)
         other = ConvLayer("d", h=28, w=28, ci=64, co=64, kh=1, kw=1)
         hw = case_study_hardware()
         tables = SharedTables()
         small = MappingSpace(hw, SearchProfile.MINIMAL)
         big = MappingSpace(hw, SearchProfile.EXHAUSTIVE)
-        first = tables.table(small, layer)
-        kept = tables.table(small, other)
+        first = lookup(tables, small, layer)
+        kept = lookup(tables, small, other)
         assert len(first) < PACK_ROWS
-        assert tables.table(small, layer) is first
-        table = tables.table(big, layer)
+        assert lookup(tables, small, layer) is first
+        table = lookup(tables, big, layer)
         assert len(table) >= PACK_ROWS
-        assert tables.table(big, layer) is not table  # too big to hold
-        assert tables.table(small, layer) is not first  # the key changed
-        assert tables.table(small, other) is kept
+        assert lookup(tables, big, layer) is not table  # too big to hold
+        assert lookup(tables, small, layer) is not first  # the key changed
+        assert lookup(tables, small, other) is kept
 
 
 class TestHeldColumns:
     """SharedTables holds a pack's C3P columns once its tables were served
-    again, and hands them only to machines with the same package and
-    technology."""
+    again, and hands them only to layers of the same shapes on machines
+    with the same package and technology."""
 
     layer = ConvLayer("c", h=28, w=28, ci=64, co=64, kh=3, kw=3, padding=1)
+    shapes = (_shape_key(layer),)
 
     def served_twice(self, tables, hw):
         space = MappingSpace(hw, SearchProfile.MINIMAL)
-        table = tables.table(space, self.layer)
-        assert tables.table(space, self.layer) is table
+        table = lookup(tables, space, self.layer)
+        assert lookup(tables, space, self.layer) is table
         return table
 
     def test_no_columns_for_a_table_served_once(self):
         hw = build_hardware(2, 4, 8, 8)
         tables = SharedTables()
-        table = tables.table(MappingSpace(hw, SearchProfile.MINIMAL), self.layer)
-        tables.hold((table,), hw, batch.c3p_columns(self.layer, hw, table))
-        assert tables.columns((table,), hw) is None
+        table = lookup(tables, MappingSpace(hw, SearchProfile.MINIMAL), self.layer)
+        tables.hold((table,), self.shapes, hw, table, batch.c3p_columns(self.layer, hw, table))
+        assert tables.columns((table,), self.shapes, hw) is None
 
     def test_columns_dropped_when_a_member_table_is_replaced(self):
         hw = build_hardware(2, 4, 8, 8)
@@ -240,20 +303,20 @@ class TestHeldColumns:
         other = self.served_twice(tables, hw.with_memory(replace(hw.memory, a_l1_bytes=400)))
         assert other is not table  # the smaller A-L1 moves the layer's Cc0 tile
         columns = batch.c3p_columns(self.layer, hw, other)
-        tables.hold((other,), hw, columns)
-        assert tables.columns((other,), hw) is columns
-        replaced = tables.table(MappingSpace(hw, SearchProfile.MINIMAL), self.layer)
+        tables.hold((other,), self.shapes, hw, other, columns)
+        assert tables.columns((other,), self.shapes, hw) == (other, columns)
+        replaced = lookup(tables, MappingSpace(hw, SearchProfile.MINIMAL), self.layer)
         assert replaced is not other
-        assert tables.columns((other,), hw) is None
+        assert tables.columns((other,), self.shapes, hw) is None
 
     def test_columns_stay_with_their_package_and_technology(self):
         hw = build_hardware(2, 4, 8, 8)
         tables = SharedTables()
         table = self.served_twice(tables, hw)
         columns = batch.c3p_columns(self.layer, hw, table)
-        tables.hold((table,), hw, columns)
+        tables.hold((table,), self.shapes, hw, table, columns)
         memory = replace(hw.memory, w_l1_bytes=144 * KB, a_l2_bytes=256 * KB, o_l2_bytes=16 * KB)
-        assert tables.columns((table,), hw.with_memory(memory)) is columns
+        assert tables.columns((table,), self.shapes, hw.with_memory(memory)) == (table, columns)
         for other in (
             build_hardware(2, 4, 8, 4, memory=hw.memory),  # vector size
             build_hardware(2, 4, 8, 8, memory=hw.memory, topology=Topology.SWITCH),
@@ -261,8 +324,44 @@ class TestHeldColumns:
                            tech=replace(DEFAULT_TECHNOLOGY, frequency_mhz=250.0)),
         ):
             space = MappingSpace(other, SearchProfile.MINIMAL)
-            assert tables.table(space, self.layer) is table  # one table ...
-            assert tables.columns((table,), other) is None  # ... other columns
+            assert lookup(tables, space, self.layer) is table  # one table ...
+            assert tables.columns((table,), self.shapes, other) is None  # ... other columns
+
+    def test_columns_stay_with_their_layer_shapes(self, monkeypatch):
+        """Two layers of one output cube and Cc0 tile, on machines of one
+        package and technology: they share a table, and each gets its own
+        columns, as fresh mappers' answers require."""
+        held = []
+        original = batch.search_batch
+
+        def recording(*args, columns=None, **kwargs):
+            held.append(columns is not None)
+            return original(*args, columns=columns, **kwargs)
+
+        monkeypatch.setattr(batch, "search_batch", recording)
+        narrow = replace(self.layer, name="narrow", ci=32)
+        hw = build_hardware(2, 4, 8, 8)
+        machines = [hw, hw.with_memory(replace(hw.memory, w_l1_bytes=144 * KB))]
+        space = MappingSpace(hw, SearchProfile.MINIMAL)
+        assert space.candidate_set_key(narrow) == space.candidate_set_key(self.layer)
+        tables = SharedTables()
+        shared = [
+            Mapper(hw=machine, profile=SearchProfile.MINIMAL, tables=tables).search_layer(layer)
+            for machine in machines
+            for layer in (self.layer, narrow)
+        ]
+        # The narrow layer's first search holds its columns; the wide
+        # layer's second search must not be served them.
+        assert held == [False, False, False, True]
+        held.clear()
+        fresh = [
+            Mapper(hw=machine, profile=SearchProfile.MINIMAL).search_layer(layer)
+            for machine in machines
+            for layer in (self.layer, narrow)
+        ]
+        assert held == [False] * 4
+        assert summary(shared) == summary(fresh)
+        assert [repr(r.best) for r in shared] == [repr(r.best) for r in fresh]
 
     def test_sweep_scores_held_columns_like_fresh_searches(self, monkeypatch):
         """Machines that share tables but alternate package and technology:
@@ -291,10 +390,11 @@ class TestHeldColumns:
             Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers, jobs=1)
             for hw in machines
         ])
-        calls = len(held) // len(machines)
-        # base builds the tables; mesh and slow hold columns at their first
-        # visit, base at its second; the five visits after that only score.
-        assert held == [False] * 4 * calls + [True] * 5 * calls
+        # AlexNet's eight layers make one pack, over six tables (conv3/conv4
+        # and fc6/fc7 each share one).  base builds the tables; mesh and
+        # slow hold columns at their first visit, base at its second; the
+        # five visits after that only score.
+        assert held == [False] * 4 + [True] * 5
         fresh, fresh_metrics = run(lambda: [
             Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
             for hw in machines

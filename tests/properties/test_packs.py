@@ -11,6 +11,10 @@ sound if they change nothing:
   vector size, W-L1, A-L2, O-L2, topology and energy parameters differ,
   so this fails as soon as the enumeration reads a field the key leaves
   out (A-L1 and the vector size may enter only through the Cc0 tile);
+* so do layers of one output cube with equal keys, however their input
+  channels, kernel, stride, padding and groups differ (the first three
+  may enter only through the Cc0 tile), and the memoized Cc0 tile is the
+  doubling search on the layer itself;
 * a pack gives every segment the winner, ``evaluated`` and ``invalid`` of
   its layer's own call, with exact ties, an overflowing segment and a
   small ``REPRO_BATCH_MAX_BYTES`` included;
@@ -193,6 +197,102 @@ class TestCandidateSetKey:
             assert_same_table(
                 MappingSpace(same, SearchProfile.FAST).unique_candidates(layer, count=False),
                 MappingSpace(base, SearchProfile.FAST).unique_candidates(layer, count=False),
+            )
+
+
+@st.composite
+def cube_layers(draw, ho, wo, co):
+    """A conv layer with output cube ``ho`` x ``wo`` x ``co`` and drawn
+    input channels, kernel, stride, padding and groups."""
+    groups = draw(st.sampled_from([1, 1, 2, 16]))
+    kernel = draw(st.sampled_from([1, 3, 5, 7]))
+    stride = draw(st.sampled_from([1, 2, 4]))
+    padding = draw(st.sampled_from([0, kernel // 2]))
+
+    def extent(out):
+        # The smallest input giving ``out`` positions, plus rows the stride drops.
+        return (out - 1) * stride + kernel - 2 * padding + draw(st.integers(0, stride - 1))
+
+    return ConvLayer(
+        name="cube",
+        h=extent(ho),
+        w=extent(wo),
+        ci=groups * draw(st.sampled_from([1, 3, 8, 64])),
+        co=co,
+        kh=kernel,
+        kw=kernel,
+        stride=stride,
+        padding=padding,
+        groups=groups,
+    )
+
+
+@st.composite
+def cube_machines(draw, chiplets, cores, lanes):
+    """A machine of one computation config whose A-L1, vector size, data
+    width and pixel budget are drawn."""
+    memory = MemoryConfig(
+        a_l1_bytes=draw(st.sampled_from(A_L1_SIZES)),
+        w_l1_bytes=18 * KB,
+        o_l1_bytes=draw(st.sampled_from([96, 144])) * lanes,
+        a_l2_bytes=128 * KB,
+    )
+    tech = replace(DEFAULT_TECHNOLOGY, data_bits=draw(st.sampled_from([8, 16])))
+    return build_hardware(
+        chiplets, cores, lanes, draw(st.sampled_from([4, 8])), memory=memory, tech=tech
+    )
+
+
+def doubling_cc0_tile(space: MappingSpace, layer: ConvLayer, max_pixels: int) -> int | None:
+    """The Cc0 tile's doubling search, read straight off the layer."""
+    chunk = min(space.hw.vector_size, layer.ci)
+    bytes_per = space.hw.tech.data_bits / 8.0
+    budget = space.hw.memory.a_l1_bytes
+
+    def cc0(side: int) -> float:
+        return layer.input_rows_for(side) * layer.input_cols_for(side) * chunk * bytes_per
+
+    if cc0(1) > budget:
+        return None
+    side = 1
+    while side * 2 * side * 2 <= max_pixels and cc0(side * 2) <= budget:
+        side *= 2
+    return side
+
+
+class TestOutputCubeKey:
+    @given(
+        st.sampled_from([1, 7, 14, 28]),
+        st.sampled_from([1, 7, 14]),
+        st.sampled_from([16, 32, 64]),
+        st.sampled_from(list(SearchProfile)),
+        st.data(),
+    )
+    @settings(max_examples=2 * MAX_EXAMPLES, deadline=None)
+    def test_equal_keys_build_equal_tables_across_layers(self, ho, wo, co, profile, data):
+        """Two layers of one output cube, each on its own machine of one
+        computation config: whenever their keys are equal, so are their
+        tables."""
+        compute = data.draw(COMPUTE)[:3]
+        layers = [data.draw(cube_layers(ho, wo, co)) for _ in range(2)]
+        spaces = [MappingSpace(data.draw(cube_machines(*compute)), profile) for _ in range(2)]
+        if spaces[0].candidate_set_key(layers[0]) == spaces[1].candidate_set_key(layers[1]):
+            assert_same_table(*(
+                space.unique_candidates(layer, count=False)
+                for space, layer in zip(spaces, layers)
+            ))
+
+    @given(
+        st.one_of(conv_layers(), gemm_layers(), cube_layers(7, 7, 16)),
+        COMPUTE.flatmap(lambda compute: cube_machines(*compute[:3])),
+        st.sampled_from(list(SearchProfile)),
+    )
+    @settings(max_examples=8 * MAX_EXAMPLES, deadline=None)
+    def test_memoized_cc0_tile_is_the_doubling_search(self, layer, hw, profile):
+        space = MappingSpace(hw, profile)
+        for max_pixels in (1, 4, 16, 64, space._max_pixels()):
+            assert space._cc0_square_tile(layer, max_pixels) == doubling_cc0_tile(
+                space, layer, max_pixels
             )
 
 
