@@ -210,9 +210,10 @@ guided:
 
 # Batch-vs-scalar parity gate (mirrors the CI guided-dse parity step):
 # the unit/property suites first (the candidate table against the scalar
-# enumeration, packs against one-layer calls, and the kernel-built winner
-# reports against evaluate_mapping by repr, included), then runs with the
-# numpy path on and off.  With REPRO_BATCH_KERNEL=1 the mapper builds each
+# enumeration, packs against one-layer calls, the kernel-built winner
+# reports against evaluate_mapping by repr, and tile-major tables scored
+# per tile against the same rows scored one by one, included), then runs
+# with the numpy path on and off.  With REPRO_BATCH_KERNEL=1 the mapper builds each
 # layer's candidate table as columns, scores a model's small tables in
 # packs (one kernel call per pack, which also builds each winner's report
 # from the kernel's columns) and shares each layer's table between the
@@ -226,15 +227,19 @@ guided:
 # EXHAUSTIVE ResNet-50 map and a FAST MobileNetV2 map (dense and depthwise
 # packs) must give byte-identical JSON (winner, energy, cycles, EDP), and
 # so must a transformer sweep, so GEMM-shaped candidate spaces are held to
-# the identical contract.  The map legs compare the kernel-built reports
-# only through the model totals, because `repro map --json` rebuilds its
-# per-layer records from the winning mapping; the property suite covers the
-# per-layer fields.  See docs/modeling.md section 11.
+# the identical contract.  The EXHAUSTIVE ResNet-50 map also runs in
+# REPRO_BATCH_MAX_BYTES chunks of 980 rows, which split its 8-row tiles,
+# and must match the one-shot map byte for byte.  The map legs compare the
+# kernel-built reports only through the model totals, because `repro map
+# --json` rebuilds its per-layer records from the winning mapping; the
+# property suite covers the per-layer fields.  See docs/modeling.md
+# section 11.
 batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/core/test_batch.py tests/core/test_candidate_table.py \
 		tests/core/test_packs.py tests/properties/test_batch_kernel.py \
-		tests/properties/test_packs.py tests/properties/test_winner_reports.py
+		tests/properties/test_packs.py tests/properties/test_winner_reports.py \
+		tests/properties/test_tiles.py
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
@@ -254,6 +259,11 @@ batch-parity:
 		--profile exhaustive --json "$$tmp/map-scalar.json" >/dev/null && \
 	cmp "$$tmp/map-batch.json" "$$tmp/map-scalar.json" && \
 	echo "candidate tables, one per output cube and Cc0 tile (21 shapes, 10 tables), + batch kernel byte-identical to the scalar oracle (EXHAUSTIVE ResNet-50 map)" && \
+	REPRO_BATCH_KERNEL=1 REPRO_BATCH_MAX_BYTES=1003520 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --json "$$tmp/map-chunked.json" >/dev/null && \
+	cmp "$$tmp/map-chunked.json" "$$tmp/map-batch.json" && \
+	echo "980-row chunks, which split the 8-row tiles, byte-identical to the one-shot map (EXHAUSTIVE ResNet-50)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \

@@ -29,7 +29,13 @@ cycles -- from the table, its layers, ``hw.package`` and ``hw.tech``.
 reload factors, fills, traffic, energy and EDP.  :func:`evaluate_batch` is
 the one applied to the other, and a sweep's
 :class:`~repro.core.mapper.SharedTables` holds a reused pack's columns so
-that its later machines run only the second half.
+that its later machines run only the second half.  A table is tile-major
+(:class:`~repro.core.space.CandidateTable`): each loop-nest tile's rows
+differ only in their loop orders and rotation, so :func:`c3p_columns`
+computes whatever reads neither once per tile, picks each row's critical
+capacities by its order flags and its rotation flags by its codes, and
+repeats the tile columns for the tile's rows; both halves hand on one
+value per row.
 
 **Bit-identity contract.**  The scalar path is the golden oracle; this
 kernel must agree with it to the last float.  Three rules make that hold:
@@ -70,7 +76,7 @@ from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
 from repro.core.cost import CostReport, EnergyBreakdown
 from repro.core.loopnest import mac_utilization
-from repro.core.space import CandidateTable
+from repro.core.space import TILE_COLUMNS, VARIANT_COLUMNS, CandidateTable
 from repro.core.traffic import TrafficReport
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
@@ -390,6 +396,11 @@ def _per_row(
     return SimpleNamespace(**{name: terms[name][segment] for name in names})
 
 
+def _stack(arrays: Sequence["np.ndarray"]) -> "np.ndarray":
+    """``np.stack(arrays)`` of equal-shape arrays, in one concatenation."""
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
 def _input_channels_for(q: SimpleNamespace, out_channels: "np.ndarray") -> "np.ndarray":
     """Vectorized :meth:`ConvLayer.input_channels_for` (out_channels >= 1)."""
     groups_spanned = np.minimum(_ceil_div(out_channels, q.co_per_group), q.groups)
@@ -453,7 +464,10 @@ class C3PColumns:
     (plane priority), so its one C loop never falls between its W and H
     loops: the weight walk's W and H loops of a level share one working
     set, and the dense A-L1 and A-L2 walks penalize only C loops (grouped
-    layers only through Cc0).
+    layers only through Cc0).  The loop counts and working sets read the
+    tile alone and an order only picks which set is critical at its level,
+    so :func:`c3p_columns` computes them once per tile; every column here
+    still has one value per row.
 
     Attributes:
         terms: The layer terms :func:`score_columns` reads: Python scalars
@@ -529,8 +543,20 @@ def c3p_columns(
     (grouped,) = kinds
     model = EnergyModel(hw)
     terms = _layer_terms(members, hw, model, candidates.segment is not None)
-    q = _per_row(terms, _NEST_TERMS, candidates.segment)
-    cols = candidates.columns
+    # Whatever reads no order flag and no rotation code is computed once per
+    # run of ``variants`` rows that share a tile (see CandidateTable), as
+    # (tile,) columns; the flags and codes are (tile, variant) arrays.
+    variants = candidates.variants
+    n_tiles = len(candidates) // variants
+    q = _per_row(
+        terms, _NEST_TERMS,
+        None if candidates.segment is None else candidates.segment[::variants],
+    )
+    columns = candidates.columns
+    cols = {name: columns[name][::variants] for name in TILE_COLUMNS}
+    channel_first_2, channel_first_1, rot_activations, rot_weights = (
+        columns[name].reshape(n_tiles, variants) for name in VARIANT_COLUMNS
+    )
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
     data_bits = tech.data_bits
@@ -552,10 +578,6 @@ def c3p_columns(
     c2 = _ceil_div(macro_co, tile_co)
     w2 = _ceil_div(macro_wo, tile_wo)
     h2 = _ceil_div(macro_ho, tile_ho)
-    # Channel priority puts a level's C loop first, plane priority last.
-    channel_first_1 = cols["chp_order_channel"].astype(bool)
-    channel_first_2 = cols["pkg_order_channel"].astype(bool)
-
     pkg_grid_ways = cols["pkg_rows"] * cols["pkg_cols"]
     pkg_ways = cols["pkg_co_ways"] * pkg_grid_ways
     chp_grid_ways = cols["chp_rows"] * cols["chp_cols"]
@@ -577,12 +599,13 @@ def c3p_columns(
     # --- weight-buffer C3P walk (analyze_weight_buffer) ---------------------
     # The working set grows at each C loop; a level's W and H loops see the
     # set before its C loop (plane priority) or after it (channel priority).
+    # Each critical capacity is one of two tile columns, picked per row by
+    # its level's channel-first flag (1: chiplet, 2: package) in one pass
+    # below.
     weight_elements = q.kh * q.kw * q.ci_per_group * core_co
     block_bytes = weight_elements * data_bytes
     after_c1 = block_bytes * c1
-    level_1 = np.where(channel_first_1, after_c1, block_bytes)
-    level_2 = np.where(channel_first_2, after_c1 * c2, after_c1)
-    weight_critical = ((level_1, w1), (level_1, h1), (level_2, w2), (level_2, h2))
+    picks = [(channel_first_1, after_c1, block_bytes), (channel_first_2, after_c1 * c2, after_c1)]
     weight_a0_bits = block_bytes * 8.0 * (c1 * c2)
 
     # --- A-L1 C3P walk (analyze_activation_l1) ------------------------------
@@ -595,7 +618,6 @@ def c3p_columns(
     rows_2, cols_2 = tile_ho * h2, tile_wo * w2
     if grouped:
         # Distinct input channels per C iteration: fresh data, no penalty.
-        a_l1_critical = a_l2_critical = ()
         a_l1_window = _window_bytes(
             q, data_bytes, core_ho, core_wo, np.minimum(block_channels * (c1 * c2), q.ci)
         )
@@ -604,20 +626,19 @@ def c3p_columns(
             np.minimum(_input_channels_for(q, tile_co) * c2, q.ci),
         )
     else:
-        ci = np.full(len(candidates), q.ci, dtype=np.int64)
+        ci = np.full(n_tiles, q.ci, dtype=np.int64)
         rows_1, cols_1 = core_ho * h1, core_wo * w1
         a_l1_window = _window_bytes(q, data_bytes, core_ho, core_wo, ci)
         level_1_window = _window_bytes(q, data_bytes, rows_1, cols_1, ci)
         level_2_window = _window_bytes(q, data_bytes, rows_1 * h2, cols_1 * w2, ci)
-        a_l1_critical = (
-            (np.where(channel_first_1, a_l1_window, level_1_window), c1),
-            (np.where(channel_first_2, level_1_window, level_2_window), c2),
-        )
+        picks += [
+            (channel_first_1, a_l1_window, level_1_window),
+            (channel_first_2, level_1_window, level_2_window),
+        ]
         # --- A-L2 C3P walk (analyze_activation_l2: level-2 loops only) ------
         a_l2_window = _window_bytes(q, data_bytes, tile_ho, tile_wo, ci)
-        a_l2_critical = (
-            (np.where(channel_first_2, a_l2_window,
-                      _window_bytes(q, data_bytes, rows_2, cols_2, ci)), c2),
+        picks.append(
+            (channel_first_2, a_l2_window, _window_bytes(q, data_bytes, rows_2, cols_2, ci))
         )
     a_l1_a0_bits = a_l1_window * 8.0 * (w1 * h1 * w2 * h2)
     a_l2_a0_bits = a_l2_window * 8.0 * w2 * h2
@@ -626,9 +647,11 @@ def c3p_columns(
     # Sharing cost dispatches on the package topology (ring/mesh: N_P - 1
     # hops; switch: N_P).  n_chiplets is per-candidate, so evaluate the
     # scalar model once per distinct count -- candidate spaces only ever
-    # contain a handful of active-chiplet values.
+    # contain a handful of active-chiplet values.  The counts come from
+    # np.bincount, not np.unique, whose masked-array check imports numpy.ma
+    # (about 0.5 MiB of resident memory) on first use.
     sharing_hops = np.zeros_like(n_chiplets)
-    for count in np.unique(n_chiplets):
+    for count in np.flatnonzero(np.bincount(n_chiplets)):
         sharing_hops[n_chiplets == count] = hw.topology.sharing_hops_per_bit(
             int(count)
         )
@@ -668,29 +691,52 @@ def c3p_columns(
 
     # --- cycles (LoopNest.total_cycles) and the O-L2 size -------------------
     cycles = core_blocks * (core_ho * core_wo * q.kh * q.kw * chunks)
+    runtime_s = cycles * tech.cycle_time_ns() * 1e-9
+    o_l2_bytes = _ceil_div(tile_ho * tile_wo * tile_co * data_bits, np.int64(8))
+
+    # --- to rows: the critical capacities picked in one pass, and the tile
+    # columns of each dtype stacked and repeated for the variants in one
+    # copy; the rows of each result are the row-layout columns ---------------
+    flag, if_set, if_clear = map(_stack, zip(*picks))
+    level_1, level_2, *a_l1_a_l2 = np.where(
+        flag, if_set[:, :, None], if_clear[:, :, None]
+    ).reshape(len(picks), -1)
+    (
+        o_l1_required, min_a_l1, chp_grid_ways, c1, w1, h1, c2, w2, h2,
+        chp_co_ways, n_chiplets, n_cores, sharing_hops, w_l1_read_bits,
+        o_l2_bytes, cycles,
+    ) = np.repeat(_stack([
+        o_l1_required, min_a_l1, chp_grid_ways, c1, w1, h1, c2, w2, h2,
+        cols["chp_co_ways"], n_chiplets, n_cores, sharing_hops, w_l1_read_bits,
+        o_l2_bytes, cycles,
+    ]), variants, axis=1)
+    weight_a0_bits, cc0, a_l1_a0_bits, a_l2_a0_bits, runtime_s = np.repeat(
+        _stack([weight_a0_bits, cc0, a_l1_a0_bits, a_l2_a0_bits, runtime_s]),
+        variants, axis=1,
+    )
     return C3PColumns(
         terms={name: terms[name] for name in _SCORED_TERMS},
-        invalid=invalid,
+        invalid=np.repeat(invalid, variants),
         o_l1_required=o_l1_required,
         a_l1_required=min_a_l1,
         weight_group=chp_grid_ways,
-        weight_critical=weight_critical,
+        weight_critical=((level_1, w1), (level_1, h1), (level_2, w2), (level_2, h2)),
         weight_a0_bits=weight_a0_bits,
         a_l1_cc0_bytes=cc0,
-        a_l1_critical=a_l1_critical,
+        a_l1_critical=tuple(zip(a_l1_a_l2[:2], (c1, c2))),
         a_l1_a0_bits=a_l1_a0_bits,
-        a_l2_critical=a_l2_critical,
+        a_l2_critical=tuple(zip(a_l1_a_l2[2:], (c2,))),
         a_l2_a0_bits=a_l2_a0_bits,
-        chp_co_ways=cols["chp_co_ways"].copy(),
+        chp_co_ways=chp_co_ways,
         n_chiplets=n_chiplets,
         n_cores=n_cores,
         sharing_hops=sharing_hops,
-        plane_rotated=~pkg_channel & cols["rot_weights"].astype(bool),
-        channel_rotated=pkg_channel & cols["rot_activations"].astype(bool),
+        plane_rotated=np.logical_and(rot_weights, ~pkg_channel[:, None]).reshape(-1),
+        channel_rotated=np.logical_and(rot_activations, pkg_channel[:, None]).reshape(-1),
         w_l1_read_bits=w_l1_read_bits,
-        o_l2_bytes=_ceil_div(tile_ho * tile_wo * tile_co * data_bits, np.int64(8)),
+        o_l2_bytes=o_l2_bytes,
         cycles=cycles,
-        runtime_s=cycles * tech.cycle_time_ns() * 1e-9,
+        runtime_s=runtime_s,
     )
 
 

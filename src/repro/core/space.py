@@ -23,6 +23,7 @@ as the int64 columns of a :class:`CandidateTable` in one numpy pass.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +85,14 @@ CANDIDATE_COLUMNS = (
     "core_ho", "core_wo", "chp_order_channel",
     "rot_activations", "rot_weights",
 )
+
+#: The columns that tell a tile's variants apart: the loop-order flags and
+#: the rotation codes.
+VARIANT_COLUMNS = ("pkg_order_channel", "chp_order_channel", "rot_activations", "rot_weights")
+
+#: The columns that fix a loop-nest tile: the spatial primitives and the
+#: clamped tile extents, every column but :data:`VARIANT_COLUMNS`.
+TILE_COLUMNS = tuple(name for name in CANDIDATE_COLUMNS if name not in VARIANT_COLUMNS)
 
 
 def candidate_row(layer: ConvLayer, mapping: Mapping) -> tuple[int, ...]:
@@ -168,6 +177,15 @@ class CandidateTable(Sequence):
     kernel call scores them all; its ``segment`` column numbers each row's
     layer.
 
+    The rows are tile-major: each run of ``variants`` consecutive rows
+    shares its :data:`TILE_COLUMNS`, declared core tile, pair and segment,
+    and differs only in :data:`VARIANT_COLUMNS`, so the kernel computes
+    whatever reads the tile alone once per run.  A built table's runs are
+    its tiles, each with every order pair and rotation; a hand-built table
+    has runs of one row, a pack the largest run length all its tables
+    share, and a slice the largest divisor of its table's run length that
+    also divides its bounds.
+
     Attributes:
         rows: ``(16, n)`` -- one array row per :data:`CANDIDATE_COLUMNS`
             name, each candidate's :func:`candidate_row`.
@@ -180,9 +198,11 @@ class CandidateTable(Sequence):
             the pack), ascending; ``None`` for one layer's table.
         deduped: Congruent raw candidates the build dropped (0 for a
             table it did not build).
+        variants: The run length of the tile-major layout; it divides
+            the row count.
     """
 
-    __slots__ = ("rows", "core", "pair", "pairs", "segment", "deduped")
+    __slots__ = ("rows", "core", "pair", "pairs", "segment", "deduped", "variants")
 
     def __init__(
         self,
@@ -192,6 +212,7 @@ class CandidateTable(Sequence):
         pairs: tuple[tuple[SpatialPrimitive, SpatialPrimitive], ...],
         segment: np.ndarray | None = None,
         deduped: int = 0,
+        variants: int = 1,
     ) -> None:
         self.rows = rows
         self.core = core
@@ -199,6 +220,7 @@ class CandidateTable(Sequence):
         self.pairs = pairs
         self.segment = segment
         self.deduped = deduped
+        self.variants = variants
 
     @classmethod
     def pack(cls, tables: Sequence["CandidateTable"]) -> "CandidateTable":
@@ -210,6 +232,7 @@ class CandidateTable(Sequence):
             np.concatenate([table.pair + offset for table, offset in zip(tables, offsets)]),
             tuple(pair for table in tables for pair in table.pairs),
             np.repeat(np.arange(len(tables)), [len(table) for table in tables]),
+            variants=math.gcd(*(table.variants for table in tables)),
         )
 
     @classmethod
@@ -253,9 +276,11 @@ class CandidateTable(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
             return CandidateTable(
                 self.rows[:, index], self.core[:, index], self.pair[index], self.pairs,
                 None if self.segment is None else self.segment[index],
+                variants=math.gcd(self.variants, start, stop) if step == 1 else 1,
             )
         row = self.rows[:, index].tolist()
         return self._mapping(self.pair[index], row, self.core[:, index].tolist())
@@ -648,11 +673,17 @@ class MappingSpace:
         The same mappings, in the same order, as
         :meth:`scalar_unique_candidates`, built in one numpy pass: Python
         loops only over the (package, chiplet) pairs and their core tiles
-        (:meth:`pair_tiles`), and numpy broadcasts the tile multipliers,
-        channel multipliers, orders and rotations in :meth:`candidates`'
+        (:meth:`pair_tiles`), and numpy broadcasts the tile multipliers
+        and channel multipliers into loop-nest tiles in :meth:`candidates`'
         nesting order.  Dedup keeps the *first* candidate of each
         :func:`candidate_row`, so the mapper's strict-``<`` minimum selects
-        the same winner it always did.  The number of discarded congruent
+        the same winner it always did.  Every tile takes every order pair,
+        and pairs of one spatial signature have one package and so one
+        rotation list, so two candidates are congruent exactly when their
+        tiles are and their order pair and rotation match: dedup keeps the
+        first occurrence of each tile, and the table lists each kept tile's
+        order x rotation variants after it (``variants`` rows per tile;
+        see :class:`CandidateTable`).  The number of discarded congruent
         candidates is the table's ``deduped``, and is exported as the
         ``space.candidates.deduped`` obs counter unless ``count`` is false
         (the mapper counts it when it uses the table's winner).
@@ -709,41 +740,43 @@ class MappingSpace:
         core_ho = np.minimum(core_h, -(-tile_ho // chp_rows))
         core_wo = np.minimum(core_w, -(-tile_wo // chp_cols))
 
-        # Axes: (pair, core tile) x mult_h x mult_w x mult_c x order x rotation.
-        k, t, c, o = len(entries), len(tile_mults), len(channel_mults), orders.shape[1]
-        shape = (k, t, t, c, o, n_rot)
-        at_h, at_w = (k, t, 1, 1, 1, 1), (k, 1, t, 1, 1, 1)
-        at_o, at_r = (1, 1, 1, 1, o, 1), (k, 1, 1, 1, 1, n_rot)
+        # Tile axes: (pair, core tile) x mult_h x mult_w x mult_c.
+        k, t, c = len(entries), len(tile_mults), len(channel_mults)
         first = first_occurrence_indices(
-            signature.reshape(k, 1, 1, 1, 1, 1),
-            tile_ho.reshape(at_h), core_ho.reshape(at_h),
-            tile_wo.reshape(at_w), core_wo.reshape(at_w),
-            tile_co.reshape(k, 1, 1, c, 1, 1),
-            orders[0].reshape(at_o), orders[1].reshape(at_o),
-            rot_activations.reshape(at_r), rot_weights.reshape(at_r),
+            signature.reshape(k, 1, 1, 1),
+            tile_ho.reshape(k, t, 1, 1), core_ho.reshape(k, t, 1, 1),
+            tile_wo.reshape(k, 1, t, 1), core_wo.reshape(k, 1, t, 1),
+            tile_co.reshape(k, 1, 1, c),
         )
-        ik, ih, iw, ic, io, ir = np.unravel_index(first, shape)
+        ik, ih, iw, ic = np.unravel_index(first, (k, t, t, c))
 
-        rows = np.empty((len(CANDIDATE_COLUMNS), len(first)), dtype=np.int64)
-        rows[0:4] = e[2:6, ik]
-        rows[4] = tile_ho[ik, ih]
-        rows[5] = tile_wo[ik, iw]
-        rows[6] = tile_co[ik, ic]
-        rows[7] = orders[0, io]
-        rows[8:11] = e[6:9, ik]
-        rows[11] = core_ho[ik, ih]
-        rows[12] = core_wo[ik, iw]
-        rows[13] = orders[1, io]
-        rows[14] = rot_activations[ik, ir]
-        rows[15] = rot_weights[ik, ir]
-        core = np.empty((3, len(first)), dtype=np.int64)
-        core[0:2] = e[9:11, ik]
-        np.minimum(rows[6], self.hw.lanes, out=core[2])
+        # Axes: kept tile x order x rotation, flattened tile-major.
+        n, o = len(first), orders.shape[1]
+        variants = o * n_rot
+        rows = np.empty((len(CANDIDATE_COLUMNS), n, o, n_rot), dtype=np.int64)
+        rows[0:4] = e[2:6, ik, None, None]
+        rows[4] = tile_ho[ik, ih, None, None]
+        rows[5] = tile_wo[ik, iw, None, None]
+        rows[6] = tile_co[ik, ic, None, None]
+        rows[7] = orders[0, :, None]
+        rows[8:11] = e[6:9, ik, None, None]
+        rows[11] = core_ho[ik, ih, None, None]
+        rows[12] = core_wo[ik, iw, None, None]
+        rows[13] = orders[1, :, None]
+        rows[14] = rot_activations[ik, None, :]
+        rows[15] = rot_weights[ik, None, :]
+        core = np.empty((3, n, variants), dtype=np.int64)
+        core[0:2] = e[9:11, ik, None]
+        core[2] = np.minimum(tile_co[ik, ic], self.hw.lanes)[:, None]
 
-        dropped = int(np.prod(shape)) - len(first)
+        dropped = (k * t * t * c - n) * variants
         if dropped and count:
             obs.count("space.candidates.deduped", dropped)
-        return CandidateTable(rows, core, e[1, ik], tuple(pairs), deduped=dropped)
+        return CandidateTable(
+            rows.reshape(len(CANDIDATE_COLUMNS), -1), core.reshape(3, -1),
+            np.repeat(e[1, ik], variants), tuple(pairs),
+            deduped=dropped, variants=variants,
+        )
 
     def scalar_unique_candidates(self, layer: ConvLayer, count: bool = True) -> list[Mapping]:
         """:meth:`candidates` kept at each :func:`candidate_row`'s first occurrence.
