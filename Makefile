@@ -210,30 +210,33 @@ guided:
 
 # Batch-vs-scalar parity gate (mirrors the CI guided-dse parity step):
 # the unit/property suites first (the candidate table against the scalar
-# enumeration, packs against one-layer calls, the kernel-built winner
-# reports against evaluate_mapping by repr, and tile-major tables scored
+# enumeration, packs against one-layer calls, the reports built from the
+# kernel's winner records against evaluate_mapping by repr, and tile-major tables scored
 # per tile against the same rows scored one by one, included), then runs
 # with the numpy path on and off.  With REPRO_BATCH_KERNEL=1 the mapper builds each
 # layer's candidate table as columns, scores a model's small tables in
-# packs (one kernel call per pack, which also builds each winner's report
-# from the kernel's columns) and shares each layer's table between the
+# packs (one kernel call per pack, which copies each winner's values out
+# of the kernel's columns into a record) and shares each layer's table between the
 # sweep points that give it one candidate-set key; with 0 it enumerates
 # one Mapping per candidate, dedups them and scores them one by one with
 # evaluate_mapping.  So every leg checks the table builder, the packs and
 # the kernel: the full Fig. 15 pre-design sweep (at --jobs 4, one shape
 # per worker task), the serial MINIMAL Fig. 15 trio at stride 16 (tables
 # shared across W-L1, A-L2 and A-L1 changes, MINIMAL packs, and the
-# kernel-built reports through the sweep's energy and cycle totals), an
+# winner records' values through the sweep's energy and cycle totals), an
 # EXHAUSTIVE ResNet-50 map and a FAST MobileNetV2 map (dense and depthwise
 # packs) must give byte-identical JSON (winner, energy, cycles, EDP), and
 # so must a transformer sweep, so GEMM-shaped candidate spaces are held to
 # the identical contract.  The EXHAUSTIVE ResNet-50 map also runs in
 # REPRO_BATCH_MAX_BYTES chunks of 980 rows, which split its 8-row tiles,
-# and must match the one-shot map byte for byte.  The map legs compare the
-# kernel-built reports only through the model totals, because `repro map
-# --json` rebuilds its per-layer records from the winning mapping; the
-# property suite covers the per-layer fields.  See docs/modeling.md
-# section 11.
+# and must match the one-shot map byte for byte; and twice into one
+# --cache-dir, cold and then with every shape rebuilt from disk, where
+# both payloads must match the cache-less map: the disk records are
+# written from mappings read off the kernel's winner records, whose
+# reports are built only on demand.  The map legs compare the winners'
+# reports only through the model totals, because `repro map --json`
+# rebuilds its per-layer records from the winning mapping; the property
+# suite covers the per-layer fields.  See docs/modeling.md section 11.
 batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/core/test_batch.py tests/core/test_candidate_table.py \
@@ -265,6 +268,16 @@ batch-parity:
 	cmp "$$tmp/map-chunked.json" "$$tmp/map-batch.json" && \
 	echo "980-row chunks, which split the 8-row tiles, byte-identical to the one-shot map (EXHAUSTIVE ResNet-50)" && \
 	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --cache-dir "$$tmp/cache" --json "$$tmp/map-cold.json" >/dev/null && \
+	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --cache-dir "$$tmp/cache" --json "$$tmp/map-warm.json" >"$$tmp/map-warm.out" && \
+	grep -q "(21 from disk) / 0 misses" "$$tmp/map-warm.out" && \
+	cmp "$$tmp/map-cold.json" "$$tmp/map-batch.json" && \
+	cmp "$$tmp/map-warm.json" "$$tmp/map-batch.json" && \
+	echo "disk-cache records written from the winner records, then all 21 shapes rebuilt from disk, byte-identical to the cache-less map (EXHAUSTIVE ResNet-50)" && \
+	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
 		--profile minimal --stride 16 --jobs 1 --json "$$tmp/trio-batch.json" >/dev/null && \
@@ -273,7 +286,7 @@ batch-parity:
 		--macs 4096 --area 3.0 --models vgg16@512,resnet50@512,darknet19@224 \
 		--profile minimal --stride 16 --jobs 1 --json "$$tmp/trio-scalar.json" >/dev/null && \
 	cmp "$$tmp/trio-batch.json" "$$tmp/trio-scalar.json" && \
-	echo "packs, tables shared across points and models, and kernel-built reports byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
+	echo "packs, tables shared across points and models, and totals summed from winner records byte-identical to the scalar oracle (serial MINIMAL Fig. 15 trio)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map mobilenetv2 \
 		--profile fast --json "$$tmp/mbv2-batch.json" >/dev/null && \

@@ -187,7 +187,10 @@ def best_by_combo(
 
     The layer's candidate table is scored once by the batch kernel, with
     the combinations as segments, and each combination's winner report is
-    read off the kernel's columns (:meth:`~repro.core.batch.BatchResult.report`).
+    built from its values in the kernel's columns
+    (:func:`~repro.core.batch.gather_winners`).  The channel-split filter
+    reads tile columns only and the sort by combination is stable, so
+    every kept tile stays whole and the C3P half runs once per tile.
 
     Raises:
         BatchOverflowError: When the kernel cannot score the table exactly.
@@ -207,7 +210,7 @@ def best_by_combo(
         return {}
     by_combo = CandidateTable(
         table.rows[:, order], table.core[:, order], table.pair[order], table.pairs,
-        pair_combo[table.pair[order]],
+        pair_combo[table.pair[order]], variants=table.variants,
     )
     result = batch.evaluate_batch([layer] * len(combos), hw, by_combo)
     valid = result.valid
@@ -219,10 +222,11 @@ def best_by_combo(
     legal, first = np.unique(by_combo.segment[valid], return_index=True)
     place = dict(zip(legal.tolist(), order[valid][first].tolist()))
     names = list(combos)
-    return {
-        names[combo]: result.report(winner[combo], layer, hw)
-        for combo in sorted(place, key=place.get)
-    }
+    ranked = sorted(place, key=place.get)
+    records = batch.gather_winners(
+        result, np.array([winner[combo] for combo in ranked]), [layer] * len(ranked), hw
+    )
+    return {names[combo]: record.report() for combo, record in zip(ranked, records)}
 
 
 def fig11_data(

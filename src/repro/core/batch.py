@@ -10,9 +10,11 @@ and rotation codes, clamped tile extents), which
 :meth:`~repro.core.space.MappingSpace.unique_candidates` builds directly,
 without a :class:`~repro.core.mapping.Mapping` per candidate.  The three
 C3P walks, the traffic assembly and the energy/cycles/EDP scalarization run
-over all rows at once; only each winner gets a ``Mapping``, and its full
-:class:`~repro.core.cost.CostReport` is read off the same columns
-(:meth:`BatchResult.report`), with no second scalar pass.
+over all rows at once.  :func:`search_batch` copies each winner's values
+out of the columns into a :class:`Winner` record, which builds the row's
+``Mapping`` and full :class:`~repro.core.cost.CostReport` only when
+something reads them, with no second scalar pass; a sweep sums a model's
+totals from the records' energy values and cycles without either.
 
 A *pack* (:meth:`~repro.core.space.CandidateTable.pack`) scores several
 layers' tables on one machine in one call: the layer quantities (extents,
@@ -66,7 +68,7 @@ the mapper onto the scalar path; the kernel is the default otherwise.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -76,7 +78,8 @@ from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
 from repro.core.cost import CostReport, EnergyBreakdown
 from repro.core.loopnest import mac_utilization
-from repro.core.space import TILE_COLUMNS, VARIANT_COLUMNS, CandidateTable
+from repro.core.mapping import Mapping
+from repro.core.space import TILE_COLUMNS, VARIANT_COLUMNS, CandidateTable, row_mapping
 from repro.core.traffic import TrafficReport
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
@@ -155,7 +158,7 @@ class BatchResult:
     anyway; only the masked score selects winners.
 
     The dtypes follow the scalar path's int/float split, which
-    :meth:`report` relies on: ``w_l1_read_bits``, ``dram_output_bits``,
+    :func:`gather_winners` relies on: ``w_l1_read_bits``, ``dram_output_bits``,
     ``rf_drain_bits``, ``cycles`` and ``o_l2_bytes`` are integers (int64
     columns, or Python ints), every other quantity a float.
     """
@@ -238,54 +241,116 @@ class BatchResult:
         masked = np.where(self.valid, self.scores(objective), np.inf)
         return int(np.argmin(masked))
 
-    def report(self, row: int, layer: ConvLayer, hw: HardwareConfig) -> CostReport:
-        """Row ``row``'s :class:`CostReport`, built from the kernel's columns.
 
-        ``layer`` is the row's layer (its segment's, on a pack).  The report
-        has the same ``repr`` as :func:`~repro.core.cost.evaluate_mapping`'s:
-        the columns already follow the scalar path's int/float split, and
-        ``.item(row)`` turns each value into the Python ``int`` or ``float``
-        the scalar path holds (a one-layer table's layer terms already are).
+#: The :class:`EnergyBreakdown` fields, in order: a :class:`BatchResult`
+#: column (or layer term) of the same name holds each.
+_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyBreakdown))
+
+#: The :class:`TrafficReport` fields a :class:`BatchResult` holds, in
+#: order; the report's O-L2 writes and reads are its DRAM output bits.
+_TRAFFIC_FIELDS = tuple(
+    f.name for f in fields(TrafficReport) if f.name not in ("o_l2_write_bits", "o_l2_read_bits")
+)
+
+
+@dataclass(slots=True)
+class Winner:
+    """One segment's winning row, copied out of the kernel's columns.
+
+    :func:`gather_winners` fills it with Python values only, so it keeps
+    no column and no table alive.  :attr:`energy` and :attr:`cycles` are
+    all a model total reads (:func:`~repro.core.cost.model_cost`); the
+    row's :class:`Mapping` and :class:`CostReport` are built on first
+    read, once, and shared by every reader.
+
+    Attributes:
+        layer: The layer the kernel scored the row for.
+        hw: The machine it was scored on.
+        energy: The 8 energy components in :class:`EnergyBreakdown` field
+            order.
+        traffic: The :data:`_TRAFFIC_FIELDS` values, in that order.
+        cycles: The row's cycles.
+        o_l2_bytes: The O-L2 size its chiplet tile needs.
+        row: Its :data:`~repro.core.space.CANDIDATE_COLUMNS` integers.
+        core: Its declared core tile ``(tile_h, tile_w, tile_co)``.
+        pair: Its ``(package, chiplet)`` spatial primitives.
+    """
+
+    layer: ConvLayer
+    hw: HardwareConfig
+    energy: tuple[float, ...]
+    traffic: tuple[float, ...]
+    cycles: int
+    o_l2_bytes: int
+    row: list[int]
+    core: list[int]
+    pair: tuple
+    _mapping: Mapping | None = field(default=None, compare=False, repr=False)
+    _report: CostReport | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def mapping(self) -> Mapping:
+        """The winning mapping (built on first read)."""
+        if self._mapping is None:
+            self._mapping = row_mapping(self.pair, self.row, self.core)
+        return self._mapping
+
+    def report(self) -> CostReport:
+        """The row's :class:`CostReport`, built on the first call.
+
+        It has the same ``repr`` as :func:`~repro.core.cost.evaluate_mapping`'s:
+        the values already follow the scalar path's int/float split.
         """
+        if self._report is None:
+            traffic = dict(zip(_TRAFFIC_FIELDS, self.traffic))
+            output_bits = traffic["dram_output_bits"]
+            self._report = CostReport(
+                layer=self.layer,
+                mapping=self.mapping,
+                energy=EnergyBreakdown(*self.energy),
+                traffic=TrafficReport(
+                    **traffic, o_l2_write_bits=output_bits, o_l2_read_bits=output_bits
+                ),
+                cycles=self.cycles,
+                utilization=mac_utilization(self.layer, self.hw, self.cycles),
+                o_l2_bytes=self.o_l2_bytes,
+            )
+        return self._report
 
-        def at(value):
-            return value.item(row) if isinstance(value, np.ndarray) else value
 
-        output_bits = at(self.dram_output_bits)
-        cycles = at(self.cycles)
-        return CostReport(
-            layer=layer,
-            mapping=self.candidates[row],
-            energy=EnergyBreakdown(
-                dram_pj=at(self.dram_pj),
-                d2d_pj=at(self.d2d_pj),
-                a_l2_pj=at(self.a_l2_pj),
-                o_l2_pj=at(self.o_l2_pj),
-                a_l1_pj=at(self.a_l1_pj),
-                w_l1_pj=at(self.w_l1_pj),
-                rf_pj=at(self.rf_pj),
-                mac_pj=at(self.mac_pj),
-            ),
-            traffic=TrafficReport(
-                dram_input_bits=at(self.dram_input_bits),
-                dram_weight_bits=at(self.dram_weight_bits),
-                dram_output_bits=output_bits,
-                d2d_bit_hops=at(self.d2d_bit_hops),
-                a_l2_write_bits=at(self.a_l2_write_bits),
-                a_l2_read_bits=at(self.a_l2_read_bits),
-                o_l2_write_bits=output_bits,
-                o_l2_read_bits=output_bits,
-                a_l1_write_bits=at(self.a_l1_write_bits),
-                a_l1_read_bits=at(self.a_l1_read_bits),
-                w_l1_write_bits=at(self.w_l1_write_bits),
-                w_l1_read_bits=at(self.w_l1_read_bits),
-                rf_rmw_bits=at(self.rf_rmw_bits),
-                rf_drain_bits=at(self.rf_drain_bits),
-            ),
-            cycles=cycles,
-            utilization=mac_utilization(layer, hw, cycles),
-            o_l2_bytes=at(self.o_l2_bytes),
+def gather_winners(
+    result: BatchResult,
+    rows: "np.ndarray",
+    layers: Sequence[ConvLayer],
+    hw: HardwareConfig,
+) -> list[Winner]:
+    """The :class:`Winner` records of ``result``'s ``rows``, the one at
+    ``rows[i]`` scored for ``layers[i]``.
+
+    Each column is copied out with one fancy-index gather over all
+    ``rows``: ``column[rows].tolist()`` gives the Python ``int`` or
+    ``float`` that ``column.item(row)`` would.  A layer term that is a
+    Python scalar (a one-layer table's) is repeated as it is.
+    """
+    count = len(rows)
+
+    def gather(value) -> list:
+        return value[rows].tolist() if isinstance(value, np.ndarray) else [value] * count
+
+    table = result.candidates
+    return [
+        Winner(layer, hw, energy, traffic, cycles, o_l2_bytes, row, core, table.pairs[pair])
+        for layer, energy, traffic, cycles, o_l2_bytes, row, core, pair in zip(
+            layers,
+            zip(*(gather(getattr(result, name)) for name in _ENERGY_FIELDS)),
+            zip(*(gather(getattr(result, name)) for name in _TRAFFIC_FIELDS)),
+            gather(result.cycles),
+            gather(result.o_l2_bytes),
+            table.rows[:, rows].T.tolist(),
+            table.core[:, rows].T.tolist(),
+            table.pair[rows].tolist(),
         )
+    ]
 
 
 @dataclass(frozen=True)
@@ -293,7 +358,7 @@ class BatchSearchOutcome:
     """What the mapper needs from a batch search, per segment.
 
     A layer's own table is one segment.  ``winners[s]`` is the table row
-    of segment ``s``'s winner and ``reports[s]`` its :class:`CostReport`
+    of segment ``s``'s winner and ``records[s]`` its :class:`Winner`
     (both ``None`` when none of its candidates is valid);
     ``segment_evaluated`` and ``segment_invalid`` count its valid and
     invalid candidates.  ``chunks`` is the number of kernel passes the
@@ -305,9 +370,14 @@ class BatchSearchOutcome:
     winners: tuple[int | None, ...]
     segment_evaluated: tuple[int, ...]
     segment_invalid: tuple[int, ...]
-    reports: tuple[CostReport | None, ...]
+    records: tuple[Winner | None, ...]
     chunks: int = field(default=1, compare=False)
     columns: C3PColumns | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def reports(self) -> tuple[CostReport | None, ...]:
+        """Each segment's winner :class:`CostReport` (:meth:`Winner.report`)."""
+        return tuple(None if record is None else record.report() for record in self.records)
 
     @property
     def best_index(self) -> int | None:
@@ -932,8 +1002,9 @@ def search_batch(
 
     A segment's winner is its first row of minimum masked score: the first
     row per segment of a stable sort by (segment, score), or ``np.argmin``
-    on one layer's table.  Its report is built (:meth:`BatchResult.report`)
-    from the result of the chunk that holds it.  The table is evaluated in
+    on one layer's table.  Each chunk copies the winners it improved out
+    of its result in one :func:`gather_winners` call, so no chunk's
+    columns outlive it and no report is built here.  The table is evaluated in
     chunks of :func:`batch_chunk_candidates` rows (one chunk when
     ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking cannot change any
     per-candidate value (every output row of :func:`evaluate_batch` is an
@@ -957,8 +1028,9 @@ def search_batch(
     best = np.full(segments, np.inf)
     evaluated = np.zeros(segments, dtype=np.int64)
     rows = np.zeros(segments, dtype=np.int64)
-    # Each segment's current winner: (table row, its chunk's result, row in the chunk).
-    winners: list[tuple[int, BatchResult, int] | None] = [None] * segments
+    # Each segment's current winner: its table row and its record.
+    winners: list[int | None] = [None] * segments
+    records: list[Winner | None] = [None] * segments
     chunk = batch_chunk_candidates() or len(candidates)
     if chunk < len(candidates):
         columns = None
@@ -981,18 +1053,18 @@ def search_batch(
         score = masked[firsts]
         better = score < best[heads]  # strict <: ties keep the earlier chunk's winner
         best[heads[better]] = score[better]
-        for head, first in zip(heads[better].tolist(), firsts[better].tolist()):
-            winners[head] = (start + first, result, first)
+        improved, found = heads[better].tolist(), firsts[better]
+        gathered = gather_winners(result, found, [members[head] for head in improved], hw)
+        for head, first, record in zip(improved, found.tolist(), gathered):
+            winners[head] = start + first
+            records[head] = record
         evaluated += np.bincount(segment[result.valid], minlength=segments)
         rows += np.bincount(segment, minlength=segments)
     return BatchSearchOutcome(
-        winners=tuple(None if w is None else w[0] for w in winners),
+        winners=tuple(winners),
         segment_evaluated=tuple(evaluated.tolist()),
         segment_invalid=tuple((rows - evaluated).tolist()),
-        reports=tuple(
-            None if w is None else w[1].report(w[2], layer, hw)
-            for w, layer in zip(winners, members)
-        ),
+        records=tuple(records),
         chunks=n_chunks,
         columns=part_columns if n_chunks == 1 else None,
     )

@@ -90,8 +90,13 @@ def _max_cache_bytes() -> int | None:
     return value
 
 
+def shape_text(shape_key: tuple) -> str:
+    """The shape half of a :func:`cache_key`."""
+    return "x".join(str(v) for v in shape_key)
+
+
 def cache_key(
-    shape_key: tuple,
+    shape_key: tuple | str,
     hw_digest: str,
     profile: str,
     objective: str,
@@ -99,12 +104,13 @@ def cache_key(
     """The canonical string key of one search result.
 
     Args:
-        shape_key: ``Mapper._shape_key``-style layer geometry tuple.
+        shape_key: ``Mapper._shape_key``-style layer geometry tuple, or its
+            :func:`shape_text`.
         hw_digest: :func:`repro.core.serialize.hardware_digest` of the machine.
         profile: Search-profile value (``"exhaustive"`` / ``"fast"`` / ...).
         objective: Objective function name (``"energy_objective"`` / ...).
     """
-    shape = "x".join(str(v) for v in shape_key)
+    shape = shape_key if isinstance(shape_key, str) else shape_text(shape_key)
     return f"{shape}|{hw_digest}|{profile}|{objective}"
 
 
@@ -421,4 +427,5 @@ __all__ = [
     "cache_key",
     "hardware_digest",
     "rebuild_record",
+    "shape_text",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.arch.area import AreaModel
 from repro.arch.config import HardwareConfig
@@ -56,6 +56,13 @@ class EnergyBreakdown:
             + self.mac_pj
         )
 
+    def __iter__(self) -> Iterator[float]:
+        """The components in field order: a row :meth:`fsum` sums."""
+        return iter((
+            self.dram_pj, self.d2d_pj, self.a_l2_pj, self.o_l2_pj,
+            self.a_l1_pj, self.w_l1_pj, self.rf_pj, self.mac_pj,
+        ))
+
     def as_dict(self) -> dict[str, float]:
         """Ordered component -> pJ mapping for reports."""
         return {
@@ -87,27 +94,23 @@ class EnergyBreakdown:
         return EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def fsum(breakdowns: Iterable["EnergyBreakdown"]) -> "EnergyBreakdown":
+    def fsum(rows: Iterable[Iterable[float]]) -> "EnergyBreakdown":
         """Order-independent component-wise total via :func:`math.fsum`.
 
-        Repeated ``__add__`` is a naive left fold, so the total depends on
-        the summand order (float addition is not associative).  Compensated
+        Each row is an :class:`EnergyBreakdown` or its eight components in
+        field order (a batch-kernel winner record's ``energy``).  Repeated
+        ``__add__`` is a naive left fold, so the total depends on the
+        summand order (float addition is not associative).  Compensated
         summation returns the correctly rounded component sums, making
         model- and sweep-level totals permutation invariant -- the same fix
-        the Figure 10 :class:`~repro.arch.memory.LinearFit` needed, and the
-        reduction contract the batch kernel's aggregations must match.
+        the Figure 10 :class:`~repro.arch.memory.LinearFit` needed, and why
+        a total summed from winner records equals one summed from their
+        reports bit for bit.
         """
-        items = list(breakdowns)
-        return EnergyBreakdown(
-            dram_pj=math.fsum(b.dram_pj for b in items),
-            d2d_pj=math.fsum(b.d2d_pj for b in items),
-            a_l2_pj=math.fsum(b.a_l2_pj for b in items),
-            o_l2_pj=math.fsum(b.o_l2_pj for b in items),
-            a_l1_pj=math.fsum(b.a_l1_pj for b in items),
-            w_l1_pj=math.fsum(b.w_l1_pj for b in items),
-            rf_pj=math.fsum(b.rf_pj for b in items),
-            mac_pj=math.fsum(b.mac_pj for b in items),
-        )
+        columns = list(zip(*rows))
+        if not columns:
+            return EnergyBreakdown.zero()
+        return EnergyBreakdown(*map(math.fsum, columns))
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,10 @@ def model_cost(
     reports: list[CostReport], hw: HardwareConfig
 ) -> tuple[EnergyBreakdown, int, float]:
     """Aggregate per-layer reports into model totals.
+
+    Reads each report's ``energy`` row and ``cycles`` only, so a search's
+    batch-kernel winner records (:class:`repro.core.batch.Winner`) total
+    to the same bits without building their reports.
 
     Returns:
         ``(energy_breakdown, total_cycles, edp_joule_seconds)``.

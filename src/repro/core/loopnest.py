@@ -63,7 +63,7 @@ class Loop:
 def mac_utilization(layer: ConvLayer, hw: HardwareConfig, cycles: int) -> float:
     """MAC-array utilization of ``layer`` run in ``cycles``: ideal cycles
     over modeled cycles (shared by :meth:`LoopNest.utilization` and the
-    batch kernel's winner reports)."""
+    reports built from the batch kernel's winner records)."""
     ideal = layer.macs / hw.total_macs
     return min(ideal / cycles, 1.0)
 

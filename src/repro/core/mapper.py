@@ -16,8 +16,11 @@ runs; unique shapes can also fan out over worker processes
 Serially, a model's uncached shapes are grouped by candidate-set key, so
 the shapes that share an output cube and a Cc0 tile share one table build,
 and scored in *packs*: consecutive small candidate tables concatenated up
-to :data:`PACK_ROWS` rows and scored by one batch-kernel call, which also
-returns each winner's full report.  A sweep can also hand its mappers one
+to :data:`PACK_ROWS` rows and scored by one batch-kernel call, which
+returns each winner's values as a :class:`~repro.core.batch.Winner`
+record.  A result builds its layer's full report only when something
+reads :attr:`LayerMappingResult.best`; a sweep sums each model's energy
+and cycles from the records.  A sweep can also hand its mappers one
 :class:`SharedTables`, so the machines that give a layer one candidate set
 build its table once, and the machines that serve a pack again only score
 its held C3P columns against their buffer sizes.
@@ -27,12 +30,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro import obs
 from repro.arch.config import HardwareConfig
 from repro.core import batch
-from repro.core.cache import MappingCache, cache_key, rebuild_record
+from repro.core.cache import MappingCache, cache_key, rebuild_record, shape_text
 from repro.core.cost import CostReport, InvalidMappingError, evaluate_mapping
 from repro.core.mapping import Mapping
 from repro.core.parallel import (
@@ -46,15 +50,19 @@ from repro.core.serialize import hardware_digest, mapping_to_dict
 from repro.core.space import CandidateTable, MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
 
+#: Layers whose cache-key shape text :func:`_shape_text` keeps; a Fig. 15
+#: sweep round meets about a hundred.
+_KEY_MEMO_SIZE = 1024
+
 #: Rows a pack of small candidate tables grows to before the kernel scores
-#: it.  On MINIMAL tables of a 2-8-16-16 machine a kernel call, winner
-#: reports included, costs about 0.7 ms at 36 rows (one layer), 1.6 ms at
-#: 512 (17 layers) and 3.6 ms at 2,374 (67 layers), with about 580 B of
-#: traced peak memory per row; scoring held C3P columns instead takes
-#: 0.24, 0.63 and 2.1 ms.  Packing about 15 MINIMAL tables per call
-#: removes most of the per-call cost, while larger packs gain little time
-#: and raise peak memory.  A table of this many rows or more is scored
-#: alone, as soon as it is built.
+#: it.  On MINIMAL tables of a 2-8-16-16 machine a kernel call, the copy of
+#: its winner records included, costs about 0.24 ms at 36 rows (one
+#: layer), 0.46 ms at 512 (17 layers) and 0.83 ms at 1,488 (44 layers),
+#: with about 600 B of traced peak memory per row; scoring held C3P
+#: columns instead takes 0.08, 0.14 and 0.27 ms.  Packing about 15 MINIMAL
+#: tables per call removes most of the per-call cost, while larger packs
+#: gain little time and raise peak memory.  A table of this many rows or
+#: more is scored alone, as soon as it is built.
 PACK_ROWS = 512
 
 #: Objective functions the mapper can minimize.
@@ -71,19 +79,34 @@ def edp_objective(report: CostReport, hw: HardwareConfig) -> float:
     return report.edp(hw)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LayerMappingResult:
-    """The optimal mapping of one layer plus search statistics."""
+    """The optimal mapping of one layer plus search statistics.
+
+    ``winner`` is the batch kernel's :class:`~repro.core.batch.Winner`
+    record, or a finished :class:`CostReport` from the scalar oracle or
+    the disk tier.  Either holds the winner's ``energy`` components and
+    ``cycles``, all a model total reads
+    (:func:`~repro.core.cost.model_cost`).  :attr:`best` builds a record's
+    report on first read, for the layer the search ran on, and every
+    result relabelled from that search shares it.
+    """
 
     layer: ConvLayer
-    best: CostReport
+    winner: batch.Winner | CostReport
     candidates_evaluated: int
     candidates_invalid: int
 
     @property
+    def best(self) -> CostReport:
+        """The winner's full report."""
+        winner = self.winner
+        return winner.report() if isinstance(winner, batch.Winner) else winner
+
+    @property
     def mapping(self) -> Mapping:
-        """The winning mapping."""
-        return self.best.mapping
+        """The winning mapping (read without building the report)."""
+        return self.winner.mapping
 
 
 def _shape_key(layer: ConvLayer) -> tuple:
@@ -101,12 +124,19 @@ def _shape_key(layer: ConvLayer) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=_KEY_MEMO_SIZE)
+def _shape_text(layer: ConvLayer) -> str:
+    """The shape half of ``layer``'s cache keys, formatted once per layer."""
+    return shape_text(_shape_key(layer))
+
+
+@dataclass(slots=True)
 class _Search:
     """One layer's fresh search, counted when :meth:`Mapper._lookup` uses it.
 
     Attributes:
-        best: The winner's report, or ``None`` when no candidate is legal.
+        winner: The kernel's winner record or the scalar scan's report,
+            or ``None`` when no candidate is legal.
         evaluated: Legal candidates.
         invalid: Illegal candidates.
         rows: Table rows the batch kernel scored (``None`` on the scalar path).
@@ -115,11 +145,10 @@ class _Search:
         chunks: Kernel passes of the call that scored the layer (a pack
             never exceeds one chunk; 0 on the scalar path).
         ms: The layer's search time: its table build plus its row share of
-            the kernel call, which includes building the winner's report
-            (or the whole scalar scan).
+            the kernel call (or the whole scalar scan).
     """
 
-    best: CostReport | None
+    winner: batch.Winner | CostReport | None
     evaluated: int
     invalid: int
     rows: int | None
@@ -269,7 +298,7 @@ class Mapper:
     def _key(self, layer: ConvLayer) -> str:
         """The cache key of one layer on this (hw, profile, objective)."""
         return cache_key(
-            _shape_key(layer),
+            _shape_text(layer),
             self._hw_digest,
             self.profile.value,
             self._objective_name,
@@ -281,7 +310,7 @@ class Mapper:
             return cached
         return LayerMappingResult(
             layer=layer,
-            best=cached.best,
+            winner=cached.winner,
             candidates_evaluated=cached.candidates_evaluated,
             candidates_invalid=cached.candidates_invalid,
         )
@@ -301,7 +330,7 @@ class Mapper:
             return None
         return LayerMappingResult(
             layer=layer,
-            best=best,
+            winner=best,
             candidates_evaluated=int(record["evaluated"]),
             candidates_invalid=int(record["invalid"]),
         )
@@ -338,13 +367,13 @@ class Mapper:
             obs.count("mapper.batch.chunks", found.chunks)
         if found.deduped:
             obs.count("space.candidates.deduped", found.deduped)
-        if found.best is None:
+        if found.winner is None:
             raise InvalidMappingError(
                 f"no legal mapping for layer {layer.name!r} on {self.hw.label()}"
             )
         result = LayerMappingResult(
             layer=layer,
-            best=found.best,
+            winner=found.winner,
             candidates_evaluated=found.evaluated,
             candidates_invalid=found.invalid,
         )
@@ -381,10 +410,11 @@ class Mapper:
         one kernel call; a larger table is scored alone for each of its
         layers and released before the next group's table is built, so a
         map holds one at a time.  Each segment's winner is its own, so the
-        grouping cannot change an answer.  The kernel call also returns
-        each winner's full :class:`CostReport`, built from its columns.
-        Otherwise the scalar strict-``<`` scan of :meth:`_scalar_search` is
-        the path -- it stays the golden oracle either way (see
+        grouping cannot change an answer.  The kernel call returns each
+        winner's :class:`~repro.core.batch.Winner` record, copied out of
+        its columns; its report waits for a reader.  Otherwise the scalar
+        strict-``<`` scan of :meth:`_scalar_search` is the path -- it
+        stays the golden oracle either way (see
         ``tests/properties/test_batch_kernel.py`` and
         ``tests/properties/test_winner_reports.py``).
 
@@ -473,7 +503,7 @@ class Mapper:
                 found[index] = self._scalar_search(layer, own, table_ms + kernel_ms)
                 continue
             found[index] = _Search(
-                best=outcome.reports[segment],
+                winner=outcome.records[segment],
                 evaluated=outcome.segment_evaluated[segment],
                 invalid=outcome.segment_invalid[segment],
                 rows=len(own),
@@ -509,7 +539,7 @@ class Mapper:
                 best_score = score
                 best = report
         return _Search(
-            best=best,
+            winner=best,
             evaluated=evaluated,
             invalid=invalid,
             rows=None,

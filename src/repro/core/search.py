@@ -214,13 +214,16 @@ def _evaluate_point(
     serially (``jobs=1``): sweep-level parallelism fans out across design
     points, and nesting pools inside pool workers is never a win.
     ``tables`` shares candidate tables with the sweep's other points.
+    Each model's totals are summed from its layers' winner records
+    (:attr:`~repro.core.mapper.LayerMappingResult.winner`), so a point
+    builds no per-layer report.
     """
     energy: dict[str, float] = {}
     cycles: dict[str, int] = {}
     mapper = Mapper(hw=hw, profile=profile, tables=tables)
     for name, layers in models.items():
         results = mapper.search_model(layers, jobs=1)
-        breakdown, total_cycles, _ = model_cost([r.best for r in results], hw)
+        breakdown, total_cycles, _ = model_cost([r.winner for r in results], hw)
         energy[name] = breakdown.total_pj
         cycles[name] = total_cycles
     return energy, cycles, (mapper.cache.hits, mapper.cache.misses)

@@ -99,9 +99,16 @@ def hardware_to_dict(hw: HardwareConfig) -> dict[str, Any]:
     return {
         "config": list(hw.config_tuple()),
         "topology": hw.topology.value,
-        "memory": dataclasses.asdict(hw.memory),
-        "tech": dataclasses.asdict(hw.tech),
+        "memory": _flat_fields(hw.memory),
+        "tech": _flat_fields(hw.tech),
     }
+
+
+def _flat_fields(obj: Any) -> dict[str, Any]:
+    """A flat dataclass's fields by name: ``dataclasses.asdict`` without
+    its recursive copy, which the memory and technology records (plain
+    numbers) do not need."""
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
 
 
 def hardware_digest(hw: HardwareConfig) -> str:

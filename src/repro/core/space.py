@@ -283,30 +283,34 @@ class CandidateTable(Sequence):
                 variants=math.gcd(self.variants, start, stop) if step == 1 else 1,
             )
         row = self.rows[:, index].tolist()
-        return self._mapping(self.pair[index], row, self.core[:, index].tolist())
+        return row_mapping(self.pairs[self.pair[index]], row, self.core[:, index].tolist())
 
     def __iter__(self) -> Iterator[Mapping]:
         for pair, row, core in zip(
             self.pair.tolist(), self.rows.T.tolist(), self.core.T.tolist()
         ):
-            yield self._mapping(pair, row, core)
+            yield row_mapping(self.pairs[pair], row, core)
 
-    def _mapping(self, pair: int, row: list[int], core: list[int]) -> Mapping:
-        """The mapping a row, its declared core tile and its pair describe."""
-        package, chiplet = self.pairs[pair]
-        (
-            _, _, _, _, tile_ho, tile_wo, tile_co, pkg_order_channel,
-            _, _, _, _, _, chp_order_channel, rot_activations, rot_weights,
-        ) = row
-        return Mapping(
-            package_spatial=package,
-            package_temporal=TemporalPrimitive(
-                _ORDERS[pkg_order_channel], tile_ho, tile_wo, tile_co
-            ),
-            chiplet_spatial=chiplet,
-            chiplet_temporal=TemporalPrimitive(_ORDERS[chp_order_channel], *core),
-            rotation=_ROTATIONS[rot_activations, rot_weights],
-        )
+
+def row_mapping(
+    pair: tuple[SpatialPrimitive, SpatialPrimitive], row: Sequence[int], core: Sequence[int]
+) -> Mapping:
+    """The mapping a table row, its declared core tile and its ``(package,
+    chiplet)`` pair describe."""
+    package, chiplet = pair
+    (
+        _, _, _, _, tile_ho, tile_wo, tile_co, pkg_order_channel,
+        _, _, _, _, _, chp_order_channel, rot_activations, rot_weights,
+    ) = row
+    return Mapping(
+        package_spatial=package,
+        package_temporal=TemporalPrimitive(
+            _ORDERS[pkg_order_channel], tile_ho, tile_wo, tile_co
+        ),
+        chiplet_spatial=chiplet,
+        chiplet_temporal=TemporalPrimitive(_ORDERS[chp_order_channel], *core),
+        rotation=_ROTATIONS[rot_activations, rot_weights],
+    )
 
 
 #: Distinct inputs each enumeration memo keeps; a Fig. 15 sweep round meets

@@ -68,12 +68,37 @@ class TestHardwareDigest:
         )
         assert hardware_digest(hw) != hardware_digest(resized)
 
+    def test_digests_are_pinned(self):
+        """Disk-cache file names derive from these digests: a change to how
+        a machine is serialized would orphan every stored mapping."""
+        assert hardware_digest(case_study_hardware()) == (
+            "1504ddd0ad500008c6c4919dc8b78f2c7afa10d6015480e46c97286231526394"
+        )
+        assert hardware_digest(build_hardware(2, 8, 16, 16)) == (  # a Fig. 15 point
+            "db41e1ff8c84aec3ae5bd390d84f8b5acba229298435a6f4c7c89ad49363a939"
+        )
+
 
 class TestCacheKey:
     def test_components_separated(self):
         layer = small_layers()[0]
         key = cache_key(_shape_key(layer), "abc123", "fast", "energy_objective")
         assert "abc123" in key and "fast" in key and "energy_objective" in key
+
+    def test_mapper_key_is_pinned(self):
+        """The mapper's memoized shape text keeps the key byte for byte."""
+        layer = small_layers()[0]
+        mapper = Mapper(hw=case_study_hardware(), profile=SearchProfile.FAST)
+        expected = (
+            "224x224x3x96x11x11x4x2x1"
+            "|1504ddd0ad500008c6c4919dc8b78f2c7afa10d6015480e46c97286231526394"
+            "|fast|energy_objective"
+        )
+        assert mapper._key(layer) == expected
+        assert mapper._key(layer) == expected  # served from the memo
+        assert cache_key(
+            _shape_key(layer), mapper._hw_digest, "fast", "energy_objective"
+        ) == expected
 
     def test_profile_and_objective_distinguish(self):
         layer = small_layers()[0]
