@@ -82,7 +82,7 @@ def sweep() -> None:
     """One fresh-cache mapping search: production hook density, no reuse."""
     hw = case_study_hardware()
     mapper = Mapper(hw=hw, profile=SearchProfile("minimal"), cache=MappingCache())
-    mapper.search_model(get_model("alexnet"), jobs=1)
+    mapper.search_model(get_model("alexnet"))
 
 
 def best_of(fn, runs: int = TIMING_RUNS) -> float:

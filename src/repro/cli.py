@@ -211,7 +211,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         cache=cache,
     )
     with obs.stage("search_model"):
-        results = mapper.search_model(layers, jobs=args.jobs)
+        results = mapper.search_model(layers)
     energy, cycles, edp = model_cost([r.best for r in results], hw)
     result = PostDesignResult(
         hw=hw, layers=tuple(results), energy=energy, cycles=cycles, edp_js=edp
@@ -238,7 +238,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         f"{result.cycles:,} cycles ({result.runtime_s() * 1e3:.2f} ms), "
         f"EDP {result.edp_js:.3e} Js"
     )
-    print(format_search_stats(_run_stats(args)))
+    print(format_search_stats(_run_stats(jobs=1)))  # a map runs in one process
     print(f"Mapping cache: {cache.describe()}")
 
     if args.json:
@@ -366,7 +366,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         f"Swept {result.swept} design points; "
         f"{len(result.valid_points)} valid evaluated."
     )
-    stats = _run_stats(args)
+    stats = _run_stats(args.jobs)
     print(format_search_stats(stats))
     failures = [point.failure for point in result.points if point.failure]
     if failures:
@@ -464,9 +464,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_stats(args: argparse.Namespace) -> SweepStats:
+def _run_stats(jobs: int | None) -> SweepStats:
     """The run summary: a view of the live recorder's counters."""
-    return SweepStats(obs.get_recorder().metrics, jobs=resolve_jobs(args.jobs))
+    return SweepStats(obs.get_recorder().metrics, jobs=resolve_jobs(jobs))
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -503,7 +503,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         MappingCache(args.cache_dir) if args.cache_dir else MappingCache()
     )
     mapper = Mapper(hw=hw, profile=SearchProfile(args.profile), cache=cache)
-    results = mapper.search_model(layers, jobs=args.jobs)
+    results = mapper.search_model(layers)
     energy, cycles, _ = model_cost([r.best for r in results], hw)
     if args.simulate:
         from repro.sim.runtime import simulate_runtime
@@ -808,11 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     map_cmd.add_argument("--json", help="write the compiler report to this path")
     map_cmd.add_argument(
-        "--jobs", type=_parse_jobs, default=None,
-        help="worker processes for the layer search "
-        "(default: $REPRO_JOBS, then serial; 0 = all cores)",
-    )
-    map_cmd.add_argument(
         "--cache-dir",
         help="persist the mapping cache under this directory "
         "(default: $REPRO_CACHE_DIR, else memory-only)",
@@ -975,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--resolution", type=int, default=224)
     profile_cmd.add_argument(
         "--profile", choices=[p.value for p in SearchProfile], default="fast"
-    )
-    profile_cmd.add_argument(
-        "--jobs", type=_parse_jobs, default=None,
-        help="worker processes for the layer search "
-        "(default: $REPRO_JOBS, then serial; 0 = all cores)",
     )
     profile_cmd.add_argument(
         "--simulate", action="store_true",

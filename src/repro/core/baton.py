@@ -87,22 +87,17 @@ class NNBaton:
     tech: TechnologyParams = DEFAULT_TECHNOLOGY
     profile: SearchProfile = SearchProfile.EXHAUSTIVE
 
-    def post_design(
-        self,
-        layers: list[ConvLayer],
-        hw: HardwareConfig,
-        jobs: int | None = None,
-    ) -> PostDesignResult:
-        """Map every layer of a model onto a fixed hardware configuration.
+    def post_design(self, layers: list[ConvLayer], hw: HardwareConfig) -> PostDesignResult:
+        """Map every layer of a model onto a fixed hardware configuration,
+        in this process (:meth:`Mapper.search_model`; ``REPRO_JOBS`` sets
+        sweep workers only).
 
         Args:
             layers: The model's layers.
             hw: The machine to map onto.
-            jobs: Worker processes for the layer search (``None`` defers to
-                ``REPRO_JOBS``, then serial).
         """
         mapper = Mapper(hw=hw, profile=self.profile)
-        results = mapper.search_model(layers, jobs=jobs)
+        results = mapper.search_model(layers)
         energy, cycles, edp = model_cost([r.best for r in results], hw)
         return PostDesignResult(
             hw=hw,

@@ -10,20 +10,20 @@ Layers with identical shape share a mapping, so models with repeated blocks
 (ResNet-50's bottlenecks) search each unique shape once.  The sharing is
 backed by :class:`repro.core.cache.MappingCache`, which callers can inject
 to reuse results across ``Mapper`` instances and (with a disk store) across
-runs; unique shapes can also fan out over worker processes
-(:mod:`repro.core.parallel`) via ``search_model(jobs=N)``.
+runs.
 
-Serially, a model's uncached shapes are grouped by candidate-set key, so
-the shapes that share an output cube and a Cc0 tile share one table build,
-and scored in *packs*: consecutive small candidate tables concatenated up
-to :data:`PACK_ROWS` rows and scored by one batch-kernel call, which
-returns each winner's values as a :class:`~repro.core.batch.Winner`
-record.  A result builds its layer's full report only when something
-reads :attr:`LayerMappingResult.best`; a sweep sums each model's energy
-and cycles from the records.  A sweep can also hand its mappers one
-:class:`SharedTables`, so the machines that give a layer one candidate set
-build its table once, and the machines that serve a pack again only score
-its held C3P columns against their buffer sizes.
+A map runs in one process; only a sweep fans out, over its design points
+(:mod:`repro.core.parallel`).  A model's uncached shapes are grouped by
+candidate-set key, so the shapes that share an output cube and a Cc0 tile
+share one table build, and scored in *packs*: consecutive small candidate
+tables concatenated up to :data:`PACK_ROWS` rows and scored by one
+batch-kernel call, which returns each winner's values as a
+:class:`~repro.core.batch.Winner` record.  A result builds its layer's full
+report only when something reads :attr:`LayerMappingResult.best`; a sweep
+sums each model's energy and cycles from the records.  A sweep can also
+hand its mappers one :class:`SharedTables`, so the machines that give a
+layer one candidate set build its table once, and the machines that serve
+a pack again only score its held C3P columns against their buffer sizes.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ from repro.core import batch
 from repro.core.cache import MappingCache, cache_key, rebuild_record, shape_text
 from repro.core.cost import CostReport, InvalidMappingError, evaluate_mapping
 from repro.core.mapping import Mapping
-from repro.core.parallel import (
-    TaskFailure,
-    TaskPolicy,
-    resolve_jobs,
-    run_tasks,
-    worker_context,
-)
 from repro.core.serialize import hardware_digest, mapping_to_dict
 from repro.core.space import CandidateTable, MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
@@ -245,17 +238,6 @@ class SharedTables:
             self._columns[tables, shapes, hw.package, hw.tech] = (pack, columns)
 
 
-def _search_layer_task(layer: ConvLayer) -> _Search:
-    """Worker: search one layer with the context's (hw, profile, objective).
-
-    Runs in a pool process and bypasses the cache entirely: the parent's
-    serial pass does the lookups, stores the result and counts the search.
-    """
-    hw, profile, objective = worker_context()
-    mapper = Mapper(hw=hw, profile=profile, objective=objective, cache=MappingCache())
-    return mapper._search_fresh(layer)
-
-
 @dataclass
 class Mapper:
     """Exhaustive per-layer mapping search on one hardware instance.
@@ -268,8 +250,6 @@ class Mapper:
             under the function's name, so no other callable is accepted.
         cache: Mapping cache; injected instances are shared across mappers,
             the default honours ``REPRO_CACHE_DIR`` for an on-disk store.
-        jobs: Default worker count for :meth:`search_model` (``None`` defers
-            to ``REPRO_JOBS``, then serial).
         tables: Candidate tables shared with other mappers of a sweep
             (``None``: build each table and drop it once scored).
     """
@@ -278,7 +258,6 @@ class Mapper:
     profile: SearchProfile = SearchProfile.EXHAUSTIVE
     objective: Objective = field(default=energy_objective)
     cache: MappingCache | None = None
-    jobs: int | None = None
     tables: SharedTables | None = None
 
     def __post_init__(self) -> None:
@@ -348,14 +327,19 @@ class Mapper:
         self, layer: ConvLayer, key: str, searched: dict[str, _Search]
     ) -> LayerMappingResult:
         """Look ``layer`` up under ``key``; on a miss, take its search from
-        ``searched`` (by cache key) or search afresh, and count it."""
+        ``searched`` (by cache key) or search afresh, and count it.
+
+        A miss searches afresh when nothing searched it ahead: under
+        :meth:`search_layer`, with the kernel off, or for a disk record
+        that ``cache.contains`` reported but that no longer rebuilds.
+        """
         cached = self.cache.get(key, rebuild=lambda rec: self._rebuild(rec, layer))
         if cached is not None:
             return self._relabel(cached, layer)
 
         found = searched.get(key)
         if found is None:
-            found = self._search_fresh(layer)
+            found = self._search([layer])[0]
         obs.count("mapper.candidates.evaluated", found.evaluated)
         obs.count("mapper.candidates.invalid", found.invalid)
         obs.count("mapper.searches.fresh")
@@ -387,10 +371,6 @@ class Mapper:
             },
         )
         return result
-
-    def _search_fresh(self, layer: ConvLayer) -> _Search:
-        """The exhaustive candidate scan of one layer (cache-oblivious)."""
-        return self._search([layer])[0]
 
     def _search(self, layers: list[ConvLayer]) -> list[_Search]:
         """Fresh searches of distinct layer shapes, in order (cache-oblivious).
@@ -555,63 +535,34 @@ class Mapper:
             first.setdefault(key, layer)
         return {key: layer for key, layer in first.items() if not self.cache.contains(key)}
 
-    def _prefetch(
-        self, pending: dict[str, ConvLayer], jobs: int, policy: TaskPolicy | None = None
-    ) -> dict[str, _Search]:
-        """Search the pending shapes in parallel, keyed by cache key.
-
-        The workers search without a cache; the serial per-layer pass then
-        looks every layer up exactly as at ``jobs=1`` and takes a miss's
-        search from here, so the counters are jobs-invariant.  Returns
-        nothing to reuse (the serial pass searches in-process) when fewer
-        than two shapes are pending; a shape whose task failed under
-        ``policy.on_error="skip"`` is left out the same way.
-        """
-        if len(pending) < 2:
-            return {}
-        results = run_tasks(
-            _search_layer_task,
-            list(pending.values()),
-            jobs=jobs,
-            context=(self.hw, self.profile, self.objective),
-            policy=policy,
-        )
-        return {
-            key: result
-            for key, result in zip(pending, results)
-            if not isinstance(result, TaskFailure)
-        }
-
     def search_model(
-        self,
-        layers: list[ConvLayer],
-        jobs: int | None = None,
-        policy: TaskPolicy | None = None,
+        self, layers: list[ConvLayer], jobs: int | None = None
     ) -> list[LayerMappingResult]:
-        """Optimal mapping for every layer of a model.
+        """Optimal mapping for every layer of a model, in this process.
 
-        The uncached unique shapes are found first and searched before the
-        lookups: in packs at ``jobs=1`` (with the kernel on), or fanned out
-        over worker processes.  The lookups then take each miss's search
-        and count it.
+        The uncached unique shapes are found first and searched in packs
+        (:meth:`_search`) before the lookups, which take each miss's search
+        and count it; with the kernel off, each miss runs the scalar oracle
+        as it is looked up.
 
         Args:
             layers: The model's layers (non-empty).
-            jobs: Worker count for the unique-shape fan-out; ``None`` defers
-                to the mapper default, then ``REPRO_JOBS``, then serial.
-                Results are bit-identical at every worker count.
-            policy: Timeout/retry contract for the parallel prefetch; a
-                prefetch failure degrades to an in-process re-search.
+            jobs: ``None`` or ``1``.  A map has no worker fan-out; the
+                keyword stays only because the repository benchmark
+                (``perfbench/``) still passes ``jobs=1``, and any other value
+                is refused rather than run serially without a word.
+
+        Raises:
+            ValueError: On empty ``layers`` or another ``jobs`` value.
         """
         if not layers:
             raise ValueError("layers must be non-empty")
-        effective = resolve_jobs(jobs if jobs is not None else self.jobs)
+        if jobs not in (None, 1):
+            raise ValueError(f"a map runs in one process: jobs must be None or 1, got {jobs!r}")
         keys = [self._key(layer) for layer in layers]
-        with obs.span("mapper.search_model", layers=len(layers), jobs=effective):
+        with obs.span("mapper.search_model", layers=len(layers)):
             pending = self._pending(layers, keys)
-            if effective > 1:
-                searched = self._prefetch(pending, effective, policy)
-            elif batch.batch_kernel_enabled():
+            if batch.batch_kernel_enabled():
                 searched = dict(zip(pending, self._search(list(pending.values()))))
             else:
                 searched = {}  # each miss runs the scalar oracle as it is looked up
@@ -628,8 +579,7 @@ def map_model(
     hw: HardwareConfig,
     profile: SearchProfile = SearchProfile.EXHAUSTIVE,
     objective: Objective = energy_objective,
-    jobs: int | None = None,
 ) -> list[LayerMappingResult]:
     """Convenience wrapper: search every layer of ``layers`` on ``hw``."""
     mapper = Mapper(hw=hw, profile=profile, objective=objective)
-    return mapper.search_model(layers, jobs=jobs)
+    return mapper.search_model(layers)

@@ -1,11 +1,14 @@
 """Fault-tolerant parallel execution for the sweep-scale search paths.
 
-The DSE sweeps are embarrassingly parallel across design points, and a
-model's mapping search is embarrassingly parallel across unique layer
-shapes.  This module provides the one fan-out primitive both reuse:
+The DSE sweeps are embarrassingly parallel across design points: the sweep
+driver (:func:`repro.core.search.run_search`) hands each worker a share of
+the points, and each point maps its models serially in that worker, as a
+single map always runs in one process.  This module provides the fan-out
+primitive the driver uses:
 
 * :func:`resolve_jobs` -- worker-count policy (explicit argument, then the
-  ``REPRO_JOBS`` environment variable, then serial).
+  ``REPRO_JOBS`` environment variable, then serial); a malformed
+  ``REPRO_JOBS`` is a :class:`~repro.errors.ConfigError`.
 * :func:`run_tasks` -- order-preserving map over a
   :class:`~concurrent.futures.ProcessPoolExecutor`, with a **serial
   fallback at ``jobs=1``** that runs in-process so results stay
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.obs.metrics import MetricsRegistry
 
 #: Environment variable supplying the default worker count.
@@ -116,7 +119,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
             serial default), ``0`` means "all cores".
 
     Raises:
-        ValueError: On a negative request (here or in the environment).
+        ConfigError: When ``REPRO_JOBS`` supplies the count and is not a
+            non-negative integer.
+        ValueError: On a negative ``jobs`` argument.
     """
     if jobs is None:
         raw = os.environ.get(JOBS_ENV, "").strip()
@@ -124,8 +129,10 @@ def resolve_jobs(jobs: int | None = None) -> int:
             return 1
         try:
             jobs = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{JOBS_ENV} must be an integer, got {raw!r}") from exc
+        except ValueError:
+            raise ConfigError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
+        if jobs < 0:
+            raise ConfigError(f"{JOBS_ENV} must be >= 0, got {jobs}")
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:

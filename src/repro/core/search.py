@@ -211,9 +211,8 @@ def _evaluate_point(
 
     Returns the per-model energy and cycle dicts plus the mapping-cache
     (hits, misses) counters of the point's search.  The layer search runs
-    serially (``jobs=1``): sweep-level parallelism fans out across design
-    points, and nesting pools inside pool workers is never a win.
-    ``tables`` shares candidate tables with the sweep's other points.
+    in this process, as every map does: the sweep fans out across design
+    points.  ``tables`` shares candidate tables with the sweep's other points.
     Each model's totals are summed from its layers' winner records
     (:attr:`~repro.core.mapper.LayerMappingResult.winner`), so a point
     builds no per-layer report.
@@ -222,7 +221,7 @@ def _evaluate_point(
     cycles: dict[str, int] = {}
     mapper = Mapper(hw=hw, profile=profile, tables=tables)
     for name, layers in models.items():
-        results = mapper.search_model(layers, jobs=1)
+        results = mapper.search_model(layers)
         breakdown, total_cycles, _ = model_cost([r.winner for r in results], hw)
         energy[name] = breakdown.total_pj
         cycles[name] = total_cycles

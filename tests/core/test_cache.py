@@ -130,9 +130,7 @@ class TestInMemoryCache:
         hw = case_study_hardware()
         layers = resnet50(resolution=224)
         unique_shapes = len({_shape_key(l) for l in layers})
-        Mapper(hw=hw, profile=SearchProfile.MINIMAL, cache=cache).search_model(
-            layers, jobs=1
-        )
+        Mapper(hw=hw, profile=SearchProfile.MINIMAL, cache=cache).search_model(layers)
         assert cache.misses == unique_shapes
         assert cache.hits == len(layers) - unique_shapes
 

@@ -68,6 +68,26 @@ class TestSearchModel:
         with pytest.raises(ValueError):
             mapper.search_model([])
 
+    @pytest.mark.parametrize("jobs", [2, 0])
+    def test_worker_count_refused(self, mapper, jobs):
+        with pytest.raises(ValueError, match="one process"):
+            mapper.search_model([common_layer()], jobs=jobs)
+
+    def test_jobs_one_is_the_default_search(self):
+        layers = [common_layer("a"), common_layer("b")]
+
+        def answers(**kwargs):
+            mapper = Mapper(
+                hw=case_study_hardware(), profile=SearchProfile.MINIMAL, cache=MappingCache()
+            )
+            return [
+                (r.layer.name, r.mapping, r.candidates_evaluated, r.candidates_invalid)
+                + (r.best.energy_pj,)
+                for r in mapper.search_model(layers, **kwargs)
+            ]
+
+        assert answers(jobs=1) == answers()
+
     def test_map_model_wrapper(self):
         results = map_model(
             [common_layer()], case_study_hardware(), profile=SearchProfile.MINIMAL

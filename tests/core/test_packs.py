@@ -81,7 +81,7 @@ class TestPackedSearch:
         layers = get_model(model)
         hw = case_study_hardware()
         packed, packed_metrics = run(
-            lambda: Mapper(hw=hw, profile=profile).search_model(layers, jobs=1)
+            lambda: Mapper(hw=hw, profile=profile).search_model(layers)
         )
         single, single_metrics = run(lambda: layer_by_layer(hw, profile, layers))
         assert summary(packed) == summary(single)
@@ -99,9 +99,7 @@ class TestPackedSearch:
 
         monkeypatch.setattr(batch, "search_batch", counting)
         layers = get_model("resnet50")
-        Mapper(hw=case_study_hardware(), profile=SearchProfile.MINIMAL).search_model(
-            layers, jobs=1
-        )
+        Mapper(hw=case_study_hardware(), profile=SearchProfile.MINIMAL).search_model(layers)
         shapes = len({(l.h, l.w, l.ci, l.co, l.kh, l.kw, l.stride, l.padding) for l in layers})
         assert len(calls) < shapes / 4
         assert max(calls) <= PACK_ROWS
@@ -121,7 +119,7 @@ class TestPackedSearch:
         layers = get_model("resnet50")
         hw = case_study_hardware()
         packed, packed_metrics = run(
-            lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers, jobs=1)
+            lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers)
         )
         space = MappingSpace(hw, SearchProfile.FAST)
         keys = list(dict.fromkeys(space.candidate_set_key(layer) for layer in layers))
@@ -152,7 +150,7 @@ class TestPackedSearch:
 
         monkeypatch.setattr(MappingSpace, "unique_candidates", tracking)
         Mapper(hw=case_study_hardware(), profile=SearchProfile.EXHAUSTIVE).search_model(
-            get_model("resnet50"), jobs=1
+            get_model("resnet50")
         )
         assert len(big) > 1
         assert alive == [0] * len(alive)
@@ -182,7 +180,7 @@ class TestPackedSearch:
                 for i in (1, 2, 3)]
         layers = [fine[0], impossible, fine[1], fine[2]]
         packed, packed_metrics = run(
-            lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers, jobs=1)
+            lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers)
         )
 
         def until_failure():
@@ -234,7 +232,7 @@ class TestSharedTables:
         machines = sweep_machines()
         tables = SharedTables()
         shared, shared_metrics = run(lambda: [
-            Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers, jobs=1)
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers)
             for hw in machines
         ])
         first, _, last = (MappingSpace(hw, SearchProfile.MINIMAL) for hw in machines)
@@ -248,7 +246,7 @@ class TestSharedTables:
         ]
         builds.clear()
         fresh, fresh_metrics = run(lambda: [
-            Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers)
             for hw in machines
         ])
         assert builds == [(hw.memory.a_l1_bytes, name) for hw in machines for name in built]
@@ -387,7 +385,7 @@ class TestHeldColumns:
         layers = get_model("alexnet")
         tables = SharedTables()
         shared, shared_metrics = run(lambda: [
-            Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers, jobs=1)
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL, tables=tables).search_model(layers)
             for hw in machines
         ])
         # AlexNet's eight layers make one pack, over six tables (conv3/conv4
@@ -396,7 +394,7 @@ class TestHeldColumns:
         # five visits after that only score.
         assert held == [False] * 4 + [True] * 5
         fresh, fresh_metrics = run(lambda: [
-            Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers, jobs=1)
+            Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_model(layers)
             for hw in machines
         ])
         assert [summary(r) for r in shared] == [summary(r) for r in fresh]

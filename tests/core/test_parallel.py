@@ -1,17 +1,20 @@
 """The parallel executor layer: jobs policy, fan-out, and determinism.
 
-The acceptance bar for the parallel search engine is bit-identical results
-at every worker count -- ``jobs=N`` must return exactly what the serial
-``jobs=1`` path returns, for both the layer search and the DSE sweeps.
+The acceptance bar for the parallel sweeps is bit-identical results at
+every worker count -- ``jobs=N`` must return exactly what the serial
+``jobs=1`` path returns, for ``explore()`` and the Figure 14 granularity
+study.  A map has no fan-out: ``REPRO_JOBS`` starts no pool under it.
 """
 
 import pytest
 
 from repro import obs
 from repro.arch.config import case_study_hardware
+from repro.core import parallel
+from repro.core.baton import NNBaton
 from repro.core.cache import MappingCache
 from repro.core.dse import DesignSpace, explore, granularity_study
-from repro.core.mapper import Mapper
+from repro.core.mapper import Mapper, map_model
 from repro.core.parallel import (
     JOBS_ENV,
     SweepStats,
@@ -21,6 +24,7 @@ from repro.core.parallel import (
     run_tasks,
 )
 from repro.core.space import SearchProfile
+from repro.errors import ConfigError
 from repro.workloads.models import alexnet
 
 #: A deliberately tiny Table II subspace so sweeps stay test-fast.
@@ -76,12 +80,18 @@ class TestResolveJobs:
         assert resolve_jobs(0) >= 1
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             resolve_jobs(-1)
+        assert not isinstance(excinfo.value, ConfigError)  # a caller bug, not a knob
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=JOBS_ENV):
+            resolve_jobs(None)
+
+    def test_negative_env_rejected(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "-1")
+        with pytest.raises(ConfigError, match=JOBS_ENV):
             resolve_jobs(None)
 
 
@@ -123,26 +133,50 @@ class TestSweepStats:
         assert SweepStats(obs.MetricsRecorder().metrics).points_per_sec == 0.0
 
 
-class TestSearchDeterminism:
-    """jobs=1 and jobs=N produce bit-identical rankings and costs."""
+class TestMapsRunInOneProcess:
+    """``REPRO_JOBS`` sets sweep workers only: no map starts a pool."""
 
-    def test_search_model_parallel_matches_serial(self):
+    @staticmethod
+    def _maps():
         hw = case_study_hardware()
         layers = alexnet(resolution=224)
-        serial = Mapper(
-            hw=hw, profile=SearchProfile.MINIMAL, cache=MappingCache()
-        ).search_model(layers, jobs=1)
-        parallel = Mapper(
-            hw=hw, profile=SearchProfile.MINIMAL, cache=MappingCache()
-        ).search_model(layers, jobs=2)
-        assert [r.layer.name for r in serial] == [r.layer.name for r in parallel]
-        assert [r.best.energy_pj for r in serial] == [
-            r.best.energy_pj for r in parallel
+        profile = SearchProfile.MINIMAL
+        mapper = Mapper(hw=hw, profile=profile, cache=MappingCache())
+        return {
+            "post_design": NNBaton(profile=profile).post_design(layers, hw).layers,
+            "map_model": map_model(layers, hw, profile=profile),
+            "search_model": mapper.search_model(layers),
+        }
+
+    @staticmethod
+    def _answers(results):
+        return [
+            (r.layer.name, r.mapping, r.candidates_evaluated, r.candidates_invalid)
+            + (r.best.energy_pj,)
+            for r in results
         ]
-        assert [r.mapping for r in serial] == [r.mapping for r in parallel]
-        assert [r.candidates_evaluated for r in serial] == [
-            r.candidates_evaluated for r in parallel
-        ]
+
+    def test_repro_jobs_starts_no_pool_and_changes_no_answer(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        unset = self._maps()
+        pools = []
+
+        class SpyPool(parallel.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setenv(JOBS_ENV, "2")
+        set_to_two = self._maps()
+        assert pools == []
+        for entry, results in unset.items():
+            assert self._answers(set_to_two[entry]) == self._answers(results), entry
+
+
+class TestSearchDeterminism:
+    """jobs=1 and jobs=N produce bit-identical rankings and costs."""
 
     def test_explore_parallel_matches_serial(self):
         models = small_models()

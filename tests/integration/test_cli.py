@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,35 @@ class TestCommands:
             "activations",
             "weights",
         )
+
+    def test_map_cache_lines_match_the_counters(self, tmp_path, monkeypatch, capsys):
+        # The run summary's line and the cache's own describe() line both
+        # report the exported cache.hits/cache.misses: ResNet-50's 54 layers
+        # hold 21 unique shapes.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        metrics_path = tmp_path / "metrics.json"
+        argv = ["map", "resnet50", "--profile", "minimal", "--metrics-out", str(metrics_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        counters = json.loads(metrics_path.read_text())["counters"]
+        exported = (counters["cache.hits"], counters["cache.misses"])
+        assert exported == (33, 21)
+        lines = [
+            line for line in out.splitlines() if line.strip().lower().startswith("mapping cache:")
+        ]
+        assert len(lines) == 2
+        for line in lines:
+            counts = re.search(r"(\d+) hits .*/ (\d+) misses", line)
+            assert (int(counts[1]), int(counts[2])) == exported, line
+        search_line = next(line for line in out.splitlines() if line.startswith("Search:"))
+        assert search_line.endswith("1 job)")
+
+    @pytest.mark.parametrize("command", ["map", "profile"])
+    def test_map_flows_refuse_jobs(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "alexnet", "--profile", "minimal", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_compare(self, capsys):
         assert main(["compare", "alexnet", "--profile", "minimal"]) == 0
@@ -626,6 +656,15 @@ class TestBenchCLI:
 
 class TestTaxonomyExitCodes:
     """The taxonomy -> exit-code mapping, through the single main() handler."""
+
+    @pytest.mark.parametrize("value", ["garbage", "-1"])
+    def test_config_error_bad_repro_jobs_exits_3(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        argv = ["explore", "--macs", "32", "--models", "alexnet", "--profile", "minimal"]
+        assert main(argv + ["--stride", "997"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error [config]: REPRO_JOBS")
+        assert "Traceback" not in err
 
     def test_data_error_model_file_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "model.json"

@@ -403,7 +403,7 @@ class TestPacks:
         for layers in ([small, huge], [small], [huge]):
             recorder = obs.MetricsRecorder()
             with obs.use(recorder):
-                results = Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers, jobs=1)
+                results = Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers)
             runs.append((results, recorder.metrics.counters()))
         (both, both_counts), (alone_small, small_counts), (alone_huge, huge_counts) = runs
         assert [r.mapping for r in both] == [alone_small[0].mapping, alone_huge[0].mapping]
