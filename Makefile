@@ -214,11 +214,9 @@ guided:
 # EXHAUSTIVE ResNet-50 map and a FAST MobileNetV2 map (dense and depthwise
 # packs) must give byte-identical JSON (winner, energy, cycles, EDP), and
 # so must a transformer sweep, so GEMM-shaped candidate spaces are held to
-# the identical contract.  The EXHAUSTIVE ResNet-50 map also runs in
-# REPRO_BATCH_MAX_BYTES chunks of 980 rows, which split its 8-row tiles,
-# and must match the one-shot map byte for byte; and twice into one
-# --cache-dir, cold and then with every shape rebuilt from disk, where
-# both payloads must match the cache-less map: the disk records are
+# the identical contract.  The EXHAUSTIVE ResNet-50 map also runs twice
+# into one --cache-dir, cold and then with every shape rebuilt from disk,
+# where both payloads must match the cache-less map: the disk records are
 # written from mappings read off the kernel's winner records, whose
 # reports are built only on demand.  The map legs compare the winners'
 # reports only through the model totals, because `repro map --json`
@@ -249,11 +247,6 @@ batch-parity:
 		--profile exhaustive --json "$$tmp/map-scalar.json" >/dev/null && \
 	cmp "$$tmp/map-batch.json" "$$tmp/map-scalar.json" && \
 	echo "candidate tables, one per output cube and Cc0 tile (21 shapes, 10 tables), + batch kernel byte-identical to the scalar oracle (EXHAUSTIVE ResNet-50 map)" && \
-	REPRO_BATCH_KERNEL=1 REPRO_BATCH_MAX_BYTES=1003520 \
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
-		--profile exhaustive --json "$$tmp/map-chunked.json" >/dev/null && \
-	cmp "$$tmp/map-chunked.json" "$$tmp/map-batch.json" && \
-	echo "980-row chunks, which split the 8-row tiles, byte-identical to the one-shot map (EXHAUSTIVE ResNet-50)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
 		--profile exhaustive --cache-dir "$$tmp/cache" --json "$$tmp/map-cold.json" >/dev/null && \
@@ -291,13 +284,7 @@ batch-parity:
 		--macs 512 --models bert_base --profile minimal \
 		--stride 997 --jobs 4 --json "$$tmp/bert-scalar.json" >/dev/null && \
 	cmp "$$tmp/bert-batch.json" "$$tmp/bert-scalar.json" && \
-	echo "batch kernel byte-identical on the transformer sweep (bert_base)" && \
-	REPRO_BATCH_KERNEL=1 REPRO_BATCH_MAX_BYTES=16384 \
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
-		--macs 512 --models bert_base --profile minimal \
-		--stride 997 --jobs 4 --json "$$tmp/bert-chunked.json" >/dev/null && \
-	cmp "$$tmp/bert-chunked.json" "$$tmp/bert-batch.json" && \
-	echo "chunked batch kernel (REPRO_BATCH_MAX_BYTES) byte-identical to one-shot"
+	echo "batch kernel byte-identical on the transformer sweep (bert_base)"
 
 # Every bench, including the four that do not use the pytest-benchmark
 # fixture (batch kernel, obs overhead and both transformer benches), which

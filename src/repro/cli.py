@@ -306,11 +306,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
     # (exit 2) naming the flags.
     guided = args.strategy == "guided"
     stride = args.stride if args.stride is not None else (1 if guided else 8)
+    # The environment's checkpoint directory reaches exhaustive sweeps only:
+    # a guided search persists through its --study file.
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and (
         args.checkpoint
         or args.resume
-        or os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
+        or (not guided and os.environ.get(CHECKPOINT_DIR_ENV, "").strip())
     ):
         checkpoint_dir = SweepCheckpoint.resolve_dir(None)
     meter = None

@@ -81,21 +81,11 @@ from repro.core.loopnest import mac_utilization
 from repro.core.mapping import Mapping
 from repro.core.space import TILE_COLUMNS, VARIANT_COLUMNS, CandidateTable, row_mapping
 from repro.core.traffic import TrafficReport
-from repro.errors import ConfigError, ResourceExhaustedError
+from repro.errors import ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
 
 #: Environment switch; default on, ``0/false/off/no`` disables.
 BATCH_KERNEL_ENV = "REPRO_BATCH_KERNEL"
-
-#: Environment variable capping the kernel's working-set size (bytes).
-#: When set, candidate tables are evaluated in chunks small enough to fit;
-#: the chunked winner scan is bit-identical to the single-shot one.
-BATCH_MAX_BYTES_ENV = "REPRO_BATCH_MAX_BYTES"
-
-#: Estimated peak bytes one candidate row costs across the kernel's
-#: intermediate and result columns (~60 float64/int64 arrays plus numpy
-#: overhead); deliberately generous so the cap errs toward smaller chunks.
-_BATCH_BYTES_PER_CANDIDATE = 1024
 
 #: int64 magnitude guard: products whose float64 estimate clears this bound
 #: may have lost exactness (or wrapped), so the batch aborts to scalar.
@@ -110,32 +100,6 @@ class BatchOverflowError(ResourceExhaustedError, OverflowError):
     ``resource-exhausted``, exit 6) -- though callers normally absorb it
     by falling back to the arbitrary-precision scalar path.
     """
-
-
-def batch_chunk_candidates() -> int | None:
-    """The per-chunk candidate cap from ``REPRO_BATCH_MAX_BYTES``.
-
-    ``None`` when unset (evaluate every candidate in one shot).  The byte
-    budget divides by :data:`_BATCH_BYTES_PER_CANDIDATE`, floored at one
-    candidate per chunk so a tiny budget degrades to scalar-like batching
-    instead of failing.
-
-    Raises:
-        ConfigError: When the variable is set to anything but a
-            non-negative integer.
-    """
-    raw = os.environ.get(BATCH_MAX_BYTES_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{BATCH_MAX_BYTES_ENV} must be a byte count, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigError(f"{BATCH_MAX_BYTES_ENV} must be >= 0, got {value}")
-    return max(1, value // _BATCH_BYTES_PER_CANDIDATE)
 
 
 def batch_kernel_enabled() -> bool:
@@ -361,18 +325,16 @@ class BatchSearchOutcome:
     of segment ``s``'s winner and ``records[s]`` its :class:`Winner`
     (both ``None`` when none of its candidates is valid);
     ``segment_evaluated`` and ``segment_invalid`` count its valid and
-    invalid candidates.  ``chunks`` is the number of kernel passes the
-    table took, and ``columns`` the :class:`C3PColumns` a one-chunk call
-    scored (``None`` after several chunks), for the caller to hold; both
-    are left out of ``==``, since neither changes an answer.
+    invalid candidates.  ``columns`` are the :class:`C3PColumns` the call
+    scored, for the caller to hold; they are left out of ``==``, since
+    they change no answer.
     """
 
     winners: tuple[int | None, ...]
     segment_evaluated: tuple[int, ...]
     segment_invalid: tuple[int, ...]
     records: tuple[Winner | None, ...]
-    chunks: int = field(default=1, compare=False)
-    columns: C3PColumns | None = field(default=None, compare=False, repr=False)
+    columns: C3PColumns = field(compare=False, repr=False)
 
     @property
     def reports(self) -> tuple[CostReport | None, ...]:
@@ -1000,71 +962,51 @@ def search_batch(
     int64 exactness guard tripping on any row) -- callers then run the
     scalar loop, for a pack one segment at a time.
 
-    A segment's winner is its first row of minimum masked score: the first
-    row per segment of a stable sort by (segment, score), or ``np.argmin``
-    on one layer's table.  Each chunk copies the winners it improved out
-    of its result in one :func:`gather_winners` call, so no chunk's
-    columns outlive it and no report is built here.  The table is evaluated in
-    chunks of :func:`batch_chunk_candidates` rows (one chunk when
-    ``REPRO_BATCH_MAX_BYTES`` is unset).  Chunking cannot change any
-    per-candidate value (every output row of :func:`evaluate_batch` is an
-    elementwise function of that row alone), and the cross-chunk winner
-    scan uses the same strict-``<`` update as the scalar loop, so the
-    first-in-enumeration winner -- and therefore the whole sweep output --
-    is byte-identical at every chunk size.
+    Every row is scored in one pass.  A segment's winner is its first row
+    of minimum masked score: ``np.argmin`` on one layer's table, the first
+    row per segment of a stable sort by (segment, score) on a pack
+    (:func:`segment_minima`).  That is the first-in-enumeration winner the
+    scalar strict-``<`` scan keeps on exact ties.  The winners are copied
+    out of the result in one :func:`gather_winners` call, so the records
+    keep no column and no report is built here.
 
-    ``columns`` are :class:`C3PColumns` an earlier one-chunk call computed
-    for a table with these rows and segments, on layers of these shapes
-    and a machine with ``hw``'s package and technology: the call then only
-    scores them (:func:`score_columns`).  A table that takes several
-    chunks ignores them.  The outcome carries the columns a one-chunk call
-    scored.
+    ``columns`` are :class:`C3PColumns` an earlier call computed for a
+    table with these rows and segments, on layers of these shapes and a
+    machine with ``hw``'s package and technology: the call then only
+    scores them (:func:`score_columns`).  The outcome carries the columns
+    the call scored.
     """
     scorer = BATCH_OBJECTIVES[objective]
     if not candidates:
         return None
-    members = [layers] if candidates.segment is None else list(layers)
-    segments = len(members)
-    best = np.full(segments, np.inf)
-    evaluated = np.zeros(segments, dtype=np.int64)
-    rows = np.zeros(segments, dtype=np.int64)
-    # Each segment's current winner: its table row and its record.
-    winners: list[int | None] = [None] * segments
-    records: list[Winner | None] = [None] * segments
-    chunk = batch_chunk_candidates() or len(candidates)
-    if chunk < len(candidates):
-        columns = None
-    n_chunks = 0
-    for start in range(0, len(candidates), chunk):
-        part = candidates[start : start + chunk]
+    if columns is None:
         try:
-            part_columns = c3p_columns(layers, hw, part) if columns is None else columns
+            columns = c3p_columns(layers, hw, candidates)
         except BatchOverflowError:
             return None
-        result = score_columns(part_columns, hw, part)
-        n_chunks += 1
-        masked = np.where(result.valid, result.scores(scorer), np.inf)
-        if part.segment is None:
-            segment = np.zeros(len(part), dtype=np.int64)
-            heads, firsts = segment[:1], np.array([np.argmin(masked)])
-        else:
-            segment = part.segment
-            heads, firsts = segment_minima(masked, segment)
-        score = masked[firsts]
-        better = score < best[heads]  # strict <: ties keep the earlier chunk's winner
-        best[heads[better]] = score[better]
-        improved, found = heads[better].tolist(), firsts[better]
-        gathered = gather_winners(result, found, [members[head] for head in improved], hw)
-        for head, first, record in zip(improved, found.tolist(), gathered):
-            winners[head] = start + first
-            records[head] = record
-        evaluated += np.bincount(segment[result.valid], minlength=segments)
-        rows += np.bincount(segment, minlength=segments)
+    result = score_columns(columns, hw, candidates)
+    masked = np.where(result.valid, result.scores(scorer), np.inf)
+    members = [layers] if candidates.segment is None else list(layers)
+    if candidates.segment is None:
+        segment = np.zeros(len(candidates), dtype=np.int64)
+        heads, firsts = segment[:1], np.array([np.argmin(masked)])
+    else:
+        segment = candidates.segment
+        heads, firsts = segment_minima(masked, segment)
+    found = masked[firsts] < np.inf  # a segment with no valid row has no winner
+    heads, firsts = heads[found].tolist(), firsts[found]
+    winners: list[int | None] = [None] * len(members)
+    records: list[Winner | None] = [None] * len(members)
+    gathered = gather_winners(result, firsts, [members[head] for head in heads], hw)
+    for head, first, record in zip(heads, firsts.tolist(), gathered):
+        winners[head] = first
+        records[head] = record
+    evaluated = np.bincount(segment[result.valid], minlength=len(members))
+    rows = np.bincount(segment, minlength=len(members))
     return BatchSearchOutcome(
         winners=tuple(winners),
         segment_evaluated=tuple(evaluated.tolist()),
         segment_invalid=tuple((rows - evaluated).tolist()),
         records=tuple(records),
-        chunks=n_chunks,
-        columns=part_columns if n_chunks == 1 else None,
+        columns=columns,
     )

@@ -135,8 +135,6 @@ class _Search:
         rows: Table rows the batch kernel scored (``None`` on the scalar path).
         deduped: Congruent candidates the layer's table dropped (0 when the
             scalar enumeration counted its own dedup).
-        chunks: Kernel passes of the call that scored the layer (a pack
-            never exceeds one chunk; 0 on the scalar path).
         ms: The layer's search time: its table build plus its row share of
             the kernel call (or the whole scalar scan).
     """
@@ -146,7 +144,6 @@ class _Search:
     invalid: int
     rows: int | None
     deduped: int
-    chunks: int
     ms: float
 
 
@@ -229,12 +226,11 @@ class SharedTables:
         shapes: tuple[tuple, ...],
         hw: HardwareConfig,
         pack: CandidateTable,
-        columns: batch.C3PColumns | None,
+        columns: batch.C3PColumns,
     ) -> None:
         """Hold ``pack`` (``tables`` concatenated, or the one table) and its
-        ``columns`` if every one of ``tables`` was served again (``None``,
-        from a chunked call, holds nothing)."""
-        if columns is not None and all(table in self._served for table in tables):
+        ``columns`` if every one of ``tables`` was served again."""
+        if all(table in self._served for table in tables):
             self._columns[tables, shapes, hw.package, hw.tech] = (pack, columns)
 
 
@@ -347,8 +343,6 @@ class Mapper:
         if found.rows is not None:
             obs.count("mapper.batch.searches")
             obs.count("mapper.batch.candidates", found.rows)
-        if found.chunks > 1:
-            obs.count("mapper.batch.chunks", found.chunks)
         if found.deduped:
             obs.count("space.candidates.deduped", found.deduped)
         if found.winner is None:
@@ -384,8 +378,7 @@ class Mapper:
         :attr:`tables`) once, its build time charged to the group's first
         layer: shapes of one output cube that differ in input channels,
         kernel, stride, padding or groups share it when their Cc0 tiles
-        agree.  Tables below :data:`PACK_ROWS` rows (or the
-        ``REPRO_BATCH_MAX_BYTES`` chunk, if smaller) are packed in group
+        agree.  Tables below :data:`PACK_ROWS` rows are packed in group
         order, dense and grouped layers apart, and each pack is scored by
         one kernel call; a larger table is scored alone for each of its
         layers and released before the next group's table is built, so a
@@ -409,7 +402,6 @@ class Mapper:
         with obs.span("mapper.search_fresh", layers=len(layers)):
             if not batch.batch_kernel_enabled():
                 return [self._scalar_search(layer, None, 0.0) for layer in layers]
-            budget = min(PACK_ROWS, batch.batch_chunk_candidates() or PACK_ROWS)
             groups: dict[tuple, list[int]] = {}
             for index, layer in enumerate(layers):
                 groups.setdefault(self._space.candidate_set_key(layer), []).append(index)
@@ -427,11 +419,11 @@ class Mapper:
                     layer = layers[index]
                     member = (index, layer, table, table_ms)
                     table_ms = 0.0  # the group's first layer paid for the build
-                    if len(table) >= budget:
+                    if len(table) >= PACK_ROWS:
                         self._score([member], found)
                         continue
                     kind = layer.groups > 1
-                    if rows[kind] + len(table) > budget:
+                    if rows[kind] + len(table) > PACK_ROWS:
                         self._score(packs[kind], found)
                         packs[kind].clear()
                         rows[kind] = 0
@@ -488,7 +480,6 @@ class Mapper:
                 invalid=outcome.segment_invalid[segment],
                 rows=len(own),
                 deduped=own.deduped,
-                chunks=outcome.chunks,
                 ms=table_ms + kernel_ms * len(own) / len(table),
             )
 
@@ -524,7 +515,6 @@ class Mapper:
             invalid=invalid,
             rows=None,
             deduped=0 if table is None else table.deduped,
-            chunks=0,
             ms=spent_ms + (time.perf_counter() - start) * 1e3,
         )
 

@@ -163,6 +163,16 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
+#: Base of the exponential retry backoff: attempt ``n`` waits
+#: ``RETRY_BACKOFF_S * 2**(n-1)`` seconds before re-running.
+RETRY_BACKOFF_S = 0.05
+
+#: Unexpected pool breaks one :func:`run_tasks` call tolerates before it
+#: degrades to the serial in-process path (timeout kills are deliberate
+#: and do not count).
+MAX_POOL_RESTARTS = 1
+
+
 @dataclass(frozen=True)
 class TaskPolicy:
     """The resilience contract of one :func:`run_tasks` call.
@@ -175,22 +185,16 @@ class TaskPolicy:
             in-process path.
         max_attempts: Total tries per task for crash-only faults (worker
             death, timeout, :class:`TransientTaskError`).  Deterministic
-            exceptions always fail on the first attempt.
-        backoff_s: Base of the exponential retry backoff: attempt ``n``
-            waits ``backoff_s * 2**(n-1)`` seconds before re-running.
+            exceptions always fail on the first attempt; a retry waits
+            :data:`RETRY_BACKOFF_S`, doubling per extra attempt.
         on_error: ``"abort"`` re-raises the first task failure (the
             pre-resilience semantics); ``"skip"`` records a
             :class:`TaskFailure` in the task's result slot and carries on.
-        max_pool_restarts: Unexpected pool breaks tolerated before the run
-            degrades to the serial in-process path (timeout kills are
-            deliberate and do not count).
     """
 
     timeout_s: float | None = None
     max_attempts: int = 3
-    backoff_s: float = 0.05
     on_error: str = "abort"
-    max_pool_restarts: int = 1
 
     def __post_init__(self) -> None:
         if self.on_error not in ("abort", "skip"):
@@ -208,7 +212,7 @@ class TaskPolicy:
         """Backoff before executing ``attempt`` (0-based; 0 has none)."""
         if attempt <= 0:
             return 0.0
-        return self.backoff_s * 2 ** (attempt - 1)
+        return RETRY_BACKOFF_S * 2 ** (attempt - 1)
 
 
 #: The default policy: abort on first failure, retry crashes twice.
@@ -500,7 +504,7 @@ def _run_pool(
     State machine: submit pending chunks, wait for completions, and on
     each hazard (task error, overdue chunk, broken pool) either retry the
     affected tasks as single-task chunks with backoff or finalize them as
-    failures.  After ``policy.max_pool_restarts`` unexpected pool breaks
+    failures.  After :data:`MAX_POOL_RESTARTS` unexpected pool breaks
     the remaining work drains through the serial in-process path.
     """
     policy = run.policy
@@ -648,7 +652,7 @@ def _run_pool(
                 _kill_pool(pool)
                 pool = None
                 reschedule_in_flight(broken, "crash", "worker process died")
-                if breaks > policy.max_pool_restarts:
+                if breaks > MAX_POOL_RESTARTS:
                     obs.count("parallel.serial_fallbacks")
                     serial_rest = True
                 continue
@@ -755,6 +759,8 @@ def chunked(items: Sequence[Any], size: int) -> Iterator[list[Any]]:
 __all__ = [
     "DEFAULT_POLICY",
     "JOBS_ENV",
+    "MAX_POOL_RESTARTS",
+    "RETRY_BACKOFF_S",
     "SweepStats",
     "TaskError",
     "TaskFailure",

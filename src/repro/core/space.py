@@ -171,7 +171,7 @@ class CandidateTable(Sequence):
 
     The batch kernel reads the columns; a :class:`Mapping` is built only for
     a row someone indexes, so the table is also a ``Sequence[Mapping]``
-    (``len``, indexing, slicing, iteration) for every other caller.
+    (``len``, indexing by row, iteration) for every other caller.
 
     A *pack* (:meth:`pack`) concatenates several layers' tables so that one
     kernel call scores them all; its ``segment`` column numbers each row's
@@ -182,9 +182,8 @@ class CandidateTable(Sequence):
     and differs only in :data:`VARIANT_COLUMNS`, so the kernel computes
     whatever reads the tile alone once per run.  A built table's runs are
     its tiles, each with every order pair and rotation; a hand-built table
-    has runs of one row, a pack the largest run length all its tables
-    share, and a slice the largest divisor of its table's run length that
-    also divides its bounds.
+    has runs of one row, and a pack the largest run length all its tables
+    share.
 
     Attributes:
         rows: ``(16, n)`` -- one array row per :data:`CANDIDATE_COLUMNS`
@@ -274,14 +273,7 @@ class CandidateTable(Sequence):
     def __len__(self) -> int:
         return len(self.pair)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            return CandidateTable(
-                self.rows[:, index], self.core[:, index], self.pair[index], self.pairs,
-                None if self.segment is None else self.segment[index],
-                variants=math.gcd(self.variants, start, stop) if step == 1 else 1,
-            )
+    def __getitem__(self, index: int) -> Mapping:
         row = self.rows[:, index].tolist()
         return row_mapping(self.pairs[self.pair[index]], row, self.core[:, index].tolist())
 

@@ -31,8 +31,7 @@ it through :func:`record_sink_failure`: the sink is disabled for the rest
 of the process with **one** logged warning, the failure lands in the
 ``resource.<errno-name>`` and ``degraded.<sink>`` observability counters,
 and the sweep keeps going -- completing with results identical to a clean
-run.  ``fsync``-hostile environments can drop the syncs (not the
-atomicity) with ``REPRO_DURABLE_FSYNC=0``.
+run.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ from typing import Any, Sequence
 from repro import obs
 
 logger = logging.getLogger("repro.durable")
-
-#: Environment switch: ``0/false/off/no`` skips fsync (atomicity is kept).
-DURABLE_FSYNC_ENV = "REPRO_DURABLE_FSYNC"
 
 #: ``errno`` values classified as resource exhaustion (degrade, don't die).
 RESOURCE_ERRNOS = frozenset(
@@ -71,14 +67,6 @@ _io_indices: dict[str, int] = {}
 
 # Sinks disabled by a resource failure, mapped to the reason string.
 _degraded: dict[str, str] = {}
-
-
-def fsync_enabled() -> bool:
-    """Whether the fsync discipline is active (default: yes)."""
-    raw = os.environ.get(DURABLE_FSYNC_ENV, "").strip().lower()
-    if not raw:
-        return True
-    return raw not in ("0", "false", "off", "no")
 
 
 def is_resource_error(exc: BaseException) -> bool:
@@ -157,13 +145,11 @@ def atomic_write(path: str | Path, text: str, sink: str = "file") -> Path:
     path = Path(path)
     _fault_io(sink)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    sync = fsync_enabled()
     try:
         with open(tmp, "w") as handle:
             handle.write(text)
             handle.flush()
-            if sync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except OSError:
         try:  # don't leave a torn temp file behind a failed write
@@ -171,8 +157,7 @@ def atomic_write(path: str | Path, text: str, sink: str = "file") -> Path:
         except OSError:
             pass
         raise
-    if sync:
-        _fsync_path(path.parent)
+    _fsync_path(path.parent)
     return path
 
 
@@ -193,7 +178,6 @@ def durable_append(path: str | Path, text: str, sink: str = "file") -> Path:
     path = Path(path)
     _fault_io(sink)
     created = not path.exists()
-    sync = fsync_enabled()
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         data = text.encode("utf-8")
@@ -203,11 +187,10 @@ def durable_append(path: str | Path, text: str, sink: str = "file") -> Path:
         written = os.write(fd, data)
         if written != len(data):  # pragma: no cover - short write on ENOSPC
             raise OSError(_errno.ENOSPC, f"short write on {path}")
-        if sync:
-            os.fsync(fd)
+        os.fsync(fd)
     finally:
         os.close(fd)
-    if created and sync:
+    if created:
         _fsync_path(path.parent)
     return path
 
@@ -328,13 +311,11 @@ def reset_degraded() -> None:
 
 
 __all__ = [
-    "DURABLE_FSYNC_ENV",
     "RESOURCE_ERRNOS",
     "append_lines",
     "atomic_write",
     "degraded_sinks",
     "durable_append",
-    "fsync_enabled",
     "is_resource_error",
     "parse_lines",
     "record_sink_failure",

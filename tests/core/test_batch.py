@@ -4,8 +4,12 @@ The bit-level batch-vs-scalar agreement itself lives in the hypothesis
 differential suite (``tests/properties/test_batch_kernel.py``); this module
 pins the deterministic contracts around it -- the ``REPRO_BATCH_KERNEL``
 switch, the first-in-enumeration tie-break, the int64 exactness guard's
-scalar fallback, and the mapper producing identical results on both paths.
+scalar fallback, the mapper producing identical results on both paths, and
+the working set of the largest table the registered models meet, which one
+kernel pass scores whole.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -20,8 +24,9 @@ from repro.core.primitives import (
     SpatialPrimitive,
     TemporalPrimitive,
 )
-from repro.core.space import CandidateTable, SearchProfile
+from repro.core.space import CandidateTable, MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
+from repro.workloads.models import vgg16
 
 def small_layer(name="conv"):
     return ConvLayer(name, h=28, w=28, ci=32, co=64, kh=3, kw=3, stride=1, padding=1)
@@ -195,93 +200,33 @@ class TestMapperIntegration:
             mapper.search_layer(layer)
 
 
-class TestChunkedBatch:
-    """REPRO_BATCH_MAX_BYTES bounds batch size without changing winners."""
+#: Rows the largest candidate table may have: VGG-16@512 ``conv1`` on an
+#: 8-16-2-16 machine under EXHAUSTIVE, the largest table of the 186 unique
+#: shapes of the registered models at 224 and 512 on the 320 Table II
+#: computation configs, has 55,856.
+MAX_TABLE_ROWS = 64 * 1024
 
-    def _candidates(self):
-        hw = case_study_hardware()
-        layer = small_layer()
-        mapper = Mapper(hw=hw, profile=SearchProfile.FAST)
-        return layer, hw, mapper._space.unique_candidates(layer)
+#: Traced peak bytes one ``search_batch`` pass over that table may take:
+#: 512 B a row at :data:`MAX_TABLE_ROWS` (it takes about 436 B a row, 23.2
+#: MiB).
+MAX_PASS_BYTES = 512 * MAX_TABLE_ROWS
 
-    def test_budget_parses_to_chunk_size(self, monkeypatch):
-        monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
-        assert batch.batch_chunk_candidates() is None
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "4096")
-        assert batch.batch_chunk_candidates() == 4
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1")  # floors at one
-        assert batch.batch_chunk_candidates() == 1
 
-    def test_bad_budget_is_config_error(self, monkeypatch):
-        from repro.errors import ConfigError
-
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "plenty")
-        with pytest.raises(ConfigError, match=batch.BATCH_MAX_BYTES_ENV):
-            batch.batch_chunk_candidates()
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "-1")
-        with pytest.raises(ConfigError, match=">= 0"):
-            batch.batch_chunk_candidates()
-
-    def test_chunked_outcome_is_identical(self, monkeypatch):
-        layer, hw, candidates = self._candidates()
-        assert len(candidates) >= 8
-        monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
-        whole = batch.search_batch(layer, hw, candidates)
-        # A budget forcing >= 4 chunks must pick the same winner, counts
-        # and report.
-        budget = max(1, len(candidates) // 4) * 1024
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, str(budget))
-        chunked = batch.search_batch(layer, hw, candidates)
-        assert chunked == whole
-        assert repr(chunked.reports) == repr(whole.reports)
-        assert whole.chunks == 1
-        assert chunked.chunks >= 4
-
-    def test_single_candidate_chunks(self, monkeypatch):
-        layer, hw, candidates = tied_pair()
-        candidates = CandidateTable.from_mappings(layer, candidates)
-        monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
-        whole = batch.search_batch(layer, hw, candidates)
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1")
-        assert batch.search_batch(layer, hw, candidates) == whole
-
-    def test_cross_chunk_tie_keeps_first(self, monkeypatch):
-        """A chunk boundary between exact ties must not flip the winner."""
-        layer, hw, candidates = tied_pair()
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1024")  # 1 per chunk
-        outcome = batch.search_batch(
-            layer, hw, CandidateTable.from_mappings(layer, candidates)
-        )
-        assert outcome is not None and outcome.best_index == 0
-
-    def test_overflow_mid_chunk_falls_back(self, monkeypatch):
-        layer = ConvLayer(
-            "huge", h=2**22, w=2**22, ci=2**20, co=8, kh=1, kw=1
-        )
-        hw = build_hardware(1, 1, 8, 8)
-        mapping = Mapping(
-            package_spatial=SpatialPrimitive.channel(1),
-            package_temporal=TemporalPrimitive(
-                LoopOrder.CHANNEL_PRIORITY, 2**22, 2**22, 8
-            ),
-            chiplet_spatial=SpatialPrimitive.channel(1),
-            chiplet_temporal=TemporalPrimitive(
-                LoopOrder.CHANNEL_PRIORITY, 2**22, 2**22, 8
-            ),
-        )
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "1024")
-        table = CandidateTable.from_mappings(layer, [mapping, mapping])
-        assert batch.search_batch(layer, hw, table) is None
-
-    def test_mapper_end_to_end_parity(self, monkeypatch):
-        hw = case_study_hardware()
-        layer = small_layer()
-        monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
-        whole = Mapper(hw=hw, profile=SearchProfile.FAST).search_layer(layer)
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "8192")
-        chunked = Mapper(hw=hw, profile=SearchProfile.FAST).search_layer(layer)
-        assert chunked.mapping == whole.mapping
-        assert chunked.best.energy_pj == whole.best.energy_pj
-        assert chunked.best.cycles == whole.best.cycles
-        assert chunked.candidates_evaluated == whole.candidates_evaluated
-        assert chunked.candidates_invalid == whole.candidates_invalid
+class TestWorkingSet:
+    def test_largest_table_scores_in_one_pass_within_its_bound(self):
+        """The kernel scores every table in one pass, so the largest table
+        bounds its working set; a mapping space that grows past these
+        bounds fails here before it runs a machine out of memory."""
+        layer = next(layer for layer in vgg16(512) if layer.name == "conv1")
+        hw = build_hardware(8, 16, 2, 16)
+        table = MappingSpace(hw, SearchProfile.EXHAUSTIVE).unique_candidates(layer)
+        assert len(table) <= MAX_TABLE_ROWS
+        tracemalloc.start()
+        try:
+            outcome = batch.search_batch(layer, hw, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome is not None and outcome.best_index is not None
+        assert outcome.evaluated + outcome.invalid == len(table)
+        assert peak < MAX_PASS_BYTES

@@ -165,7 +165,7 @@ class TestDeclaredTiles:
 
 
 class TestSequence:
-    def test_indexing_slicing_and_iteration_agree(self):
+    def test_indexing_and_iteration_agree(self):
         space = MappingSpace(case_study_hardware(), SearchProfile.FAST)
         layer = unique_shapes("alexnet")[1]
         table = space.unique_candidates(layer)
@@ -173,7 +173,6 @@ class TestSequence:
         assert len(table) == len(mappings) > 8
         assert [table[i] for i in range(len(table))] == mappings
         assert table[-1] == mappings[-1]
-        assert list(table[3:8]) == mappings[3:8]
         with pytest.raises(IndexError):
             table[len(table)]
 

@@ -2,13 +2,14 @@
 
 ``atomic_write``/``durable_append`` are the only way bytes reach a
 persistent sink, so these tests pin their rename/append semantics, the
-JSONL appender and parser every store shares, the set-aside rule, the
+fsyncs that make them durable, the JSONL appender and parser every store shares, the set-aside rule, the
 deterministic I/O fault hook, and the degrade-once contract that keeps a
 full disk from killing (or spamming) a sweep.
 """
 
 import errno
 import logging
+import os
 
 import pytest
 
@@ -23,6 +24,26 @@ def _clean_state():
     yield
     install_plan(previous)
     durable.reset_degraded()
+
+
+@pytest.fixture
+def synced(monkeypatch):
+    """The ``(device, inode)`` of each descriptor ``os.fsync`` syncs, in order."""
+    calls = []
+    fsync = os.fsync
+
+    def spy(fd):
+        info = os.fstat(fd)
+        calls.append((info.st_dev, info.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return calls
+
+
+def identity(path):
+    info = path.stat()
+    return info.st_dev, info.st_ino
 
 
 class TestAtomicWrite:
@@ -45,12 +66,13 @@ class TestAtomicWrite:
         assert target.read_text() == "old"
         assert list(tmp_path.iterdir()) == [target]
 
-    def test_fsync_opt_out_keeps_atomicity(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(durable.DURABLE_FSYNC_ENV, "0")
-        assert not durable.fsync_enabled()
+    def test_syncs_the_file_and_its_directory(self, tmp_path, synced):
         target = tmp_path / "out.json"
-        durable.atomic_write(target, "content")
-        assert target.read_text() == "content"
+        durable.atomic_write(target, "one")
+        assert synced == [identity(target), identity(tmp_path)]
+        synced.clear()
+        durable.atomic_write(target, "two")
+        assert synced == [identity(target), identity(tmp_path)]
 
 
 class TestDurableAppend:
@@ -59,6 +81,14 @@ class TestDurableAppend:
         durable.durable_append(target, "a\n")
         durable.durable_append(target, "b\n")
         assert target.read_text() == "a\nb\n"
+
+    def test_syncs_the_file_and_a_new_files_directory(self, tmp_path, synced):
+        target = tmp_path / "log.jsonl"
+        durable.durable_append(target, "a\n")
+        assert synced == [identity(target), identity(tmp_path)]
+        synced.clear()
+        durable.durable_append(target, "b\n")
+        assert synced == [identity(target)]
 
     def test_injected_eio(self, tmp_path):
         install_plan(FaultPlan([FaultSpec(kind="eio")]))

@@ -32,7 +32,6 @@ SEARCH_COUNTERS = (
     "mapper.searches.fresh",
     "mapper.batch.searches",
     "mapper.batch.candidates",
-    "mapper.batch.chunks",
     "space.candidates.deduped",
     "cache.hits",
     "cache.misses",
@@ -160,17 +159,6 @@ class TestPackedSearch:
         """A layer with no legal mapping raises after counting what a
         layer-by-layer search counts before it raises -- nothing of the
         layers looked up after it, although their tables were scored."""
-        self.check_invalid_layer_counts()
-
-    def test_invalid_layer_raises_after_the_same_counts_in_chunks(self, monkeypatch):
-        """The same with every table scored in chunks of 8 rows: the chunks
-        of the layers after the failing one are not counted either."""
-        monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, "8192")
-        counts = self.check_invalid_layer_counts()
-        assert counts["mapper.batch.chunks"] > 0
-
-    @staticmethod
-    def check_invalid_layer_counts():
         # A 1024-wide kernel row cannot fit the 800 B A-L1 at any tiling.
         hw = build_hardware(2, 4, 8, 8)
         impossible = ConvLayer(
@@ -194,7 +182,6 @@ class TestPackedSearch:
         assert counters(packed_metrics) == counters(single_metrics)
         assert counters(packed_metrics)["mapper.searches.fresh"] == 2
         assert counters(packed_metrics)["space.candidates.deduped"] > 0
-        return counters(packed_metrics)
 
 
 def sweep_machines():

@@ -11,6 +11,7 @@ task index.
 import pytest
 
 from repro import obs
+from repro.core import parallel
 from repro.core.parallel import (
     SweepStats,
     TaskFailure,
@@ -37,6 +38,12 @@ def _clean_faults(monkeypatch):
     previous = install_plan(None)
     yield
     install_plan(previous)
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries wait 1 ms, doubling, instead of :data:`RETRY_BACKOFF_S`."""
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0.001)
 
 
 def plan(text: str) -> FaultPlan:
@@ -71,12 +78,14 @@ class TestPolicyValidation:
             TaskPolicy(timeout_s=0)
 
     def test_backoff_is_exponential(self):
-        policy = TaskPolicy(backoff_s=0.1)
+        policy = TaskPolicy()
         assert policy.retry_delay_s(0) == 0.0
-        assert policy.retry_delay_s(1) == pytest.approx(0.1)
-        assert policy.retry_delay_s(3) == pytest.approx(0.4)
+        assert policy.retry_delay_s(1) == parallel.RETRY_BACKOFF_S
+        assert policy.retry_delay_s(2) == 2 * parallel.RETRY_BACKOFF_S
+        assert policy.retry_delay_s(3) == 4 * parallel.RETRY_BACKOFF_S
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestSerialRecovery:
     def test_abort_reraises_the_original_exception(self):
         install_plan(plan("exc:@indices=2"))
@@ -104,7 +113,6 @@ class TestSerialRecovery:
             _triple,
             [5, 6, 7],
             jobs=1,
-            policy=TaskPolicy(backoff_s=0.001),
         )
         assert results == [15, 18, 21]
         assert stats.retries == 1
@@ -116,7 +124,7 @@ class TestSerialRecovery:
             _triple,
             [5, 6],
             jobs=1,
-            policy=TaskPolicy(on_error="skip", backoff_s=0.001),
+            policy=TaskPolicy(on_error="skip"),
         )
         assert failure_summary(results) == [
             (1, "InjectedTaskError", "exception", 1)
@@ -129,9 +137,7 @@ class TestSerialRecovery:
             _triple,
             [5, 6],
             jobs=1,
-            policy=TaskPolicy(
-                on_error="skip", max_attempts=2, backoff_s=0.001
-            ),
+            policy=TaskPolicy(on_error="skip", max_attempts=2),
         )
         assert failure_summary(results) == [
             (1, "InjectedCrashError", "crash", 2)
@@ -145,7 +151,7 @@ class TestSerialRecovery:
                 _triple,
                 [1, 2],
                 jobs=1,
-                policy=TaskPolicy(max_attempts=2, backoff_s=0.001),
+                policy=TaskPolicy(max_attempts=2),
             )
 
     def test_on_result_sees_failures_too(self):
@@ -162,6 +168,7 @@ class TestSerialRecovery:
         assert seen[1] == (1, 6)
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestPoolRecovery:
     def test_skip_isolates_worker_exceptions(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "exc:@indices=3&attempts=0")
@@ -181,7 +188,7 @@ class TestPoolRecovery:
 
     def test_failure_accounting_matches_serial(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "exc:0.3@seed=11&attempts=0")
-        policy = TaskPolicy(on_error="skip", backoff_s=0.001)
+        policy = TaskPolicy(on_error="skip")
         serial, serial_stats = run_counted(
             _triple, list(range(16)), jobs=1, policy=policy
         )
@@ -202,7 +209,6 @@ class TestPoolRecovery:
             _triple,
             list(range(12)),
             jobs=3,
-            policy=TaskPolicy(backoff_s=0.001),
         )
         assert results == [3 * i for i in range(12)]
         assert stats.retries > 0
@@ -214,7 +220,6 @@ class TestPoolRecovery:
             _triple,
             list(range(6)),
             jobs=2,
-            policy=TaskPolicy(backoff_s=0.001),
         )
         assert results == [3 * i for i in range(6)]
         assert stats.pool_restarts >= 1
@@ -226,15 +231,14 @@ class TestPoolRecovery:
             _triple,
             list(range(6)),
             jobs=2,
-            policy=TaskPolicy(
-                on_error="skip", max_pool_restarts=1, backoff_s=0.001
-            ),
+            policy=TaskPolicy(on_error="skip"),
         )
-        # The killer task ends as a crash failure (the serial path downgrades
-        # the kill); every other task still completes.
+        # The pool breaks MAX_POOL_RESTARTS + 1 times, then the killer task
+        # ends as a crash failure (the serial path downgrades the kill);
+        # every other task still completes.
         assert failure_summary(results) == [(0, "InjectedCrashError", "crash", 3)]
         assert results[1:] == [3 * i for i in range(1, 6)]
-        assert stats.pool_restarts == 2
+        assert stats.pool_restarts == parallel.MAX_POOL_RESTARTS + 1
 
     def test_timeout_kills_and_retries(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "hang:@indices=1&sleep=30")
@@ -242,7 +246,7 @@ class TestPoolRecovery:
             _triple,
             list(range(4)),
             jobs=2,
-            policy=TaskPolicy(timeout_s=0.4, backoff_s=0.001),
+            policy=TaskPolicy(timeout_s=0.4),
         )
         # attempts=1 (the default): the retry does not hang, so the task
         # recovers after the watchdog kills its first attempt.

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.checkpoint import CHECKPOINT_DIR_ENV
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -189,6 +190,24 @@ class TestCommands:
         )
         assert code == 2
         assert "--trials" in capsys.readouterr().err
+
+    def test_guided_runs_under_the_checkpoint_dir_env(self, tmp_path, monkeypatch, capsys):
+        """The environment's checkpoint directory is for exhaustive sweeps:
+        a guided run persists through --study, so it runs under the
+        variable and writes nothing there, while an explicit checkpoint
+        flag is still refused."""
+        checkpoints = tmp_path / "checkpoints"
+        monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(checkpoints))
+        guided = [
+            "dse", "--macs", "512", "--models", "alexnet", "--strategy", "guided",
+            "--trials", "4", "--profile", "minimal",
+        ]
+        assert main(guided) == 0
+        assert "Recommended:" in capsys.readouterr().out
+        for flags in (["--checkpoint"], ["--resume"], ["--checkpoint-dir", str(checkpoints)]):
+            assert main(guided + flags) == 2
+            assert "--checkpoint-dir" in capsys.readouterr().err
+        assert not checkpoints.exists()
 
     def test_unknown_model_exits_2_in_process(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,8 +16,8 @@ sound if they change nothing:
   may enter only through the Cc0 tile), and the memoized Cc0 tile is the
   doubling search on the layer itself;
 * a pack gives every segment the winner, ``evaluated`` and ``invalid`` of
-  its layer's own call, with exact ties, an overflowing segment and a
-  small ``REPRO_BATCH_MAX_BYTES`` included;
+  its layer's own call, with exact ties and an overflowing segment
+  included;
 * a pack's C3P columns computed on one machine and scored on another
   that shares its tables, package and technology give every
   ``BatchResult`` field, and every winner report, that the other
@@ -338,14 +338,6 @@ class TestPacks:
         own, packed, tables, pack = separate_and_packed(*case)
         assert_pack_matches(own, packed, tables, pack)
 
-    @given(pack_case(), st.sampled_from([1024, 7 * 1024, 40 * 1024]))
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_chunked_pack_equals_separate_calls(self, case, max_bytes):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(batch.BATCH_MAX_BYTES_ENV, str(max_bytes))
-            own, packed, tables, pack = separate_and_packed(*case)
-        assert_pack_matches(own, packed, tables, pack)
-
     def test_mixed_dense_and_grouped_pack_is_refused(self):
         hw = build_hardware(2, 2, 8, 8)
         dense = ConvLayer("dense", h=14, w=14, ci=16, co=16, kh=3, kw=3, padding=1)
@@ -355,14 +347,8 @@ class TestPacks:
         with pytest.raises(ValueError, match="dense or grouped"):
             batch.search_batch([dense, depthwise], hw, pack)
 
-    @pytest.mark.parametrize("max_bytes", [None, "1024"])
-    def test_exact_ties_keep_each_segments_first_row(self, monkeypatch, max_bytes):
-        """Segments whose two rows tie exactly pick their first row, also
-        with a chunk boundary between the tied rows."""
-        if max_bytes is None:
-            monkeypatch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
-        else:
-            monkeypatch.setenv(batch.BATCH_MAX_BYTES_ENV, max_bytes)
+    def test_exact_ties_keep_each_segments_first_row(self):
+        """Segments whose two rows tie exactly pick their first row."""
         hw = build_hardware(1, 1, 8, 8)
         layers = [
             ConvLayer(f"tie{side}", h=side, w=side, ci=8, co=8, kh=1, kw=1)

@@ -19,8 +19,8 @@ that split:
   (``variants`` = 1): every :class:`~repro.core.batch.C3PColumns` and
   :class:`~repro.core.batch.BatchResult` field in value and dtype, the
   winners, the ``evaluated``/``invalid`` counts and the reports by
-  ``repr`` -- on one layer's table, a pack and a table cut into chunks
-  that split tiles, on ring, mesh and switch, under both objectives.
+  ``repr`` -- on one layer's table and a pack, on ring, mesh and switch,
+  under both objectives.
 """
 
 import math
@@ -201,18 +201,12 @@ def assert_same_scores(layers, hw, table):
         batch.score_columns(row_columns, hw, flat),
         skip=("candidates",),
     )
-    assert_same_outcomes(layers, hw, table)
-
-
-def assert_same_outcomes(layers, hw, table):
-    flat = row_by_row(table)
     for objective in sorted(batch.BATCH_OBJECTIVES):
         tiled = batch.search_batch(layers, hw, table, objective)
         rows = batch.search_batch(layers, hw, flat, objective)
         assert tiled is not None and rows is not None
         assert tiled == rows
         assert (tiled.evaluated, tiled.invalid) == (rows.evaluated, rows.invalid)
-        assert tiled.chunks == rows.chunks
         assert [repr(r) for r in tiled.reports] == [repr(r) for r in rows.reports]
 
 
@@ -241,23 +235,3 @@ class TestPerTileScoring:
         pack = CandidateTable.pack(tables)
         assert pack.variants == math.gcd(*(table.variants for table in tables))
         assert_same_scores(layers, hw, pack)
-
-    @given(scoring_case(), st.sampled_from([3, 6, 12, 37]), st.data())
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_chunks_that_split_tiles_score_as_per_row(self, case, chunk, data):
-        """A slice keeps the largest run length that divides its table's and
-        its bounds, and scores as its rows do; so do chunks of ``chunk``
-        rows, which cut the 2-, 4- and 8-row tiles into runs of one, two or
-        four rows (chunks of 6 keep MINIMAL's tiles whole, of 12 FAST's)."""
-        layers, hw, tables = case
-        pack = CandidateTable.pack(tables)
-        start = data.draw(st.integers(0, len(pack) - 1))
-        stop = data.draw(st.integers(start + 1, len(pack)))
-        part = pack[start:stop]
-        assert part.variants == math.gcd(pack.variants, start, stop)
-        assert_same_scores(layers, hw, part)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(batch.BATCH_MAX_BYTES_ENV, str(chunk * 1024))
-            assert_same_outcomes(layers, hw, pack)
-            for layer, table in zip(layers, tables):
-                assert_same_outcomes(layer, hw, table)

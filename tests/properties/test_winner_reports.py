@@ -10,8 +10,8 @@ down to its ``repr``: ``123 == 123.0``, so ``==`` alone would let an int
 field turn float, and a numpy scalar reprs as ``np.float64(...)``.  The
 draws cover dense, grouped and GEMM layers on ring, mesh and switch
 packages, under the three profiles and both objectives, and the reports
-come from one layer's table, a pack and a chunked table, read from the
-kernel's outcome and from :meth:`~repro.core.mapper.Mapper.search_model`.
+come from one layer's table and a pack, read from the kernel's outcome and
+from :meth:`~repro.core.mapper.Mapper.search_model`.
 
 A sweep point sums each model's energy and cycles from the records
 without building a report; the totals must equal the per-field
@@ -122,20 +122,6 @@ class TestWinnerReports:
             layers, hw, pack, batch.search_batch(layers, hw, pack, objective=objective)
         )
 
-    @given(search_case(), st.sampled_from([3000, 20000]))
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_chunked_reports_equal_the_scalar_oracle(self, case, max_bytes):
-        """Each report comes from the chunk holding the final winner."""
-        layers, hw, tables, objective = case
-        pack = CandidateTable.pack(tables)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(batch.BATCH_MAX_BYTES_ENV, str(max_bytes))
-            for layer, table in zip(layers, tables):
-                outcome = batch.search_batch(layer, hw, table, objective=objective)
-                assert_reports_match([layer], hw, table, outcome)
-            packed = batch.search_batch(layers, hw, pack, objective=objective)
-            assert_reports_match(layers, hw, pack, packed)
-
 
 @st.composite
 def mapper_case(draw):
@@ -173,19 +159,14 @@ def walk(value):
 
 
 class TestMapperResults:
-    @given(mapper_case(), st.sampled_from([None, 3000, 20000]))
+    @given(mapper_case())
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_best_equals_the_scalar_oracle(self, case, max_bytes):
+    def test_best_equals_the_scalar_oracle(self, case):
         """``best`` is the oracle's report of the winning mapping on the
-        searched layer: from one table, a pack or chunks."""
+        searched layer: from one table or a pack."""
         layers, hw, profile, objective = case
-        with pytest.MonkeyPatch.context() as patch:
-            if max_bytes is None:
-                patch.delenv(batch.BATCH_MAX_BYTES_ENV, raising=False)
-            else:
-                patch.setenv(batch.BATCH_MAX_BYTES_ENV, str(max_bytes))
-            mapper = Mapper(hw=hw, profile=profile, objective=objective, cache=MappingCache())
-            results = mapper.search_model(layers)
+        mapper = Mapper(hw=hw, profile=profile, objective=objective, cache=MappingCache())
+        results = mapper.search_model(layers)
         for layer, result in zip(layers, results):
             assert result.layer is layer
             report = result.best
@@ -222,16 +203,14 @@ class TestMapperResults:
 
 
 class TestWinnerRecords:
-    @given(search_case(), st.sampled_from([None, 3000]))
+    @given(search_case())
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_records_hold_python_values_only(self, case, max_bytes):
-        """No column, table or numpy scalar outlives the kernel call."""
+    def test_records_hold_python_values_only(self, case):
+        """No column, table or numpy scalar outlives the kernel call in a
+        winner record."""
         layers, hw, tables, objective = case
         pack = CandidateTable.pack(tables)
-        with pytest.MonkeyPatch.context() as patch:
-            if max_bytes is not None:
-                patch.setenv(batch.BATCH_MAX_BYTES_ENV, str(max_bytes))
-            outcome = batch.search_batch(layers, hw, pack, objective=objective)
+        outcome = batch.search_batch(layers, hw, pack, objective=objective)
         for layer, record in zip(layers, outcome.records):
             if record is None:
                 continue
