@@ -207,14 +207,16 @@ guided:
 # sweep points that give it one candidate-set key; with 0 it enumerates
 # one Mapping per candidate, dedups them and scores them one by one with
 # evaluate_mapping.  So every leg checks the table builder, the packs and
-# the kernel: the full Fig. 15 pre-design sweep (at --jobs 4, one shape
-# per worker task), the serial MINIMAL Fig. 15 trio at stride 16 (tables
+# the kernel: the full Fig. 15 pre-design sweep (at --jobs 4, the workers
+# taking design points), the serial MINIMAL Fig. 15 trio at stride 16 (tables
 # shared across W-L1, A-L2 and A-L1 changes, MINIMAL packs, and the
 # winner records' values through the sweep's energy and cycle totals), an
-# EXHAUSTIVE ResNet-50 map and a FAST MobileNetV2 map (dense and depthwise
-# packs) must give byte-identical JSON (winner, energy, cycles, EDP), and
-# so must a transformer sweep, so GEMM-shaped candidate spaces are held to
-# the identical contract.  The EXHAUSTIVE ResNet-50 map also runs twice
+# EXHAUSTIVE ResNet-50 map, a FAST MobileNetV2 map (dense and depthwise
+# packs) and an AlexNet audit (each layer mapped alone, by
+# Mapper.search_layer) must give byte-identical JSON (winner, energy,
+# cycles, EDP), and so must a transformer sweep, so GEMM-shaped candidate
+# spaces are held to the identical contract.  The EXHAUSTIVE ResNet-50 map
+# also runs twice
 # into one --cache-dir, cold and then with every shape rebuilt from disk,
 # where both payloads must match the cache-less map: the disk records are
 # written from mappings read off the kernel's winner records, whose
@@ -275,6 +277,14 @@ batch-parity:
 		--profile fast --json "$$tmp/mbv2-scalar.json" >/dev/null && \
 	cmp "$$tmp/mbv2-batch.json" "$$tmp/mbv2-scalar.json" && \
 	echo "dense and depthwise packs byte-identical to the scalar oracle (FAST MobileNetV2 map)" && \
+	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro audit \
+		--models alexnet --max-layers 2 --json "$$tmp/audit-batch.json" >/dev/null && \
+	REPRO_BATCH_KERNEL=0 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro audit \
+		--models alexnet --max-layers 2 --json "$$tmp/audit-scalar.json" >/dev/null && \
+	cmp "$$tmp/audit-batch.json" "$$tmp/audit-scalar.json" && \
+	echo "one-layer searches byte-identical to the scalar oracle (AlexNet audit)" && \
 	REPRO_BATCH_KERNEL=1 \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro dse \
 		--macs 512 --models bert_base --profile minimal \

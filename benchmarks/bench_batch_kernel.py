@@ -2,13 +2,14 @@
 
 Builds each representative AlexNet layer's candidate table under the
 selected search profile and times both cost-model paths over it: the
-scalar ``evaluate_mapping`` loop (the golden oracle) over the table's
-:class:`~repro.core.mapping.Mapping` objects, and the struct-of-arrays
-numpy kernel (:mod:`repro.core.batch`) over its int64 columns.  Neither
-time includes building the table.  The acceptance gate is a >= 5x batch
-speedup on the fast profile; the two paths must also agree on the winner,
-which is asserted here and proven bit-for-bit by
-``tests/properties/test_batch_kernel.py``.
+scalar ``evaluate_mapping`` strict-``<`` scan (the golden oracle) over the
+table's :class:`~repro.core.mapping.Mapping` objects, and the kernel search
+the mapper runs (:func:`~repro.core.batch.search_batch`: the
+struct-of-arrays numpy kernel over the int64 columns, then the winner
+pick).  Neither time includes building the table.  The acceptance gate is
+a >= 5x batch speedup on the fast profile; the two paths must also agree
+on the winner and on the valid and invalid counts, which is asserted here
+and proven bit-for-bit by ``tests/properties/test_batch_kernel.py``.
 """
 
 import time
@@ -64,10 +65,11 @@ def test_batch_kernel_throughput(record_bench):
         if not table:
             continue
         mappings = list(table)
-        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, mappings)
-        t_batch, result = _best_of(batch.evaluate_batch, layer, hw, table)
-        assert result.best_index("energy") == scalar_winner
+        t_scalar, (scalar_winner, evaluated) = _best_of(_scalar_pass, layer, hw, mappings)
+        t_batch, outcome = _best_of(batch.search_batch, layer, hw, table)
         n = len(table)
+        assert outcome.winners == (scalar_winner,)
+        assert (outcome.evaluated, outcome.invalid) == (evaluated, n - evaluated)
         total_candidates += n
         scalar_time += t_scalar
         batch_time += t_batch

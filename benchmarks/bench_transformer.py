@@ -60,10 +60,11 @@ def test_transformer_gemm_throughput(record_bench):
         if not table:
             continue
         mappings = list(table)
-        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, mappings)
-        t_batch, result = _best_of(batch.evaluate_batch, layer, hw, table)
-        assert result.best_index("energy") == scalar_winner
+        t_scalar, (scalar_winner, evaluated) = _best_of(_scalar_pass, layer, hw, mappings)
+        t_batch, outcome = _best_of(batch.search_batch, layer, hw, table)
         n = len(table)
+        assert outcome.winners == (scalar_winner,)
+        assert (outcome.evaluated, outcome.invalid) == (evaluated, n - evaluated)
         total_candidates += n
         scalar_time += t_scalar
         batch_time += t_batch

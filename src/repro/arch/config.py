@@ -66,9 +66,10 @@ class CoreConfig:
     vector_size: int
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
+        # ``not >= 1`` also refuses NaN, which compares false both ways.
+        if not self.lanes >= 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-        if self.vector_size < 1:
+        if not self.vector_size >= 1:
             raise ValueError(f"vector_size must be >= 1, got {self.vector_size}")
 
     @property
@@ -85,7 +86,7 @@ class ChipletConfig:
     core: CoreConfig
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
+        if not self.cores >= 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
 
     @property
@@ -107,7 +108,7 @@ class PackageConfig:
     topology: Topology = Topology.RING
 
     def __post_init__(self) -> None:
-        if self.chiplets < 1:
+        if not self.chiplets >= 1:
             raise ValueError(f"chiplets must be >= 1, got {self.chiplets}")
 
     @property

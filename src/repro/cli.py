@@ -79,6 +79,28 @@ def _parse_jobs(spec: str) -> int:
     return jobs
 
 
+def _positive_int(spec: str) -> int:
+    """An argparse type: an integer >= 1 (a count, size or budget)."""
+    try:
+        value = int(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {spec!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(spec: str) -> float:
+    """An argparse type: a finite number > 0 (a time budget)."""
+    try:
+        value = float(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {spec!r}") from exc
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {spec}")
+    return value
+
+
 def _add_topology_flag(cmd: argparse.ArgumentParser) -> None:
     """Register ``--topology`` (package interconnect) on a subcommand."""
     cmd.add_argument(
@@ -180,6 +202,8 @@ def _resolve_hw(args: argparse.Namespace):
     if getattr(args, "hw_file", None):
         from repro.arch.io import load_hardware
 
+        if not Path(args.hw_file).is_file():
+            _fail(f"hardware file not found: {args.hw_file}")
         return load_hardware(args.hw_file)
     hw = args.hw
     topology = getattr(args, "topology", None)
@@ -779,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     models = sub.add_parser(
         "models", help="list registered workloads", allow_abbrev=False
     )
-    models.add_argument("--resolution", type=int, default=224)
+    models.add_argument("--resolution", type=_positive_int, default=224)
     models.add_argument(
         "--detail", action="store_true", help="print per-model category histograms"
     )
@@ -800,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument(
         "--model-file", help="load the workload from a JSON layer list"
     )
-    map_cmd.add_argument("--resolution", type=int, default=224)
+    map_cmd.add_argument("--resolution", type=_positive_int, default=224)
     map_cmd.add_argument(
         "--profile", choices=[p.value for p in SearchProfile], default="fast"
     )
@@ -824,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--hw", type=_parse_hw, default="case-study")
     compare.add_argument("--hw-file", help="load the machine from a JSON file")
     _add_topology_flag(compare)
-    compare.add_argument("--resolution", type=int, default=224)
+    compare.add_argument("--resolution", type=_positive_int, default=224)
     compare.add_argument(
         "--profile", choices=[p.value for p in SearchProfile], default="fast"
     )
@@ -839,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--macs", type=int, required=True)
     explore.add_argument("--area", type=float, default=None)
     explore.add_argument("--models", default="resnet50")
-    explore.add_argument("--resolution", type=int, default=224)
+    explore.add_argument("--resolution", type=_positive_int, default=224)
     explore.add_argument(
         "--stride", type=int, default=None,
         help="evaluate every Nth memory combination (exhaustive only; "
@@ -851,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         "guided: seeded ask/tell optimizer with dominance pruning",
     )
     explore.add_argument(
-        "--trials", type=int, default=None,
+        "--trials", type=_positive_int, default=None,
         help="guided only: full-evaluation budget (required with "
         "--strategy guided)",
     )
@@ -886,12 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
         "skip: record the failure and keep sweeping",
     )
     explore.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_float, default=None,
         help="per-task wall-clock budget in seconds (parallel runs only); "
         "overdue workers are killed and the task retried",
     )
     explore.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=_positive_int, default=3,
         help="total tries per task for crash-only faults (default: 3)",
     )
     explore.add_argument(
@@ -905,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directory (implies --checkpoint)",
     )
     explore.add_argument(
-        "--checkpoint-every", type=int, default=16,
+        "--checkpoint-every", type=_positive_int, default=16,
         help="completed points buffered per checkpoint flush (default: 16)",
     )
     explore.add_argument(
@@ -936,12 +960,12 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--hw", type=_parse_hw, default="case-study")
     audit.add_argument("--hw-file", help="load the machine from a JSON file")
     _add_topology_flag(audit)
-    audit.add_argument("--resolution", type=int, default=224)
+    audit.add_argument("--resolution", type=_positive_int, default=224)
     audit.add_argument(
         "--profile", choices=[p.value for p in SearchProfile], default="minimal"
     )
     audit.add_argument(
-        "--sample", type=int, default=3,
+        "--sample", type=_positive_int, default=3,
         help="mappings sampled per layer (plus their no-rotation variants)",
     )
     audit.add_argument(
@@ -969,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument(
         "--model-file", help="load the workload from a JSON layer list"
     )
-    profile_cmd.add_argument("--resolution", type=int, default=224)
+    profile_cmd.add_argument("--resolution", type=_positive_int, default=224)
     profile_cmd.add_argument(
         "--profile", choices=[p.value for p in SearchProfile], default="fast"
     )

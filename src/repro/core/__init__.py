@@ -35,7 +35,7 @@ from repro.core.parallel import (
 from repro.core.heuristics import heuristic_map_model, heuristic_mapping
 from repro.core.c3p import C3PAnalysis, CriticalPoint
 from repro.core.loopnest import Loop, LoopNest
-from repro.core.mapper import LayerMappingResult, Mapper, map_model
+from repro.core.mapper import LayerMappingResult, Mapper
 from repro.core.mapping import Mapping
 from repro.core.partition import PlanarGrid, factor_grids, halo_redundancy_ratio
 from repro.core.primitives import (
@@ -96,5 +96,4 @@ __all__ = [
     "run_tasks",
     "sweep_digest",
     "halo_redundancy_ratio",
-    "map_model",
 ]

@@ -119,7 +119,7 @@ class BatchResult:
     as Python scalars, exactly as the scalar traffic assembly produces them;
     on a pack they are per-row columns of each row's layer's scalar.  Rows
     where ``valid`` is ``False`` carry the arithmetic the walks produced
-    anyway; only the masked score selects winners.
+    anyway; only :func:`search_batch`'s masked scores select winners.
 
     The dtypes follow the scalar path's int/float split, which
     :func:`gather_winners` relies on: ``w_l1_read_bits``, ``dram_output_bits``,
@@ -175,16 +175,6 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    @property
-    def evaluated(self) -> int:
-        """Valid candidates (the scalar loop's ``evaluated`` counter)."""
-        return int(self.valid.sum())
-
-    @property
-    def invalid(self) -> int:
-        """Invalid candidates (the scalar loop's ``invalid`` counter)."""
-        return len(self.candidates) - self.evaluated
-
     def scores(self, objective: str) -> "np.ndarray":
         """The per-candidate objective column (``"energy"`` or ``"edp"``)."""
         if objective == "energy":
@@ -192,18 +182,6 @@ class BatchResult:
         if objective == "edp":
             return self.edp
         raise ValueError(f"unknown batch objective {objective!r}")
-
-    def best_index(self, objective: str = "energy") -> int | None:
-        """First-in-enumeration argmin over the valid candidates.
-
-        ``np.argmin`` returns the first index of the minimum, matching the
-        scalar loop's strict-``<`` update rule on exact ties.  ``None``
-        when no candidate is valid.
-        """
-        if not len(self.candidates) or not bool(self.valid.any()):
-            return None
-        masked = np.where(self.valid, self.scores(objective), np.inf)
-        return int(np.argmin(masked))
 
 
 #: The :class:`EnergyBreakdown` fields, in order: a :class:`BatchResult`
@@ -340,11 +318,6 @@ class BatchSearchOutcome:
     def reports(self) -> tuple[CostReport | None, ...]:
         """Each segment's winner :class:`CostReport` (:meth:`Winner.report`)."""
         return tuple(None if record is None else record.report() for record in self.records)
-
-    @property
-    def best_index(self) -> int | None:
-        """The winner of a one-layer table (its only segment)."""
-        return self.winners[0]
 
     @property
     def evaluated(self) -> int:

@@ -43,7 +43,6 @@ from typing import Any, Callable
 
 from repro import durable, obs
 from repro.arch.config import HardwareConfig
-from repro.core import parallel
 from repro.core.serialize import hardware_digest, mapping_from_dict
 from repro.errors import ConfigError
 
@@ -293,7 +292,7 @@ class MappingCache:
     def _maybe_corrupt(text: str) -> str:
         """The fault-injection hook: corrupt this flush when a plan says so."""
         global _flush_index
-        plan = parallel._fault_plan()
+        plan = durable.fault_plan()
         if plan is None:
             return text
         index = _flush_index

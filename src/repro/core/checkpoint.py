@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Any
 
 from repro import durable, obs
-from repro.core.parallel import _fault_plan
 from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.checkpoint")
@@ -178,7 +177,7 @@ class SweepCheckpoint:
         """
         self.corrupt_lines = 0
         self._header_written = False
-        plan = _fault_plan()
+        plan = durable.fault_plan()
         if plan is not None:
             plan.corrupt_study_file(self.path)
         try:

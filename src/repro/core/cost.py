@@ -130,11 +130,6 @@ class CostReport:
         """Total energy in pico-joules."""
         return self.energy.total_pj
 
-    @property
-    def energy_mj(self) -> float:
-        """Total energy in milli-joules."""
-        return self.energy.total_pj * 1e-9
-
     def movement_pj(self, hw: HardwareConfig) -> float:
         """Data-movement energy: total minus the dataflow-invariant terms."""
         return max(

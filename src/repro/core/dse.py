@@ -458,19 +458,12 @@ def refine_with_simulator(
 def pareto_front(
     points: Sequence[DesignPoint], model: str
 ) -> list[DesignPoint]:
-    """Area/EDP Pareto-optimal subset for one model (lower is better)."""
-    evaluated = [p for p in points if p.valid and model in p.energy_pj]
-    front: list[DesignPoint] = []
-    for candidate in evaluated:
-        dominated = any(
-            other.chiplet_area_mm2 <= candidate.chiplet_area_mm2
-            and other.edp(model) <= candidate.edp(model)
-            and (
-                other.chiplet_area_mm2 < candidate.chiplet_area_mm2
-                or other.edp(model) < candidate.edp(model)
-            )
-            for other in evaluated
-        )
-        if not dominated:
-            front.append(candidate)
-    return sorted(front, key=lambda p: p.chiplet_area_mm2)
+    """Area/EDP Pareto-optimal subset for one model (lower is better),
+    sorted by area."""
+    from repro.analysis.pareto import pareto_points  # repro.analysis imports this module
+
+    return pareto_points(
+        [p for p in points if p.valid and model in p.energy_pj],
+        lambda p: p.chiplet_area_mm2,
+        lambda p: p.edp(model),
+    )

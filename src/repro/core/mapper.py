@@ -133,8 +133,8 @@ class _Search:
         evaluated: Legal candidates.
         invalid: Illegal candidates.
         rows: Table rows the batch kernel scored (``None`` on the scalar path).
-        deduped: Congruent candidates the layer's table dropped (0 when the
-            scalar enumeration counted its own dedup).
+        deduped: Congruent candidates the layer's table or the scalar
+            enumeration dropped.
         ms: The layer's search time: its table build plus its row share of
             the kernel call (or the whole scalar scan).
     """
@@ -311,23 +311,24 @@ class Mapper:
         )
 
     def search_layer(self, layer: ConvLayer) -> LayerMappingResult:
-        """Find the optimal mapping of one layer.
+        """Find the optimal mapping of one layer: :meth:`search_model` of
+        ``[layer]``, so it looks up, searches, counts and saves as a map does.
 
         Raises:
             InvalidMappingError: If no candidate is legal (a structurally
                 impossible layer/hardware pair).
         """
-        return self._lookup(layer, self._key(layer), {})
+        return self.search_model([layer])[0]
 
     def _lookup(
         self, layer: ConvLayer, key: str, searched: dict[str, _Search]
     ) -> LayerMappingResult:
         """Look ``layer`` up under ``key``; on a miss, take its search from
-        ``searched`` (by cache key) or search afresh, and count it.
+        ``searched`` (by cache key) and count it.
 
-        A miss searches afresh when nothing searched it ahead: under
-        :meth:`search_layer`, with the kernel off, or for a disk record
-        that ``cache.contains`` reported but that no longer rebuilds.
+        A miss searches afresh only when nothing searched it ahead: for a
+        disk record that ``cache.contains`` reported but that no longer
+        rebuilds.
         """
         cached = self.cache.get(key, rebuild=lambda rec: self._rebuild(rec, layer))
         if cached is not None:
@@ -391,17 +392,17 @@ class Mapper:
         ``tests/properties/test_batch_kernel.py`` and
         ``tests/properties/test_winner_reports.py``).
 
-        The searches are counted when :meth:`_lookup` uses them (only the
-        scalar enumeration's dedup, with the kernel off, is counted here),
-        so a model whose layer has no legal mapping counts what a
-        layer-by-layer search would have before it raises.
+        The searches, their dedup included, are counted when
+        :meth:`_lookup` uses them, so a model whose layer has no legal
+        mapping counts what a layer-by-layer search would have before it
+        raises.
         """
         if not layers:
             return []
         found: dict[int, _Search] = {}
         with obs.span("mapper.search_fresh", layers=len(layers)):
             if not batch.batch_kernel_enabled():
-                return [self._scalar_search(layer, None, 0.0) for layer in layers]
+                return [self._scalar_search(layer, 0.0) for layer in layers]
             groups: dict[tuple, list[int]] = {}
             for index, layer in enumerate(layers):
                 groups.setdefault(self._space.candidate_set_key(layer), []).append(index)
@@ -472,7 +473,7 @@ class Mapper:
         kernel_ms = (time.perf_counter() - start) * 1e3
         for segment, (index, layer, own, table_ms) in enumerate(members):
             if outcome is None:
-                found[index] = self._scalar_search(layer, own, table_ms + kernel_ms)
+                found[index] = self._scalar_search(layer, table_ms + kernel_ms)
                 continue
             found[index] = _Search(
                 winner=outcome.records[segment],
@@ -483,21 +484,17 @@ class Mapper:
                 ms=table_ms + kernel_ms * len(own) / len(table),
             )
 
-    def _scalar_search(
-        self, layer: ConvLayer, table: CandidateTable | None, spent_ms: float
-    ) -> _Search:
+    def _scalar_search(self, layer: ConvLayer, spent_ms: float) -> _Search:
         """The scalar strict-``<`` scan over the scalar enumeration and dedup.
 
-        ``table`` is the layer's table the kernel refused (its build
-        measured the dedup, which the enumeration then leaves uncounted),
-        or ``None`` with the kernel off.  ``spent_ms`` is the time already
-        spent on the layer.
+        ``spent_ms`` is the time already spent on the layer: its refused
+        table's build and kernel share, or 0 with the kernel off.
         """
         start = time.perf_counter()
         best: CostReport | None = None
         best_score = float("inf")
         evaluated = invalid = 0
-        candidates = self._space.scalar_unique_candidates(layer, count=table is None)
+        candidates, deduped = self._space.scalar_unique_candidates(layer)
         for mapping in candidates:
             try:
                 report = evaluate_mapping(layer, self.hw, mapping)
@@ -514,7 +511,7 @@ class Mapper:
             evaluated=evaluated,
             invalid=invalid,
             rows=None,
-            deduped=0 if table is None else table.deduped,
+            deduped=deduped,
             ms=spent_ms + (time.perf_counter() - start) * 1e3,
         )
 
@@ -530,10 +527,9 @@ class Mapper:
     ) -> list[LayerMappingResult]:
         """Optimal mapping for every layer of a model, in this process.
 
-        The uncached unique shapes are found first and searched in packs
+        The uncached unique shapes are found first and searched
         (:meth:`_search`) before the lookups, which take each miss's search
-        and count it; with the kernel off, each miss runs the scalar oracle
-        as it is looked up.
+        and count it.
 
         Args:
             layers: The model's layers (non-empty).
@@ -552,24 +548,10 @@ class Mapper:
         keys = [self._key(layer) for layer in layers]
         with obs.span("mapper.search_model", layers=len(layers)):
             pending = self._pending(layers, keys)
-            if batch.batch_kernel_enabled():
-                searched = dict(zip(pending, self._search(list(pending.values()))))
-            else:
-                searched = {}  # each miss runs the scalar oracle as it is looked up
+            searched = dict(zip(pending, self._search(list(pending.values()))))
             results = [
                 self._lookup(layer, key, searched) for layer, key in zip(layers, keys)
             ]
         obs.count("mapper.layers.searched", len(layers))
         self.cache.save()
         return results
-
-
-def map_model(
-    layers: list[ConvLayer],
-    hw: HardwareConfig,
-    profile: SearchProfile = SearchProfile.EXHAUSTIVE,
-    objective: Objective = energy_objective,
-) -> list[LayerMappingResult]:
-    """Convenience wrapper: search every layer of ``layers`` on ``hw``."""
-    mapper = Mapper(hw=hw, profile=profile, objective=objective)
-    return mapper.search_model(layers)

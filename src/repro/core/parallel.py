@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 import time
 import traceback as traceback_module
 from collections import deque
@@ -58,7 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from repro import obs
+from repro import durable, obs
 from repro.errors import ConfigError, ReproError
 from repro.obs.metrics import MetricsRegistry
 
@@ -249,24 +248,9 @@ class TaskFailure:
     label: str = ""
 
 
-def _fault_plan():
-    """The active fault-injection plan, without importing the harness.
-
-    Zero-cost in production: the harness module is only imported when
-    ``REPRO_FAULTS`` is set or a test already imported it to install a
-    plan.
-    """
-    module = sys.modules.get("repro.testing.faults")
-    if module is None:
-        if not os.environ.get("REPRO_FAULTS", "").strip():
-            return None
-        from repro.testing import faults as module
-    return module.active_plan()
-
-
 def _call_task(fn: Callable[[Any], Any], index: int, task: Any, attempt: int) -> Any:
     """Run one task, consulting the fault injector first."""
-    plan = _fault_plan()
+    plan = durable.fault_plan()
     if plan is not None:
         plan.before_task(index, attempt)
     return fn(task)

@@ -774,21 +774,17 @@ class MappingSpace:
             deduped=dropped, variants=variants,
         )
 
-    def scalar_unique_candidates(self, layer: ConvLayer, count: bool = True) -> list[Mapping]:
-        """:meth:`candidates` kept at each :func:`candidate_row`'s first occurrence.
+    def scalar_unique_candidates(self, layer: ConvLayer) -> tuple[list[Mapping], int]:
+        """:meth:`candidates` kept at each :func:`candidate_row`'s first
+        occurrence, and the number of congruent candidates dropped.
 
         The scalar oracle of :meth:`unique_candidates`: the same mappings in
-        the same order, one :class:`Mapping` per raw candidate.  Counts
-        ``space.candidates.deduped`` unless ``count`` is false (a caller
-        whose table already counted this layer).
+        the same order, one :class:`Mapping` per raw candidate, and the
+        table's ``deduped``.  Nothing is counted here: the mapper counts the
+        dropped candidates when it uses the layer's winner.
         """
-        from repro import obs
-
         first: dict[tuple[int, ...], Mapping] = {}
         raw = 0
         for raw, mapping in enumerate(self.candidates(layer), 1):
             first.setdefault(candidate_row(layer, mapping), mapping)
-        dropped = raw - len(first)
-        if dropped and count:
-            obs.count("space.candidates.deduped", dropped)
-        return list(first.values())
+        return list(first.values()), raw - len(first)

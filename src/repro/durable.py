@@ -83,19 +83,24 @@ def _errno_name(exc: BaseException) -> str:
     return _errno.errorcode.get(code or 0, "unknown").lower()
 
 
-def _fault_io(sink: str) -> None:
-    """Consult the active fault plan before one write on ``sink``.
+def fault_plan():
+    """The active fault-injection plan, without importing the harness.
 
-    Mirrors :func:`repro.core.parallel._fault_plan`: the harness module is
-    only imported when ``REPRO_FAULTS`` is set or a test already installed
-    a plan, so production runs never pay the import.
+    Zero-cost in production: the harness module (:mod:`repro.testing.faults`)
+    is only imported when ``REPRO_FAULTS`` is set or a test already
+    imported it to install a plan.
     """
     module = sys.modules.get("repro.testing.faults")
     if module is None:
         if not os.environ.get("REPRO_FAULTS", "").strip():
-            return
+            return None
         from repro.testing import faults as module
-    plan = module.active_plan()
+    return module.active_plan()
+
+
+def _fault_io(sink: str) -> None:
+    """Consult the active fault plan before one write on ``sink``."""
+    plan = fault_plan()
     if plan is None:
         return
     index = _io_indices.get(sink, 0)
@@ -316,6 +321,7 @@ __all__ = [
     "atomic_write",
     "degraded_sinks",
     "durable_append",
+    "fault_plan",
     "is_resource_error",
     "parse_lines",
     "record_sink_failure",

@@ -316,10 +316,6 @@ class Recorder:
         target.write_text(json.dumps(self.chrome_trace(), sort_keys=True))
         return target
 
-    def metrics_dict(self) -> dict[str, Any]:
-        """The metrics-export payload (counters + gauges)."""
-        return self.metrics.as_dict()
-
     def write_metrics(self, path: str | Path) -> Path:
         """Write the metrics JSON; returns the path written."""
         target = Path(path)

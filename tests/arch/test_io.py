@@ -65,6 +65,17 @@ class TestRoundTrip:
         with pytest.raises(HardwareSpecError, match="memory"):
             hardware_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["chiplets", "cores", "lanes", "vector_size"])
+    def test_nan_structure_count_raises(self, field):
+        """NaN compares false against any bound, so a plain ``< 1`` check
+        would let it through."""
+        from repro.arch.io import HardwareSpecError
+
+        data = hardware_to_dict(case_study_hardware())
+        data[field] = float("nan")
+        with pytest.raises(HardwareSpecError, match=field):
+            hardware_from_dict(data)
+
     def test_topology_defaults_to_ring(self):
         data = hardware_to_dict(case_study_hardware())
         del data["topology"]

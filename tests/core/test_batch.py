@@ -85,12 +85,16 @@ class TestTieBreak:
                     best_score, best, winner = score, report, index
             assert winner == 0  # strict-< keeps the first of an exact tie
 
-            result = batch.evaluate_batch(
-                layer, hw, CandidateTable.from_mappings(layer, ordering)
-            )
+            table = CandidateTable.from_mappings(layer, ordering)
+            result = batch.evaluate_batch(layer, hw, table)
             assert result.energy_pj[0] == result.energy_pj[1]
-            assert result.best_index("energy") == winner
-            assert result.best_index("edp") == winner
+            pack = CandidateTable.pack([table, table])
+            for objective in batch.BATCH_OBJECTIVES:
+                # np.argmin on one table, segment_minima on a pack.
+                outcome = batch.search_batch(layer, hw, table, objective)
+                assert outcome.winners == (winner,)
+                packed = batch.search_batch([layer, layer], hw, pack, objective)
+                assert packed.winners == (winner, len(table) + winner)
 
     def test_search_batch_reports_first_winner(self):
         layer, hw, candidates = tied_pair()
@@ -98,7 +102,7 @@ class TestTieBreak:
             layer, hw, CandidateTable.from_mappings(layer, candidates)
         )
         assert outcome is not None
-        assert outcome.best_index == 0
+        assert outcome.winners == (0,)
         assert outcome.evaluated == 2 and outcome.invalid == 0
 
 
@@ -227,6 +231,6 @@ class TestWorkingSet:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert outcome is not None and outcome.best_index is not None
+        assert outcome is not None and outcome.winners[0] is not None
         assert outcome.evaluated + outcome.invalid == len(table)
         assert peak < MAX_PASS_BYTES

@@ -40,8 +40,9 @@ def unique_shapes(model):
 
 def assert_matches_oracle(space, layer):
     table = space.unique_candidates(layer)
-    oracle = space.scalar_unique_candidates(layer)
+    oracle, dropped = space.scalar_unique_candidates(layer)
     assert list(table) == oracle, layer.name
+    assert table.deduped == dropped, layer.name
     rows = np.array([candidate_row(layer, m) for m in oracle], dtype=np.int64)
     assert np.array_equal(table.rows, rows.reshape(-1, len(CANDIDATE_COLUMNS)).T)
 
@@ -145,8 +146,8 @@ class TestDeclaredTiles:
 
         table = CandidateTable.from_mappings(layer, [declared])
         outcome = batch.search_batch(layer, hw, table)
-        assert outcome is not None and outcome.best_index == 0
-        winner = table[outcome.best_index]
+        assert outcome is not None and outcome.winners == (0,)
+        winner = table[0]
         assert winner == declared
         assert winner.chiplet_temporal.tile_h == 6
         result = batch.evaluate_batch(layer, hw, table)
@@ -179,7 +180,7 @@ class TestSequence:
     def test_from_mappings_round_trips(self):
         space = MappingSpace(case_study_hardware(), SearchProfile.FAST)
         layer = unique_shapes("alexnet")[1]
-        mappings = space.scalar_unique_candidates(layer)
+        mappings, _ = space.scalar_unique_candidates(layer)
         table = CandidateTable.from_mappings(layer, mappings)
         assert list(table) == mappings
         assert np.array_equal(table.rows, space.unique_candidates(layer).rows)

@@ -6,7 +6,7 @@ from repro import durable
 from repro.arch.config import case_study_hardware
 from repro.core.cache import CACHE_FORMAT_VERSION, MappingCache
 from repro.core.cost import evaluate_mapping
-from repro.core.mapper import Mapper, edp_objective, energy_objective, map_model
+from repro.core.mapper import Mapper, edp_objective, energy_objective
 from repro.core.serialize import mapping_to_dict
 from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
@@ -88,12 +88,6 @@ class TestSearchModel:
 
         assert answers(jobs=1) == answers()
 
-    def test_map_model_wrapper(self):
-        results = map_model(
-            [common_layer()], case_study_hardware(), profile=SearchProfile.MINIMAL
-        )
-        assert len(results) == 1
-
     def test_exhaustive_at_least_as_good_as_minimal(self):
         hw = case_study_hardware()
         layer = common_layer()
@@ -147,3 +141,21 @@ class TestDiskRecords:
                 },
             }
         ]
+
+    def test_search_layer_saves_the_disk_tier(self, tmp_path):
+        """``search_layer`` is a one-layer map: it saves its record, and a
+        second process's mapper rebuilds the layer from disk."""
+        hw, layer = case_study_hardware(), common_layer()
+        fresh = Mapper(
+            hw=hw, profile=SearchProfile.MINIMAL, cache=MappingCache(tmp_path)
+        ).search_layer(layer)
+        assert len(list(tmp_path.glob("mappings-*.json"))) == 1
+        cache = MappingCache(tmp_path)
+        again = Mapper(hw=hw, profile=SearchProfile.MINIMAL, cache=cache).search_layer(layer)
+        assert (cache.disk_hits, cache.misses) == (1, 0)
+        assert again.mapping == fresh.mapping
+        assert again.best.energy_pj == fresh.best.energy_pj
+        assert (again.candidates_evaluated, again.candidates_invalid) == (
+            fresh.candidates_evaluated,
+            fresh.candidates_invalid,
+        )

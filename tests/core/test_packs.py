@@ -55,6 +55,18 @@ def counters(metrics):
     return {name: values.get(name, 0) for name in SEARCH_COUNTERS}
 
 
+def model_with_impossible_layer():
+    """A machine and four layers, the second of which has no legal mapping."""
+    # A 1024-wide kernel row cannot fit the 800 B A-L1 at any tiling.
+    hw = build_hardware(2, 4, 8, 8)
+    impossible = ConvLayer(
+        "impossible", h=1, w=1024, ci=8, co=8, kh=1, kw=1024, stride=1, padding=0
+    )
+    fine = [ConvLayer(f"ok{i}", h=14, w=14, ci=8 * i, co=16, kh=3, kw=3, padding=1)
+            for i in (1, 2, 3)]
+    return hw, [fine[0], impossible, fine[1], fine[2]]
+
+
 def layer_by_layer(hw, profile, layers, tables=None):
     mapper = Mapper(hw=hw, profile=profile, tables=tables)
     return [mapper.search_layer(layer) for layer in layers]
@@ -159,14 +171,7 @@ class TestPackedSearch:
         """A layer with no legal mapping raises after counting what a
         layer-by-layer search counts before it raises -- nothing of the
         layers looked up after it, although their tables were scored."""
-        # A 1024-wide kernel row cannot fit the 800 B A-L1 at any tiling.
-        hw = build_hardware(2, 4, 8, 8)
-        impossible = ConvLayer(
-            "impossible", h=1, w=1024, ci=8, co=8, kh=1, kw=1024, stride=1, padding=0
-        )
-        fine = [ConvLayer(f"ok{i}", h=14, w=14, ci=8 * i, co=16, kh=3, kw=3, padding=1)
-                for i in (1, 2, 3)]
-        layers = [fine[0], impossible, fine[1], fine[2]]
+        hw, layers = model_with_impossible_layer()
         packed, packed_metrics = run(
             lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers)
         )
@@ -182,6 +187,29 @@ class TestPackedSearch:
         assert counters(packed_metrics) == counters(single_metrics)
         assert counters(packed_metrics)["mapper.searches.fresh"] == 2
         assert counters(packed_metrics)["space.candidates.deduped"] > 0
+
+    def test_kernel_off_raises_after_the_same_counts(self, monkeypatch):
+        """With the kernel off, the scalar oracle searches the pending
+        shapes and the lookups count them: the same error after the same
+        counters as the kernel-on run, less the kernel's own."""
+        hw, layers = model_with_impossible_layer()
+        runs = {}
+        for kernel in ("1", "0"):
+            monkeypatch.setenv(batch.BATCH_KERNEL_ENV, kernel)
+            runs[kernel] = run(
+                lambda: Mapper(hw=hw, profile=SearchProfile.FAST).search_model(layers)
+            )
+        (on, on_metrics), (off, off_metrics) = runs["1"], runs["0"]
+        assert isinstance(on, InvalidMappingError) and isinstance(off, InvalidMappingError)
+        assert str(on) == str(off)
+        on_counters, off_counters = on_metrics.counters(), off_metrics.counters()
+        kernel_only = {name for name in on_counters if name.startswith("mapper.batch.")}
+        assert kernel_only == {"mapper.batch.searches", "mapper.batch.candidates"}
+        assert {
+            name: value for name, value in on_counters.items() if name not in kernel_only
+        } == off_counters
+        assert off_counters["mapper.searches.fresh"] == 2
+        assert off_counters["space.candidates.deduped"] > 0
 
 
 def sweep_machines():

@@ -14,7 +14,7 @@ from repro.core import parallel
 from repro.core.baton import NNBaton
 from repro.core.cache import MappingCache
 from repro.core.dse import DesignSpace, explore, granularity_study
-from repro.core.mapper import Mapper, map_model
+from repro.core.mapper import Mapper
 from repro.core.parallel import (
     JOBS_ENV,
     SweepStats,
@@ -144,7 +144,6 @@ class TestMapsRunInOneProcess:
         mapper = Mapper(hw=hw, profile=profile, cache=MappingCache())
         return {
             "post_design": NNBaton(profile=profile).post_design(layers, hw).layers,
-            "map_model": map_model(layers, hw, profile=profile),
             "search_model": mapper.search_model(layers),
         }
 

@@ -216,6 +216,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown model 'nope'" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dse", "--macs", "64", "--checkpoint-dir", "{tmp}", "--checkpoint-every", "0"],
+            ["dse", "--macs", "64", "--strategy", "guided", "--trials", "0"],
+            ["dse", "--macs", "64", "--max-attempts", "0"],
+            ["dse", "--macs", "64", "--timeout", "0"],
+            ["dse", "--macs", "64", "--timeout", "-1"],
+            ["audit", "--sample", "0"],
+            ["models", "--resolution", "0"],
+            ["map", "alexnet", "--resolution", "0"],
+            ["compare", "alexnet", "--resolution", "0"],
+            ["dse", "--macs", "64", "--resolution", "0"],
+            ["profile", "alexnet", "--resolution", "0"],
+            ["map", "alexnet", "--hw-file", "{tmp}/missing.json"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_flag_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        """An out-of-range count, size or time budget, or a missing
+        hardware file, exits 2 with one error line, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if ": error" in line]
+        assert len(errors) == 1 and errors[0].startswith("repro")
+
     def test_audit_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "audit.json"
         assert (

@@ -11,7 +11,8 @@ exact ``==``, never ``approx``:
 * the validity mask against ``InvalidMappingError``,
 * the three C3P walk outputs (A_0, reload factor, fill bits),
 * every traffic field, every energy component, cycles, O-L2 sizing, EDP,
-* and the winner index against the scalar strict-``<`` first-minimum scan.
+* and :func:`~repro.core.batch.search_batch`'s winner index and counts
+  against the scalar strict-``<`` first-minimum scan.
 
 The kernel's input rows (:func:`repro.core.space.candidate_row`) are checked
 against :class:`~repro.core.loopnest.LoopNest`, the scalar derivation of the
@@ -151,14 +152,15 @@ class TestCandidateTable:
         """The table is the scalar first-occurrence dedup, built as columns."""
         layer, hw, profile = case
         space = MappingSpace(hw, profile)
-        table_counts, oracle_counts = obs.MetricsRecorder(), obs.MetricsRecorder()
+        table_counts = obs.MetricsRecorder()
         with obs.use(table_counts):
             table = space.unique_candidates(layer)
-        with obs.use(oracle_counts):
-            oracle = space.scalar_unique_candidates(layer)
+        oracle, dropped = space.scalar_unique_candidates(layer)
         assert list(table) == oracle
         assert table.rows.T.tolist() == [list(candidate_row(layer, m)) for m in oracle]
-        assert table_counts.metrics.counters() == oracle_counts.metrics.counters()
+        assert table.deduped == dropped
+        counters = table_counts.metrics.counters()
+        assert counters.get("space.candidates.deduped", 0) == dropped
 
 
 class TestCandidateRow:
@@ -260,15 +262,16 @@ class TestBatchScalarDifferential:
     @given(st.one_of(layer_and_hw(), transformer_layer_and_hw()))
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_winner_matches_scalar_strict_less_scan(self, case):
+        """The winner and counts the mapper takes from the kernel
+        (:func:`~repro.core.batch.search_batch`) are the scalar scan's."""
         layer, hw, profile = case
         table = MappingSpace(hw, profile).unique_candidates(layer)
         if not table:
             return
-        result = batch.evaluate_batch(layer, hw, table)
         candidates = list(table)
         for objective, score_of in (
-            ("energy", lambda r: r.energy_pj),
-            ("edp", lambda r: r.edp(hw)),
+            ("energy_objective", lambda r: r.energy_pj),
+            ("edp_objective", lambda r: r.edp(hw)),
         ):
             winner, best_score = None, math.inf
             evaluated = invalid = 0
@@ -282,6 +285,8 @@ class TestBatchScalarDifferential:
                 score = score_of(report)
                 if score < best_score:
                     best_score, winner = score, index
-            assert result.best_index(objective) == winner
-            assert result.evaluated == evaluated
-            assert result.invalid == invalid
+            outcome = batch.search_batch(layer, hw, table, objective)
+            assert outcome is not None
+            assert outcome.winners == (winner,)
+            assert outcome.evaluated == evaluated
+            assert outcome.invalid == invalid

@@ -312,11 +312,12 @@ def assert_pack_matches(own, packed, tables, pack):
         assert outcome is not None
         assert packed.segment_evaluated[segment] == outcome.evaluated
         assert packed.segment_invalid[segment] == outcome.invalid
-        if outcome.best_index is None:
+        (winner,) = outcome.winners
+        if winner is None:
             assert packed.winners[segment] is None
         else:
-            assert packed.winners[segment] == offset + outcome.best_index
-            assert pack[packed.winners[segment]] == table[outcome.best_index]
+            assert packed.winners[segment] == offset + winner
+            assert pack[packed.winners[segment]] == table[winner]
 
 
 @st.composite
